@@ -5,8 +5,8 @@ from .analysis import (
     Query,
     StratumEffect,
     UndefinedConditionalError,
+    adjusted_effect,
     aggregate_trials,
-    causal_effect,
     cond_prob,
     observational_effect,
     stratified_effect,
@@ -14,7 +14,7 @@ from .analysis import (
 from .catalog import CatalogEntry, healthcare10, simpson3
 from .circuit import Circuit, Gate, Tag, compile_model, format_circuit, surgered_circuit
 from .engine import Distribution, NoiseSpec, marginal, run_exact, run_sampled, statevector
-from .experiments import DEFAULT_SEED, Report, RunConfig, run_experiment
+from .experiments import DEFAULT_SEED, Report, RunConfig, causal_effect, run_experiment
 from .model import (
     GROUND,
     UNIFORM,
@@ -57,6 +57,7 @@ __all__ = [
     "UndefinedConditionalError",
     "UnsupportedModelError",
     "Variable",
+    "adjusted_effect",
     "aggregate_trials",
     "apply_do",
     "causal_effect",

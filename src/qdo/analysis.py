@@ -8,15 +8,15 @@ zero mass raises ``UndefinedConditionalError`` rather than silently producing
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circuit import compile_model
-from .engine import Distribution, NoiseSpec, run_exact, run_sampled
-from .model import CausalModel, Intervention, ModelError, apply_do
+from .engine import Distribution
+from .model import ModelError
 
 # Normal-approximation 95% interval: mean +/- 1.96 standard errors.
 Z_95 = 1.96
@@ -98,61 +98,60 @@ def cond_prob(dist: Distribution, qubits: Mapping[str, int], query: Query) -> fl
     return float(dist.values[out_mask].sum()) / cond_mass
 
 
-def observational_effect(
-    dist: Distribution, qubits: Mapping[str, int], treatment: str, outcome: str
-) -> float:
-    """P(outcome=1 | treatment=1) - P(outcome=1 | treatment=0)."""
-    p1 = cond_prob(dist, qubits, Query((outcome, 1), ((treatment, 1),)))
-    p0 = cond_prob(dist, qubits, Query((outcome, 1), ((treatment, 0),)))
-    return p1 - p0
-
-
-def stratified_effect(
+def adjusted_effect(
     dist: Distribution,
     qubits: Mapping[str, int],
     treatment: str,
     outcome: str,
-    stratifier: str,
-    weighting: str = "prevalence",
+    adjust: Sequence[str] = (),
+    given: Sequence[tuple[str, int]] = (),
 ) -> tuple[float, tuple[StratumEffect, ...]]:
-    """Within-stratum effects and their weighted aggregate.
+    """Back-door adjustment of the treatment effect over the cells of ``adjust``.
 
-    ``weighting`` selects the stratum weights: "prevalence" is P(Z=z), the
-    back-door adjustment; "treated" is P(Z=z | treatment=1); "unweighted" is a
-    plain mean of the stratum effects. A stratum the stratifier never takes is
-    skipped (zero weight); a nonempty stratum with an empty treatment cell is
-    an error.
+    Returns the sum over cells z of P(z | given) * [P(outcome=1 | treatment=1,
+    z, given) - P(outcome=1 | treatment=0, z, given)], with the per-cell
+    breakdown. With no ``adjust`` set this is the observational effect within
+    ``given``; adjusting for a set that blocks every back-door path gives the
+    causal effect (Pearl, Causality, 2009, section 3.3). A cell's ``value``
+    reads the ``adjust`` bits with the first variable most significant. Cells
+    with zero mass are skipped; a nonempty cell with an empty treatment arm
+    is an error.
     """
-    if weighting not in ("prevalence", "treated", "unweighted"):
-        raise ValueError(f"unknown weighting {weighting!r}")
-    total = float(dist.values.sum())
-    present = []
-    for z in (0, 1):
-        mass = float(dist.values[_event_mask(dist, qubits, [(stratifier, z)])].sum())
-        if mass <= 0.0:
+    given = tuple(given)
+    base = _event_mask(dist, qubits, given)
+    base_mass = float(dist.values[base].sum())
+    strata = []
+    for value, bits in enumerate(itertools.product((0, 1), repeat=len(adjust))):
+        cell = tuple(zip(adjust, bits))
+        mass = float(dist.values[base & _event_mask(dist, qubits, cell)].sum())
+        if adjust and mass <= 0.0:
             continue
         try:
-            p1 = cond_prob(dist, qubits, Query((outcome, 1), ((treatment, 1), (stratifier, z))))
-            p0 = cond_prob(dist, qubits, Query((outcome, 1), ((treatment, 0), (stratifier, z))))
+            p1 = cond_prob(dist, qubits, Query((outcome, 1), ((treatment, 1),) + cell + given))
+            p0 = cond_prob(dist, qubits, Query((outcome, 1), ((treatment, 0),) + cell + given))
         except UndefinedConditionalError as exc:
-            raise UndefinedConditionalError(
-                f"undefined stratum cell ({stratifier}={z}): {exc}"
-            ) from exc
-        present.append((z, mass, p1 - p0))
-    if not present:
-        raise UndefinedConditionalError(f"stratifier {stratifier!r} has no mass in any stratum")
+            if not adjust:
+                raise
+            where = ", ".join(f"{n}={b}" for n, b in cell)
+            raise UndefinedConditionalError(f"undefined stratum cell ({where}): {exc}") from exc
+        strata.append(StratumEffect(value, mass / base_mass, p1 - p0))
+    if not strata:
+        raise UndefinedConditionalError(f"adjustment set {', '.join(adjust)} has no mass in any cell")
+    return sum(s.weight * s.effect for s in strata), tuple(strata)
 
-    strata = []
-    for z, mass, effect in present:
-        if weighting == "prevalence":
-            w = mass / total
-        elif weighting == "treated":
-            w = cond_prob(dist, qubits, Query((stratifier, z), ((treatment, 1),)))
-        else:
-            w = 1.0 / len(present)
-        strata.append(StratumEffect(z, w, effect))
-    aggregate = sum(s.weight * s.effect for s in strata)
-    return aggregate, tuple(strata)
+
+def observational_effect(
+    dist: Distribution, qubits: Mapping[str, int], treatment: str, outcome: str
+) -> float:
+    """P(outcome=1 | treatment=1) - P(outcome=1 | treatment=0)."""
+    return adjusted_effect(dist, qubits, treatment, outcome)[0]
+
+
+def stratified_effect(
+    dist: Distribution, qubits: Mapping[str, int], treatment: str, outcome: str, stratifier: str
+) -> tuple[float, tuple[StratumEffect, ...]]:
+    """Within-stratum effects and their prevalence-weighted (back-door) aggregate."""
+    return adjusted_effect(dist, qubits, treatment, outcome, (stratifier,))
 
 
 def aggregate_trials(estimates: Sequence[float]) -> TrialStats:
@@ -170,55 +169,3 @@ def aggregate_trials(estimates: Sequence[float]) -> TrialStats:
     std_err = float(np.std(estimates, ddof=1)) / math.sqrt(k)
     half = Z_95 * std_err
     return TrialStats(mean, std_err, mean - half, mean + half, k)
-
-
-def causal_effect(
-    model: CausalModel,
-    treatment: str,
-    outcome: str,
-    *,
-    backend: str = "exact",
-    shots: int = 15000,
-    trials: int = 1,
-    seed: int | np.random.SeedSequence = 0,
-    noise: NoiseSpec | None = None,
-    label: str = "Causal, Overall (do)",
-) -> EffectReport:
-    """ACE = P(outcome=1 | do(treatment=1)) - P(outcome=1 | do(treatment=0)).
-
-    Compiles the two surgered models and runs them on the chosen backend; the
-    sampled backend runs ``trials`` independent pairs with per-trial derived
-    seeds and aggregates them into a 95% CI.
-    """
-    if model.is_intervened(treatment):
-        raise ModelError(f"treatment {treatment!r} is already intervened on")
-    qubits = model.qubit_map()
-    circ1 = compile_model(apply_do(model, Intervention(treatment, 1)))
-    circ0 = compile_model(apply_do(model, Intervention(treatment, 0)))
-    out1 = Query((outcome, 1))
-
-    if backend == "exact":
-        ace = cond_prob(run_exact(circ1), qubits, out1) - cond_prob(run_exact(circ0), qubits, out1)
-        return EffectReport(label, ace)
-    if backend != "sampled":
-        raise ValueError(f"unknown backend {backend!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-    per_trial = []
-    for child in root.spawn(trials):
-        ss1, ss0 = child.spawn(2)
-        p1 = cond_prob(run_sampled(circ1, shots, ss1, noise), qubits, out1)
-        p0 = cond_prob(run_sampled(circ0, shots, ss0, noise), qubits, out1)
-        per_trial.append(p1 - p0)
-    stats = aggregate_trials(per_trial)
-    return EffectReport(
-        label,
-        stats.mean,
-        per_trial=tuple(per_trial),
-        std_err=stats.std_err,
-        ci_low=stats.ci_low,
-        ci_high=stats.ci_high,
-        n_trials=trials,
-        shots_per_trial=shots,
-    )

@@ -190,6 +190,8 @@ def _parse_do(specs: list[str] | None) -> list[Intervention]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if not args.effect and (args.csv_path or args.svg_path):
+        raise ModelError("--csv and --svg need --effect: distribution mode writes only --json")
     cfg = _config_from_args(args)
     model = load_model(args.model_path)
     for iv in _parse_do(args.do):
@@ -273,16 +275,23 @@ def _cmd_chart(args: argparse.Namespace) -> int:
             raise ModelError(f"cannot read report {path}: {exc}") from exc
         if not isinstance(data, dict) or "groups" not in data:
             raise ModelError(f"{path}: not a report file (missing 'groups')")
-        for g in data["groups"]:
-            ci = g.get("ci")
-            groups.append(
-                EffectReport(
-                    label=g["label"],
-                    effect=float(g["effect"]),
-                    ci_low=float(ci[0]) if ci else None,
-                    ci_high=float(ci[1]) if ci else None,
+        if not isinstance(data["groups"], list):
+            raise ModelError(f"{path}: 'groups' must be a list")
+        for i, g in enumerate(data["groups"]):
+            try:
+                ci = g.get("ci")
+                groups.append(
+                    EffectReport(
+                        label=g["label"],
+                        effect=float(g["effect"]),
+                        ci_low=float(ci[0]) if ci else None,
+                        ci_high=float(ci[1]) if ci else None,
+                    )
                 )
-            )
+            except KeyError as exc:
+                raise ModelError(f"{path}: groups[{i}]: missing field {exc}") from None
+            except (AttributeError, IndexError, TypeError, ValueError) as exc:
+                raise ModelError(f"{path}: groups[{i}]: malformed group: {exc}") from None
     svg = render_chart(groups, title=args.title, reference=args.reference)
     Path(args.svg_path).write_text(svg, encoding="utf-8")
     return EXIT_OK

@@ -23,16 +23,18 @@ from .analysis import (
     EffectReport,
     Query,
     StratumEffect,
+    adjusted_effect,
     aggregate_trials,
     cond_prob,
-    observational_effect,
-    stratified_effect,
 )
 from .circuit import Circuit, compile_model
 from .engine import Distribution, NoiseSpec, run_exact, run_sampled
 from .model import CausalModel, Intervention, ModelError, apply_do
 
 DEFAULT_SEED = 1729
+
+# Each trial's streams, in spawn order; also the keys of a run's circuits.
+OBS, DO1, DO0 = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -56,31 +58,34 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Group:
-    """One row of a report: what to estimate and under which label."""
+    """One row of a report: what to estimate and under which label.
 
-    kind: str  # "observational" | "subgroup" | "stratified" | "causal"
+    A do-group is the interventional effect P(outcome=1 | do(treatment=1)) -
+    P(outcome=1 | do(treatment=0)); any other group is the back-door
+    adjustment over ``adjust`` within the ``given`` cell (see
+    ``analysis.adjusted_effect``).
+    """
+
     label: str
-    stratifier: str | None = None
-    stratum: int | None = None
-    weighting: str = "prevalence"
+    adjust: tuple[str, ...] = ()
+    given: tuple[tuple[str, int], ...] = ()
+    do: bool = False
 
 
 def observational_group(label: str = "Observational, Overall") -> Group:
-    return Group("observational", label)
+    return Group(label)
 
 
 def subgroup(stratifier: str, stratum: int, label: str | None = None) -> Group:
-    return Group("subgroup", label or f"Observational, {stratifier}={stratum}",
-                 stratifier=stratifier, stratum=stratum)
+    return Group(label or f"Observational, {stratifier}={stratum}", given=((stratifier, stratum),))
 
 
-def stratified_group(stratifier: str, label: str | None = None, weighting: str = "prevalence") -> Group:
-    return Group("stratified", label or f"Stratified by {stratifier}",
-                 stratifier=stratifier, weighting=weighting)
+def stratified_group(stratifier: str, label: str | None = None) -> Group:
+    return Group(label or f"Stratified by {stratifier}", adjust=(stratifier,))
 
 
 def causal_group(label: str = "Causal, Overall (do)") -> Group:
-    return Group("causal", label)
+    return Group(label, do=True)
 
 
 @dataclass(frozen=True)
@@ -99,27 +104,16 @@ class Report:
 
 def _estimate(
     group: Group,
-    dists: dict[str, Distribution],
+    dists: dict[int, Distribution],
     qubits: dict[str, int],
     treatment: str,
     outcome: str,
 ) -> tuple[float, tuple[StratumEffect, ...] | None]:
-    if group.kind == "observational":
-        return observational_effect(dists["obs"], qubits, treatment, outcome), None
-    if group.kind == "subgroup":
-        cond = ((group.stratifier, group.stratum),)
-        p1 = cond_prob(dists["obs"], qubits, Query((outcome, 1), ((treatment, 1),) + cond))
-        p0 = cond_prob(dists["obs"], qubits, Query((outcome, 1), ((treatment, 0),) + cond))
-        return p1 - p0, None
-    if group.kind == "stratified":
-        return stratified_effect(
-            dists["obs"], qubits, treatment, outcome, group.stratifier, group.weighting
-        )
-    if group.kind == "causal":
-        p1 = cond_prob(dists["do1"], qubits, Query((outcome, 1)))
-        p0 = cond_prob(dists["do0"], qubits, Query((outcome, 1)))
-        return p1 - p0, None
-    raise ValueError(f"unknown group kind {group.kind!r}")
+    if group.do:
+        out1 = Query((outcome, 1))
+        return cond_prob(dists[DO1], qubits, out1) - cond_prob(dists[DO0], qubits, out1), None
+    effect, strata = adjusted_effect(dists[OBS], qubits, treatment, outcome, group.adjust, group.given)
+    return effect, strata if group.adjust else None
 
 
 def run_experiment(
@@ -129,62 +123,79 @@ def run_experiment(
     groups: Sequence[Group],
     cfg: RunConfig,
 ) -> Report:
-    """Evaluate ``groups`` on one model under the configured backend."""
+    """Evaluate ``groups`` on one model under the configured backend.
+
+    Only the circuits the groups need are compiled and run. The exact backend
+    makes one pass with ``run_exact`` and reports point estimates; the sampled
+    backend makes one pass per trial and reports trial statistics.
+    """
     if model.is_intervened(treatment):
         raise ModelError(f"treatment {treatment!r} is already intervened on")
     qubits = model.qubit_map()
-    needs_do = any(g.kind == "causal" for g in groups)
-    obs_circ = compile_model(model)
-    circuits = [obs_circ]
-    do1_circ = do0_circ = None
-    if needs_do:
-        do1_circ = compile_model(apply_do(model, Intervention(treatment, 1)))
-        do0_circ = compile_model(apply_do(model, Intervention(treatment, 0)))
-        circuits += [do1_circ, do0_circ]
+    circuits: dict[int, Circuit] = {}
+    if not all(g.do for g in groups):
+        circuits[OBS] = compile_model(model)
+    if any(g.do for g in groups):
+        circuits[DO1] = compile_model(apply_do(model, Intervention(treatment, 1)))
+        circuits[DO0] = compile_model(apply_do(model, Intervention(treatment, 0)))
 
-    if cfg.backend == "exact":
-        dists = {"obs": run_exact(obs_circ)}
-        if needs_do:
-            dists["do1"] = run_exact(do1_circ)
-            dists["do0"] = run_exact(do0_circ)
-        reports = []
-        for g in groups:
-            effect, strata = _estimate(g, dists, qubits, treatment, outcome)
-            reports.append(EffectReport(g.label, effect, strata=strata))
-        return Report(model.name, cfg, tuple(reports), tuple(circuits))
-
-    root = np.random.SeedSequence(cfg.seed)
-    per_group: list[list[float]] = [[] for _ in groups]
-    per_strata: list[list[tuple[StratumEffect, ...]]] = [[] for _ in groups]
-    for trial_ss in root.spawn(cfg.trials):
-        obs_ss, do1_ss, do0_ss = trial_ss.spawn(3)
-        dists = {"obs": run_sampled(obs_circ, cfg.shots, obs_ss, cfg.noise)}
-        if needs_do:
-            dists["do1"] = run_sampled(do1_circ, cfg.shots, do1_ss, cfg.noise)
-            dists["do0"] = run_sampled(do0_circ, cfg.shots, do0_ss, cfg.noise)
+    sampled = cfg.backend == "sampled"
+    trial_streams = (
+        [ss.spawn(3) for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
+        if sampled else [None]
+    )
+    per_group: list[list[tuple[float, tuple[StratumEffect, ...] | None]]] = [[] for _ in groups]
+    for streams in trial_streams:
+        dists = {
+            k: run_sampled(c, cfg.shots, streams[k], cfg.noise) if sampled else run_exact(c)
+            for k, c in circuits.items()
+        }
         for i, g in enumerate(groups):
-            effect, strata = _estimate(g, dists, qubits, treatment, outcome)
-            per_group[i].append(effect)
-            if strata is not None:
-                per_strata[i].append(strata)
+            per_group[i].append(_estimate(g, dists, qubits, treatment, outcome))
 
     reports = []
-    for i, g in enumerate(groups):
-        stats = aggregate_trials(per_group[i])
+    for g, results in zip(groups, per_group):
+        if not sampled:
+            effect, strata = results[0]
+            reports.append(EffectReport(g.label, effect, strata=strata))
+            continue
+        per_trial = tuple(effect for effect, _ in results)
+        stats = aggregate_trials(per_trial)
         reports.append(
             EffectReport(
                 g.label,
                 stats.mean,
-                per_trial=tuple(per_group[i]),
+                per_trial=per_trial,
                 std_err=stats.std_err,
                 ci_low=stats.ci_low,
                 ci_high=stats.ci_high,
                 n_trials=cfg.trials,
                 shots_per_trial=cfg.shots,
-                strata=_mean_strata(per_strata[i]),
+                strata=_mean_strata([strata for _, strata in results if strata is not None]),
             )
         )
-    return Report(model.name, cfg, tuple(reports), tuple(circuits))
+    return Report(model.name, cfg, tuple(reports), tuple(circuits.values()))
+
+
+def causal_effect(
+    model: CausalModel,
+    treatment: str,
+    outcome: str,
+    *,
+    backend: str = "exact",
+    shots: int = 15000,
+    trials: int = 1,
+    seed: int = 0,
+    noise: NoiseSpec | None = None,
+    label: str = "Causal, Overall (do)",
+) -> EffectReport:
+    """ACE = P(outcome=1 | do(treatment=1)) - P(outcome=1 | do(treatment=0)).
+
+    A run of the single causal group: sampled trials draw from the (do=1,
+    do=0) streams of the seed contract above.
+    """
+    cfg = RunConfig(backend=backend, shots=shots, trials=trials, seed=seed, noise=noise)
+    return run_experiment(model, treatment, outcome, [causal_group(label)], cfg).groups[0]
 
 
 def _mean_strata(trials: list[tuple[StratumEffect, ...]]) -> tuple[StratumEffect, ...] | None:

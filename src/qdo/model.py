@@ -150,9 +150,9 @@ def validate(model: CausalModel) -> list[str]:
             out.append(f"duplicate edge {e.parent!r}->{e.child!r} (control={e.control_value})")
         seen_triples.add(triple)
 
-    cyclic = _cycle_participants(model)
+    cyclic = _peel(model)[1]
     if cyclic:
-        out.append(f"cycle detected involving: {', '.join(sorted(cyclic))}")
+        out.append(f"cycle detected involving: {', '.join(cyclic)}")
 
     intervened: set[str] = set()
     for iv in model.interventions:
@@ -169,26 +169,48 @@ def validate(model: CausalModel) -> list[str]:
     return out
 
 
-def _cycle_participants(model: CausalModel) -> set[str]:
-    # Strip nodes with no incoming, then no outgoing, edges within the rest;
-    # what survives lies on a directed cycle.
-    known = {v.name for v in model.variables}
-    edges = {
-        (e.parent, e.child)
-        for e in model.edges
-        if e.parent in known and e.child in known and e.parent != e.child
-    }
-    remaining = set(known)
-    changed = True
-    while changed:
-        changed = False
-        for n in list(remaining):
-            has_in = any(p in remaining and c == n for p, c in edges)
-            has_out = any(c in remaining and p == n for p, c in edges)
-            if not (has_in and has_out):
-                remaining.discard(n)
-                changed = True
-    return remaining
+def _kahn(nodes: set[str], succ: dict[str, list[str]], key: dict[str, int]) -> list[str]:
+    """Kahn's peel of ``nodes`` along ``succ``, ties broken by ascending ``key``.
+
+    Returns the nodes that can be peeled, each after its predecessors within
+    ``nodes``; the nodes on a cycle and those it feeds are left out.
+    """
+    indeg = dict.fromkeys(nodes, 0)
+    for n in nodes:
+        for c in succ[n]:
+            if c in indeg:
+                indeg[c] += 1
+    heap = [(key[n], n) for n, d in indeg.items() if d == 0]
+    heapq.heapify(heap)
+    order: list[str] = []
+    while heap:
+        _, n = heapq.heappop(heap)
+        order.append(n)
+        for c in succ[n]:
+            if c in indeg:
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    heapq.heappush(heap, (key[c], c))
+    return order
+
+
+def _peel(model: CausalModel) -> tuple[list[str], list[str]]:
+    """(topological order, sorted names of the nodes on a cycle).
+
+    Self-loops and edges naming unknown variables are ignored. Peeling what
+    the forward pass leaves from the sink end drops the nodes downstream of a
+    cycle, keeping those on one (or between two).
+    """
+    qubit = model.qubit_map()
+    children: dict[str, list[str]] = {n: [] for n in qubit}
+    parents: dict[str, list[str]] = {n: [] for n in qubit}
+    for e in model.edges:
+        if e.parent in qubit and e.child in qubit and e.parent != e.child:
+            children[e.parent].append(e.child)
+            parents[e.child].append(e.parent)
+    order = _kahn(set(qubit), children, qubit)
+    rest = set(qubit) - set(order)
+    return order, sorted(rest - set(_kahn(rest, parents, qubit)))
 
 
 def topological_order(model: CausalModel) -> list[str]:
@@ -196,32 +218,17 @@ def topological_order(model: CausalModel) -> list[str]:
 
     Ties are broken by ascending qubit index, so the result is deterministic.
     """
-    qubit = model.qubit_map()
-    indeg = {v.name: 0 for v in model.variables}
-    children: dict[str, list[str]] = {v.name: [] for v in model.variables}
+    known = {v.name for v in model.variables}
     for e in model.edges:
-        if e.parent not in indeg or e.child not in indeg:
+        if e.parent not in known or e.child not in known:
             raise ModelError(
                 f"edge {e.parent!r}->{e.child!r} references a variable missing from the model"
             )
         if e.parent == e.child:
             raise ModelError(f"self-loop on {e.parent!r}")
-        indeg[e.child] += 1
-        children[e.parent].append(e.child)
-
-    heap = [(qubit[n], n) for n, d in indeg.items() if d == 0]
-    heapq.heapify(heap)
-    order: list[str] = []
-    while heap:
-        _, n = heapq.heappop(heap)
-        order.append(n)
-        for c in children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                heapq.heappush(heap, (qubit[c], c))
-    if len(order) != len(indeg):
-        stuck = sorted(_cycle_participants(model)) or sorted(set(indeg) - set(order))
-        raise ModelError(f"cycle detected involving: {', '.join(stuck)}")
+    order, cyclic = _peel(model)
+    if cyclic:
+        raise ModelError(f"cycle detected involving: {', '.join(cyclic)}")
     return order
 
 

@@ -21,6 +21,7 @@ from qdo import (
     Query,
     UndefinedConditionalError,
     Variable,
+    adjusted_effect,
     aggregate_trials,
     apply_do,
     causal_effect,
@@ -31,6 +32,7 @@ from qdo import (
     run_sampled,
     stratified_effect,
 )
+from qdo.experiments import RunConfig, causal_group, run_experiment
 
 S2 = lambda x: math.sin(x / 2.0) ** 2
 
@@ -132,10 +134,9 @@ class TestStratifiedEffect:
         )
         dist = run_exact(compile_model(m))
         qmap = m.qubit_map()
-        for weighting in ("prevalence", "treated", "unweighted"):
-            aggregate, strata = stratified_effect(dist, qmap, "T", "O", "Z", weighting)
-            assert len(strata) == 1 and strata[0].value == 0 and strata[0].weight == pytest.approx(1.0)
-            assert aggregate == pytest.approx(observational_effect(dist, qmap, "T", "O"), abs=1e-12)
+        aggregate, strata = stratified_effect(dist, qmap, "T", "O", "Z")
+        assert len(strata) == 1 and strata[0].value == 0 and strata[0].weight == pytest.approx(1.0)
+        assert aggregate == pytest.approx(observational_effect(dist, qmap, "T", "O"), abs=1e-12)
 
     def test_backdoor_equality_on_simpson3(self, obs3, simpson3_entry):
         # G blocks every back-door path, so adjustment equals intervention.
@@ -152,20 +153,36 @@ class TestStratifiedEffect:
             aggregate, _ = stratified_effect(dist, qmap, "Treatment", "Outcome", stratifier)
             assert abs(aggregate - ace) > 0.005
 
-    def test_weighting_variants_disagree_on_healthcare10(self, healthcare10_entry):
-        dist = run_exact(compile_model(healthcare10_entry.model))
-        qmap = healthcare10_entry.model.qubit_map()
-        values = {
-            w: stratified_effect(dist, qmap, "Treatment", "Outcome", "Age", w)[0]
-            for w in ("prevalence", "treated", "unweighted")
-        }
-        assert len({round(v, 6) for v in values.values()}) == 3
-
     def test_empty_cell_raises_naming_stratum(self, simpson3_entry):
         surgered = apply_do(simpson3_entry.model, Intervention("T", 1))
         dist = run_exact(compile_model(surgered))
         with pytest.raises(UndefinedConditionalError, match="stratum cell"):
             stratified_effect(dist, surgered.qubit_map(), "T", "O", "G")
+
+
+class TestAdjustedEffect:
+    def test_subgroup_is_observational_within_given_cell(self, obs3):
+        dist, qmap = obs3
+        assert adjusted_effect(dist, qmap, "T", "O", given=(("G", 0),))[0] == pytest.approx(DP_G0, abs=1e-10)
+        assert adjusted_effect(dist, qmap, "T", "O", given=(("G", 1),))[0] == pytest.approx(DP_G1, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "entry, treatment, outcome",
+        [("simpson3_entry", "T", "O"), ("healthcare10_entry", "Treatment", "Outcome")],
+    )
+    def test_backdoor_over_treatment_parents_equals_do(self, request, entry, treatment, outcome):
+        model = request.getfixturevalue(entry).model
+        dist = run_exact(compile_model(model))
+        parents = sorted({e.parent for e in model.incoming(treatment)})
+        effect, _ = adjusted_effect(dist, model.qubit_map(), treatment, outcome, parents)
+        assert abs(effect - causal_effect(model, treatment, outcome).effect) < 1e-12
+
+    def test_partial_adjustment_misses_do_on_healthcare10(self, healthcare10_entry):
+        model = healthcare10_entry.model
+        dist = run_exact(compile_model(model))
+        effect, strata = adjusted_effect(dist, model.qubit_map(), "Treatment", "Outcome", ("Age", "Region"))
+        assert sum(s.weight for s in strata) == pytest.approx(1.0, abs=1e-12)
+        assert abs(effect - causal_effect(model, "Treatment", "Outcome").effect) > 0.005
 
 
 class TestCausalEffect:
@@ -198,6 +215,12 @@ class TestCausalEffect:
         assert report.mean == pytest.approx(ACE, abs=0.01)
         assert report.ci_low <= report.mean <= report.ci_high
         assert report.ci_high - report.mean == pytest.approx(1.96 * report.std_err, abs=1e-12)
+
+    def test_sampled_streams_match_run_experiment(self, simpson3_entry):
+        report = causal_effect(simpson3_entry.model, "T", "O", backend="sampled", shots=2000, trials=3, seed=123)
+        cfg = RunConfig(backend="sampled", shots=2000, trials=3, seed=123)
+        run = run_experiment(simpson3_entry.model, "T", "O", [causal_group()], cfg)
+        assert report.per_trial == run.groups[0].per_trial
 
     def test_sampled_deterministic(self, simpson3_entry):
         kw = dict(backend="sampled", shots=2000, trials=3, seed=123)

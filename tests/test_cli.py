@@ -135,6 +135,13 @@ class TestRunCommand:
     def test_do_bad_syntax_exits_2(self, capsys):
         assert run_cli("run", str(MODELS / "simpson3.json"), "--do", "G=2") == 2
 
+    @pytest.mark.parametrize("flag", ["--csv", "--svg"])
+    def test_report_files_require_effect(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        assert run_cli("run", str(MODELS / "simpson3.json"), flag, str(out)) == 2
+        assert "--effect" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_effect_requires_roles(self, capsys):
         assert run_cli("run", str(MODELS / "simpson3.json"), "--effect") == 2
 
@@ -216,6 +223,13 @@ class TestChartCommand:
 
     def test_missing_report_exits_2(self, tmp_path, capsys):
         assert run_cli("chart", str(tmp_path / "none.json"), "--svg", str(tmp_path / "x.svg")) == 2
+        for name, payload in [("no_effect", {"groups": [{"label": "a"}]}), ("not_list", {"groups": 5})]:
+            report = tmp_path / f"{name}.json"
+            report.write_text(json.dumps(payload), encoding="utf-8")
+            capsys.readouterr()
+            assert run_cli("chart", str(report), "--svg", str(tmp_path / "x.svg")) == 2
+            assert capsys.readouterr().err.startswith(f"qdo: error: {report}: ")
+        assert not (tmp_path / "x.svg").exists()
 
 
 class TestSeedHandling:
