@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -267,6 +268,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_chart(args: argparse.Namespace) -> int:
     from .analysis import EffectReport
 
+    if args.reference is not None and not math.isfinite(args.reference):
+        raise ModelError(f"--reference must be finite, got {args.reference!r}")
     groups = []
     for path in args.reports:
         try:
@@ -280,14 +283,16 @@ def _cmd_chart(args: argparse.Namespace) -> int:
         for i, g in enumerate(data["groups"]):
             try:
                 ci = g.get("ci")
-                groups.append(
-                    EffectReport(
-                        label=g["label"],
-                        effect=float(g["effect"]),
-                        ci_low=float(ci[0]) if ci else None,
-                        ci_high=float(ci[1]) if ci else None,
-                    )
+                group = EffectReport(
+                    label=g["label"],
+                    effect=float(g["effect"]),
+                    ci_low=float(ci[0]) if ci else None,
+                    ci_high=float(ci[1]) if ci else None,
                 )
+                bounds = (group.ci_low, group.ci_high) if ci else ()
+                if not all(map(math.isfinite, (group.effect, *bounds))):
+                    raise ValueError("effect and ci bounds must be finite")
+                groups.append(group)
             except KeyError as exc:
                 raise ModelError(f"{path}: groups[{i}]: missing field {exc}") from None
             except (AttributeError, IndexError, TypeError, ValueError) as exc:

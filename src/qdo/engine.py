@@ -30,6 +30,10 @@ _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 # Batch size for noisy trajectories; bounds peak memory at ~34 MB for 10 qubits.
 _TRAJECTORY_BATCH = 2048
 
+# Largest single state array (statevector, trajectory batch or oracle joint)
+# qdo will allocate; a bigger request fails fast instead of exhausting memory.
+MAX_STATE_BYTES = 2 << 30
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -149,9 +153,23 @@ def _apply_gate(states: np.ndarray, gate: Gate) -> None:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
+def check_state_size(n_qubits: int, rows: int = 1, itemsize: int = 16) -> None:
+    """Raise ValueError if ``rows`` states of 2^n entries exceed ``MAX_STATE_BYTES``.
+
+    Call before allocating: the request is sized arithmetically, never tried.
+    """
+    nbytes = (rows * itemsize) << n_qubits
+    if nbytes > MAX_STATE_BYTES:
+        what = f"{n_qubits}-qubit state" if rows == 1 else f"batch of {rows} {n_qubits}-qubit states"
+        raise ValueError(
+            f"{what} needs {nbytes} bytes, over the {MAX_STATE_BYTES}-byte per-array budget"
+        )
+
+
 def statevector(circ: Circuit) -> np.ndarray:
     """Final amplitudes of the circuit applied to the all-zeros state."""
     _check_circuit(circ)
+    check_state_size(circ.n_qubits)
     states = np.zeros((1, 1 << circ.n_qubits), dtype=np.complex128)
     states[0, 0] = 1.0
     for gate in circ.gates:
@@ -206,6 +224,7 @@ def run_sampled(
         return Distribution(circ.n_qubits, counts.astype(np.int64), shots=shots)
 
     _check_circuit(circ)
+    check_state_size(circ.n_qubits, rows=min(_TRAJECTORY_BATCH, shots))  # the largest batch
     rng = np.random.default_rng(_seed_sequence(seed, noise.seed))
     counts = np.zeros(dim, dtype=np.int64)
     done = 0

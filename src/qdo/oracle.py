@@ -12,6 +12,10 @@ A Hadamard prep is not a Y-rotation, so the sum rule holds for a uniform-prep
 variable only when nothing else rotates it; models with a uniform-prep
 variable that has incoming edges are rejected (the engine still simulates
 them fine, they are just outside what this oracle can certify).
+
+The joint is built as a dense product of broadcast factors, one per variable
+(see ``enumerate_joint``), so its cost is O(n * 2^n) numpy work with no
+per-assignment Python code.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 
 import numpy as np
 
-from .engine import Distribution
+from .engine import Distribution, check_state_size
 from .model import CausalModel, ModelError, topological_order, validate
 
 
@@ -48,8 +52,7 @@ def conditional_table(model: CausalModel, name: str) -> dict[tuple[int, ...], fl
             )
         return {(): 0.5}
 
-    qubit = model.qubit_map()
-    parents = sorted({e.parent for e in incoming}, key=lambda p: qubit[p])
+    parents = _parents(model, name)
     base = var.prep.angle if var.prep.kind == "rotation" else 0.0
     table: dict[tuple[int, ...], float] = {}
     for bits in _assignments(len(parents)):
@@ -59,46 +62,64 @@ def conditional_table(model: CausalModel, name: str) -> dict[tuple[int, ...], fl
     return table
 
 
+def _parents(model: CausalModel, name: str) -> list[str]:
+    """Distinct parents of ``name`` in ascending qubit order (the key order of its table)."""
+    qubit = model.qubit_map()
+    return sorted({e.parent for e in model.incoming(name)}, key=lambda p: qubit[p])
+
+
 def _assignments(n: int):
     for i in range(1 << n):
         yield tuple((i >> k) & 1 for k in range(n))
 
 
+def _factor(model: CausalModel, name: str) -> np.ndarray:
+    """P(name | parents) as an n-axis array, broadcastable against the joint.
+
+    Axis j holds the bit of qubit n-1-j (the layout of ``engine.marginal``);
+    the factor has size 2 on the axes of ``name`` and its parents and size 1
+    on every other axis. An intervened variable's table is {(): value}, so its
+    factor is one-hot on its own axis.
+    """
+    n = model.n_qubits
+    qubit = model.qubit_map()
+    table = conditional_table(model, name)
+    parents = _parents(model, name)  # empty for an intervened variable of a valid model
+    p1 = np.empty((2,) * len(parents))
+    for bits, p in table.items():
+        p1[bits] = p
+    factor = np.stack([1.0 - p1, p1])  # axes: name, then parents by ascending qubit
+    axes = [n - 1 - qubit[v] for v in [name, *parents]]
+    shape = [1] * n
+    for a in axes:
+        shape[a] = 2
+    return factor.transpose(np.argsort(axes)).reshape(shape)
+
+
 def enumerate_joint(model: CausalModel) -> Distribution:
-    """Exact joint distribution by dense enumeration of all 2^n assignments.
+    """Exact joint distribution over all 2^n assignments, as a broadcast product.
 
     The joint factorizes over the DAG: each assignment's probability is the
     product over variables of P(value | parent assignment), with intervened
-    variables contributing probability one on their forced value.
+    variables contributing probability one on their forced value. Starting
+    from an all-ones array of 2^n float64 entries, the factor of every
+    variable (see ``_factor``) is multiplied in place in topological order.
+
+    Ordering contract: every entry is the product of the same float64 factors,
+    taken from ``conditional_table``, multiplied left to right in
+    ``topological_order``, so the result is bit-for-bit reproducible and does
+    not depend on how the product is vectorized. Every factor is finite and
+    non-negative, so an assignment made impossible by one factor stays exactly
+    0.0. Raises ``ValueError`` (via ``engine.check_state_size``) before
+    allocating when the joint would not fit the state budget.
     """
     violations = validate(model)
     if violations:
         raise ModelError("invalid model: " + "; ".join(violations))
 
-    qubit = model.qubit_map()
-    order = topological_order(model)
-    tables = {name: conditional_table(model, name) for name in order}
-    parents_of = {
-        name: sorted({e.parent for e in model.incoming(name)}, key=lambda p: qubit[p])
-        for name in order
-    }
-    forced = {iv.variable: iv.value for iv in model.interventions}
-
     n = model.n_qubits
-    probs = np.zeros(1 << n)
-    for idx in range(1 << n):
-        bit = lambda name: (idx >> qubit[name]) & 1
-        p = 1.0
-        for name in order:
-            if name in forced:
-                if bit(name) != forced[name]:
-                    p = 0.0
-                    break
-                continue
-            key = tuple(bit(par) for par in parents_of[name])
-            p1 = tables[name][key]
-            p *= p1 if bit(name) == 1 else 1.0 - p1
-            if p == 0.0:
-                break
-        probs[idx] = p
-    return Distribution(n, probs)
+    check_state_size(n, itemsize=8)
+    probs = np.ones((2,) * n)
+    for name in topological_order(model):
+        probs *= _factor(model, name)
+    return Distribution(n, probs.reshape(-1))

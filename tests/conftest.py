@@ -17,15 +17,17 @@ def healthcare10_entry():
     return healthcare10()
 
 
-def make_random_model(rng: np.random.Generator, max_qubits: int = 6) -> CausalModel:
+def make_random_model(rng: np.random.Generator, max_qubits: int = 6, n: int | None = None) -> CausalModel:
     """A random valid model in the oracle-supported class.
 
     Ground or base-rotation preps only (no Hadamards), angles in (0.05, pi),
     random control values and signs, edges directed along a random variable
     order so the graph is acyclic by construction. Occasionally both control
-    values of the same parent/child pair carry an edge.
+    values of the same parent/child pair carry an edge. ``n`` fixes the
+    variable count; otherwise it is drawn from 2..max_qubits.
     """
-    n = int(rng.integers(2, max_qubits + 1))
+    if n is None:
+        n = int(rng.integers(2, max_qubits + 1))
     qubits = rng.permutation(n)
     variables = []
     for i in range(n):
@@ -53,6 +55,14 @@ def make_random_model(rng: np.random.Generator, max_qubits: int = 6) -> CausalMo
         variables[0] = Variable(variables[0].name, variables[0].qubit,
                                 Prep.rotation(float(rng.uniform(0.05, np.pi))))
     return CausalModel(f"random{n}", tuple(variables), tuple(edges))
+
+
+def chain_model(n: int) -> CausalModel:
+    """v0 -> v1 -> ... -> v{n-1}, one rotation prep at the root; n qubits."""
+    variables = [Variable("v0", 0, Prep.rotation(0.7))]
+    variables += [Variable(f"v{i}", i) for i in range(1, n)]
+    edges = [Edge(f"v{i - 1}", f"v{i}", 1, 0.9) for i in range(1, n)]
+    return CausalModel(f"chain{n}", tuple(variables), tuple(edges))
 
 
 def random_intervention(rng: np.random.Generator, model: CausalModel) -> Intervention:

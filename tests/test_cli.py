@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qdo import save_model
 from qdo.cli import main
+from conftest import chain_model, make_random_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -197,6 +199,18 @@ class TestValidateCommand:
         assert run_cli("validate", str(path)) == 2
         assert "oracle-unsupported prep" in capsys.readouterr().err
 
+    def test_wide_model_passes(self, tmp_path, capsys):
+        path = tmp_path / "wide18.json"
+        save_model(make_random_model(np.random.default_rng(18), n=18), path)
+        assert run_cli("validate", str(path)) == 0
+        assert capsys.readouterr().out.endswith("ok\n")
+
+    def test_state_over_budget_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "chain48.json"
+        save_model(chain_model(48), path)
+        assert run_cli("validate", str(path)) == 2
+        assert "48-qubit state needs" in capsys.readouterr().err
+
     def test_equivalence_failure_exits_1(self, monkeypatch, capsys):
         import qdo.cli as cli_mod
         from qdo.engine import Distribution
@@ -223,12 +237,27 @@ class TestChartCommand:
 
     def test_missing_report_exits_2(self, tmp_path, capsys):
         assert run_cli("chart", str(tmp_path / "none.json"), "--svg", str(tmp_path / "x.svg")) == 2
-        for name, payload in [("no_effect", {"groups": [{"label": "a"}]}), ("not_list", {"groups": 5})]:
+        cases = [
+            ("no_effect", {"groups": [{"label": "a"}]}),
+            ("not_list", {"groups": 5}),
+            ("nan_effect", {"groups": [{"label": "a", "effect": math.nan}, {"label": "b", "effect": 0.2}]}),
+            ("inf_effect", {"groups": [{"label": "a", "effect": math.inf}]}),
+            ("inf_ci", {"groups": [{"label": "a", "effect": 0.1, "ci": [0.0, -math.inf]}]}),
+        ]
+        for name, payload in cases:
             report = tmp_path / f"{name}.json"
-            report.write_text(json.dumps(payload), encoding="utf-8")
+            report.write_text(json.dumps(payload), encoding="utf-8")  # NaN/Infinity literals
             capsys.readouterr()
             assert run_cli("chart", str(report), "--svg", str(tmp_path / "x.svg")) == 2
             assert capsys.readouterr().err.startswith(f"qdo: error: {report}: ")
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_non_finite_reference_exits_2(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert run_cli("simpson3", "--backend", "exact", "--json", str(report)) == 0
+        for value in ("nan", "inf"):
+            assert run_cli("chart", str(report), "--svg", str(tmp_path / "x.svg"), "--reference", value) == 2
+        assert "--reference must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x.svg").exists()
 
 

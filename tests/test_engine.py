@@ -27,6 +27,8 @@ from qdo import (
     statevector,
 )
 from qdo.circuit import Circuit, Gate, Tag
+from qdo.engine import MAX_STATE_BYTES, check_state_size
+from conftest import chain_model
 
 _T = Tag("prep", "x")
 
@@ -219,3 +221,26 @@ class TestMarginal:
         dist = run_exact(compile_model(simpson3_entry.model))
         with pytest.raises(ValueError):
             marginal(dist, bad)
+
+
+class TestStateBudget:
+    # 48 qubits: even without the guard, numpy refuses the allocation at once
+    # instead of filling memory.
+    def test_budget_is_checked_arithmetically(self):
+        check_state_size(27)  # 2 GiB of complex128: exactly at the budget
+        check_state_size(28, itemsize=8)
+        with pytest.raises(ValueError, match=r"28-qubit state needs 4294967296 bytes"):
+            check_state_size(28)
+        with pytest.raises(ValueError, match=r"batch of 2048 17-qubit states"):
+            check_state_size(17, rows=2048)
+        assert MAX_STATE_BYTES == 2 << 30
+
+    def test_run_exact_refuses_before_allocating(self):
+        circ = compile_model(chain_model(48))
+        with pytest.raises(ValueError, match=rf"48-qubit state needs {16 << 48} bytes"):
+            run_exact(circ)
+
+    def test_noisy_batch_refuses_before_allocating(self):
+        circ = compile_model(chain_model(48))
+        with pytest.raises(ValueError, match=r"batch of 2 48-qubit states"):
+            run_sampled(circ, 2, 0, NoiseSpec(0.1))

@@ -19,7 +19,7 @@ from qdo import (
     enumerate_joint,
     run_exact,
 )
-from conftest import make_random_model, random_intervention
+from conftest import chain_model, make_random_model, random_intervention
 
 
 def _max_dev(model):
@@ -102,3 +102,9 @@ class TestClosedForm:
 
     def test_joint_sums_to_one(self, healthcare10_entry):
         assert enumerate_joint(healthcare10_entry.model).values.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_joint_over_state_budget_refused_before_allocating():
+    # 48 qubits: even without the guard, numpy refuses the allocation at once.
+    with pytest.raises(ValueError, match=rf"48-qubit state needs {8 << 48} bytes"):
+        enumerate_joint(chain_model(48))
