@@ -10,8 +10,19 @@ realization (rotate exactly the branch where the control bit equals 0).
 The noisy path is a quantum-trajectory unraveling, not a density matrix: each
 shot evolves its own pure state and, after every IR gate, each touched qubit
 is hit by a uniformly random Pauli (X, Y or Z) with probability ``p_depol``.
-Shots are evolved in fixed-size batches; results are deterministic for a fixed
-(circuit, shots, seed, noise).
+Shots are evolved in batches of up to ``_TRAJECTORY_BATCH`` rows, fewer when a
+full batch would exceed ``MAX_STATE_BYTES``; results are deterministic for a
+fixed (circuit, shots, seed, noise). A batch is measured in place: its
+amplitudes are squared, normalized and cumulated in the same array, so peak
+memory stays about one batch.
+
+Amplitudes are real (float64). H, X, RY and CRY are real matrices, and Pauli
+Y = i * [[0, -1], [1, 0]], so every trajectory row is i^k times a real vector;
+the engine stores that real vector and applies Y as (a0, a1) -> (-a1, a0).
+The global phase i^k does not change |amplitude|^2. Each real operation is the
+one a complex128 kernel would do on the nonzero part of each amplitude (a real
+scalar times a complex number has no cross terms), so the probabilities are
+bit-identical to those of a complex kernel.
 """
 
 from __future__ import annotations
@@ -24,11 +35,15 @@ import numpy as np
 from .circuit import Circuit, Gate
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-_H = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=np.complex128)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+_H = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]])
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
-# Batch size for noisy trajectories; bounds peak memory at ~34 MB for 10 qubits.
+# Rows per noisy batch: 2048 (16 MB at 10 qubits) for every n <= 17; wider
+# states run in smaller batches so one batch stays within MAX_STATE_BYTES.
 _TRAJECTORY_BATCH = 2048
+
+# Bytes per state entry: a float64 amplitude (or an oracle probability).
+_ENTRY_BYTES = 8
 
 # Largest single state array (statevector, trajectory batch or oracle joint)
 # qdo will allocate; a bigger request fails fast instead of exhausting memory.
@@ -79,46 +94,49 @@ class Distribution:
 
 def _ry_matrix(theta: float) -> np.ndarray:
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    return np.array([[c, -s], [s, c]])
 
 
 def _apply_1q(states: np.ndarray, qubit: int, mat: np.ndarray) -> None:
     # states: (batch, 2^n), contiguous; axis split isolates the target bit.
     m = states.reshape(states.shape[0], -1, 2, 1 << qubit)
-    a0 = m[:, :, 0, :].copy()
-    a1 = m[:, :, 1, :]
-    m[:, :, 0, :] = mat[0, 0] * a0 + mat[0, 1] * a1
-    m[:, :, 1, :] = mat[1, 0] * a0 + mat[1, 1] * a1
+    a0, a1 = m[:, :, 0, :], m[:, :, 1, :]
+    b0 = mat[1, 0] * a0
+    a0 *= mat[0, 0]
+    a0 += mat[0, 1] * a1  # mat00*a0 + mat01*a1
+    a1 *= mat[1, 1]
+    a1 += b0  # mat10*a0 + mat11*a1
 
 
 def _apply_cry(states: np.ndarray, control: int, control_value: int, target: int, theta: float) -> None:
-    dim = states.shape[1]
-    idx = np.arange(dim)
-    lower = np.nonzero(
-        (((idx >> control) & 1) == control_value) & (((idx >> target) & 1) == 0)
-    )[0]
-    upper = lower | (1 << target)
+    # Axes 2 and 4 of the split hold the higher and the lower of the two bits.
+    hi, lo = max(control, target), min(control, target)
+    m = states.reshape(states.shape[0], -1, 2, (1 << hi) >> (lo + 1), 2, 1 << lo)
+    if control == hi:
+        a0, a1 = m[:, :, control_value, :, 0, :], m[:, :, control_value, :, 1, :]
+    else:
+        a0, a1 = m[:, :, 0, :, control_value, :], m[:, :, 1, :, control_value, :]
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    a0 = states[:, lower].copy()
-    a1 = states[:, upper]
-    states[:, lower] = c * a0 - s * a1
-    states[:, upper] = s * a0 + c * a1
+    b0 = s * a0
+    a0 *= c
+    a0 -= s * a1  # c*a0 - s*a1
+    a1 *= c
+    a1 += b0  # s*a0 + c*a1
 
 
 def _apply_pauli_rows(states: np.ndarray, rows: np.ndarray, qubit: int, pauli: int) -> None:
-    # pauli: 0 = X, 1 = Y, 2 = Z, applied only to the selected trajectory rows.
+    # pauli: 0 = X, 1 = Y (up to its global phase i), 2 = Z, applied only to
+    # the selected trajectory rows.
     sub = states[rows]
     m = sub.reshape(sub.shape[0], -1, 2, 1 << qubit)
-    if pauli == 0:
+    if pauli == 2:
+        m[:, :, 1, :] *= -1.0
+    else:
         a0 = m[:, :, 0, :].copy()
         m[:, :, 0, :] = m[:, :, 1, :]
         m[:, :, 1, :] = a0
-    elif pauli == 1:
-        a0 = m[:, :, 0, :].copy()
-        m[:, :, 0, :] = -1j * m[:, :, 1, :]
-        m[:, :, 1, :] = 1j * a0
-    else:
-        m[:, :, 1, :] *= -1.0
+        if pauli == 1:
+            m[:, :, 0, :] *= -1.0
     states[rows] = sub
 
 
@@ -153,12 +171,12 @@ def _apply_gate(states: np.ndarray, gate: Gate) -> None:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
-def check_state_size(n_qubits: int, rows: int = 1, itemsize: int = 16) -> None:
+def check_state_size(n_qubits: int, rows: int = 1) -> None:
     """Raise ValueError if ``rows`` states of 2^n entries exceed ``MAX_STATE_BYTES``.
 
     Call before allocating: the request is sized arithmetically, never tried.
     """
-    nbytes = (rows * itemsize) << n_qubits
+    nbytes = (rows * _ENTRY_BYTES) << n_qubits
     if nbytes > MAX_STATE_BYTES:
         what = f"{n_qubits}-qubit state" if rows == 1 else f"batch of {rows} {n_qubits}-qubit states"
         raise ValueError(
@@ -166,11 +184,20 @@ def check_state_size(n_qubits: int, rows: int = 1, itemsize: int = 16) -> None:
         )
 
 
+def trajectory_batch(n_qubits: int) -> int:
+    """Rows per noisy batch: ``_TRAJECTORY_BATCH``, or as many as fit the budget.
+
+    Raises ValueError, before anything is allocated, when not even one row fits.
+    """
+    check_state_size(n_qubits)
+    return min(_TRAJECTORY_BATCH, MAX_STATE_BYTES // (_ENTRY_BYTES << n_qubits))
+
+
 def statevector(circ: Circuit) -> np.ndarray:
-    """Final amplitudes of the circuit applied to the all-zeros state."""
+    """Final amplitudes (float64) of the circuit applied to the all-zeros state."""
     _check_circuit(circ)
     check_state_size(circ.n_qubits)
-    states = np.zeros((1, 1 << circ.n_qubits), dtype=np.complex128)
+    states = np.zeros((1, 1 << circ.n_qubits))
     states[0, 0] = 1.0
     for gate in circ.gates:
         _apply_gate(states, gate)
@@ -180,7 +207,7 @@ def statevector(circ: Circuit) -> np.ndarray:
 def run_exact(circ: Circuit) -> Distribution:
     """Exact output distribution: |amplitude|^2 per bitstring."""
     amps = statevector(circ)
-    return Distribution(circ.n_qubits, np.abs(amps) ** 2)
+    return Distribution(circ.n_qubits, np.square(amps, out=amps))
 
 
 _MASK64 = (1 << 64) - 1
@@ -201,6 +228,22 @@ def _seed_sequence(seed: int | np.random.SeedSequence, noise_seed: int | None = 
     return np.random.SeedSequence(entropy)
 
 
+def draw_shots(dist: Distribution, shots: int, seed: int | np.random.SeedSequence) -> Distribution:
+    """Draw ``shots`` i.i.d. full-register measurements from an exact distribution.
+
+    The draw is one multinomial on the generator seeded by ``seed``, so a
+    sampled run can compute ``run_exact`` once and draw every trial from it.
+    """
+    if dist.shots is not None:
+        raise ValueError("draw_shots needs an exact distribution, got a sampled one")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    probs = dist.values
+    rng = np.random.default_rng(_seed_sequence(seed))
+    counts = rng.multinomial(shots, probs / probs.sum())
+    return Distribution(dist.n_qubits, counts.astype(np.int64), shots=shots)
+
+
 def run_sampled(
     circ: Circuit,
     shots: int,
@@ -210,27 +253,24 @@ def run_sampled(
     """Draw ``shots`` full-register measurements with a seeded generator.
 
     Without noise (or with p_depol = 0) the exact distribution is computed once
-    and shots are drawn i.i.d. from it. With noise, every shot evolves its own
-    trajectory with stochastic Pauli injection and is then measured once.
+    and shots are drawn i.i.d. from it (``draw_shots``). With noise, every shot
+    evolves its own trajectory with stochastic Pauli injection and is then
+    measured once.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    dim = 1 << circ.n_qubits
-
     if noise is None or noise.p_depol == 0.0:
-        probs = run_exact(circ).values
-        rng = np.random.default_rng(_seed_sequence(seed))
-        counts = rng.multinomial(shots, probs / probs.sum())
-        return Distribution(circ.n_qubits, counts.astype(np.int64), shots=shots)
+        return draw_shots(run_exact(circ), shots, seed)
 
     _check_circuit(circ)
-    check_state_size(circ.n_qubits, rows=min(_TRAJECTORY_BATCH, shots))  # the largest batch
+    max_batch = trajectory_batch(circ.n_qubits)
+    dim = 1 << circ.n_qubits
     rng = np.random.default_rng(_seed_sequence(seed, noise.seed))
     counts = np.zeros(dim, dtype=np.int64)
     done = 0
     while done < shots:
-        batch = min(_TRAJECTORY_BATCH, shots - done)
-        states = np.zeros((batch, dim), dtype=np.complex128)
+        batch = min(max_batch, shots - done)
+        states = np.zeros((batch, dim))
         states[:, 0] = 1.0
         for gate in circ.gates:
             _apply_gate(states, gate)
@@ -243,10 +283,11 @@ def run_sampled(
                     rows = hit[paulis == p]
                     if rows.size:
                         _apply_pauli_rows(states, rows, q, p)
-        probs = np.abs(states) ** 2
+        probs = np.square(states, out=states)
         probs /= probs.sum(axis=1, keepdims=True)
+        np.cumsum(probs, axis=1, out=probs)
         u = rng.random((batch, 1))
-        outcomes = np.minimum((probs.cumsum(axis=1) < u).sum(axis=1), dim - 1)
+        outcomes = np.minimum((probs < u).sum(axis=1), dim - 1)
         counts += np.bincount(outcomes, minlength=dim)
         done += batch
     return Distribution(circ.n_qubits, counts, shots=shots)

@@ -28,7 +28,7 @@ from .analysis import (
     cond_prob,
 )
 from .circuit import Circuit, compile_model
-from .engine import Distribution, NoiseSpec, run_exact, run_sampled
+from .engine import Distribution, NoiseSpec, draw_shots, run_exact, run_sampled
 from .model import CausalModel, Intervention, ModelError, apply_do
 
 DEFAULT_SEED = 1729
@@ -127,7 +127,9 @@ def run_experiment(
 
     Only the circuits the groups need are compiled and run. The exact backend
     makes one pass with ``run_exact`` and reports point estimates; the sampled
-    backend makes one pass per trial and reports trial statistics.
+    backend makes one pass per trial and reports trial statistics. A noiseless
+    sampled run computes each circuit's exact distribution once and draws
+    every trial from it; a noisy run evolves fresh trajectories per trial.
     """
     if model.is_intervened(treatment):
         raise ModelError(f"treatment {treatment!r} is already intervened on")
@@ -140,16 +142,20 @@ def run_experiment(
         circuits[DO0] = compile_model(apply_do(model, Intervention(treatment, 0)))
 
     sampled = cfg.backend == "sampled"
+    noisy = cfg.noise is not None and cfg.noise.p_depol > 0.0
+    exact = {} if noisy else {k: run_exact(c) for k, c in circuits.items()}
     trial_streams = (
         [ss.spawn(3) for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
         if sampled else [None]
     )
     per_group: list[list[tuple[float, tuple[StratumEffect, ...] | None]]] = [[] for _ in groups]
     for streams in trial_streams:
-        dists = {
-            k: run_sampled(c, cfg.shots, streams[k], cfg.noise) if sampled else run_exact(c)
-            for k, c in circuits.items()
-        }
+        if not sampled:
+            dists = exact
+        elif noisy:
+            dists = {k: run_sampled(c, cfg.shots, streams[k], cfg.noise) for k, c in circuits.items()}
+        else:
+            dists = {k: draw_shots(d, cfg.shots, streams[k]) for k, d in exact.items()}
         for i, g in enumerate(groups):
             per_group[i].append(_estimate(g, dists, qubits, treatment, outcome))
 

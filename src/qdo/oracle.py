@@ -118,7 +118,7 @@ def enumerate_joint(model: CausalModel) -> Distribution:
         raise ModelError("invalid model: " + "; ".join(violations))
 
     n = model.n_qubits
-    check_state_size(n, itemsize=8)
+    check_state_size(n)
     probs = np.ones((2,) * n)
     for name in topological_order(model):
         probs *= _factor(model, name)

@@ -27,7 +27,8 @@ from qdo import (
     statevector,
 )
 from qdo.circuit import Circuit, Gate, Tag
-from qdo.engine import MAX_STATE_BYTES, check_state_size
+from qdo import engine
+from qdo.engine import MAX_STATE_BYTES, check_state_size, draw_shots, trajectory_batch
 from conftest import chain_model
 
 _T = Tag("prep", "x")
@@ -132,6 +133,18 @@ class TestSampling:
         with pytest.raises(ValueError, match="shots"):
             run_sampled(Circuit(1, (_h(0),)), 0, seed=1)
 
+    def test_draw_from_exact_equals_run_sampled(self, simpson3_entry):
+        circ = compile_model(simpson3_entry.model)
+        exact = run_exact(circ)
+        for seed in (9, np.random.SeedSequence(9).spawn(2)[1]):
+            drawn = draw_shots(exact, 2000, seed)
+            assert drawn.shots == 2000
+            assert np.array_equal(drawn.values, run_sampled(circ, 2000, seed).values)
+        with pytest.raises(ValueError, match="exact distribution"):
+            draw_shots(drawn, 10, 1)
+        with pytest.raises(ValueError, match="shots"):
+            draw_shots(exact, 0, 1)
+
     def test_treatment_marginal_within_three_sigma(self, simpson3_entry):
         circ = compile_model(simpson3_entry.model)
         exact_p = (math.sin(1.2) ** 2 + math.sin(0.4) ** 2) / 2  # P(T=1) by total probability
@@ -227,20 +240,47 @@ class TestStateBudget:
     # 48 qubits: even without the guard, numpy refuses the allocation at once
     # instead of filling memory.
     def test_budget_is_checked_arithmetically(self):
-        check_state_size(27)  # 2 GiB of complex128: exactly at the budget
-        check_state_size(28, itemsize=8)
-        with pytest.raises(ValueError, match=r"28-qubit state needs 4294967296 bytes"):
-            check_state_size(28)
-        with pytest.raises(ValueError, match=r"batch of 2048 17-qubit states"):
-            check_state_size(17, rows=2048)
+        check_state_size(28)  # 2 GiB of float64: exactly at the budget
+        with pytest.raises(ValueError, match=r"29-qubit state needs 4294967296 bytes"):
+            check_state_size(29)
+        with pytest.raises(ValueError, match=r"batch of 2048 18-qubit states"):
+            check_state_size(18, rows=2048)
         assert MAX_STATE_BYTES == 2 << 30
 
     def test_run_exact_refuses_before_allocating(self):
         circ = compile_model(chain_model(48))
-        with pytest.raises(ValueError, match=rf"48-qubit state needs {16 << 48} bytes"):
+        with pytest.raises(ValueError, match=rf"48-qubit state needs {8 << 48} bytes"):
             run_exact(circ)
 
     def test_noisy_batch_refuses_before_allocating(self):
         circ = compile_model(chain_model(48))
-        with pytest.raises(ValueError, match=r"batch of 2 48-qubit states"):
+        with pytest.raises(ValueError, match=rf"48-qubit state needs {8 << 48} bytes"):
             run_sampled(circ, 2, 0, NoiseSpec(0.1))
+
+    def test_noisy_batch_shrinks_to_fit_the_budget(self):
+        sizes = {n: trajectory_batch(n) for n in (3, 10, 17, 18, 20, 28)}
+        assert sizes == {3: 2048, 10: 2048, 17: 2048, 18: 1024, 20: 256, 28: 1}
+        for n, rows in sizes.items():
+            check_state_size(n, rows=rows)
+        with pytest.raises(ValueError, match=rf"29-qubit state needs {8 << 29} bytes"):
+            trajectory_batch(29)
+
+    def test_small_budget_splits_a_noisy_run(self, monkeypatch, healthcare10_entry):
+        circ = compile_model(healthcare10_entry.model)
+        noise = NoiseSpec(0.05)
+        one_batch = run_sampled(circ, 100, 4, noise)
+        monkeypatch.setattr(engine, "MAX_STATE_BYTES", 100 * (8 << circ.n_qubits))
+        rows = []
+        apply_gate = engine._apply_gate
+
+        def spy(states, gate):
+            rows.append(states.shape[0])
+            apply_gate(states, gate)
+
+        monkeypatch.setattr(engine, "_apply_gate", spy)
+        dist = run_sampled(circ, 1050, 4, noise)
+        assert dist.shots == 1050 and dist.values.sum() == 1050
+        assert len(rows) == 11 * len(circ.gates)  # ten batches of 100, one of 50
+        assert sorted(set(rows)) == [50, 100]
+        # A run that fits in one batch under either budget draws the same shots.
+        assert np.array_equal(run_sampled(circ, 100, 4, noise).values, one_batch.values)

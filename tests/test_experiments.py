@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qdo import NoiseSpec
+from qdo import NoiseSpec, experiments
 from qdo.experiments import (
     Report,
     RunConfig,
@@ -81,6 +81,16 @@ class TestSampledRun:
             assert g.shots_per_trial == 5000
             assert g.ci_low <= g.effect <= g.ci_high
             assert g.ci_high - g.effect == pytest.approx(1.96 * g.std_err, abs=1e-12)
+
+    @pytest.mark.parametrize("noise", [None, NoiseSpec(0.0)])
+    def test_noiseless_trials_share_one_exact_run_per_circuit(self, simpson3_entry, monkeypatch, noise):
+        calls = []
+        run_exact = experiments.run_exact
+        monkeypatch.setattr(experiments, "run_exact", lambda c: calls.append(c) or run_exact(c))
+        cfg = RunConfig(backend="sampled", shots=500, trials=6, seed=3, noise=noise)
+        report = run_experiment(simpson3_entry.model, "T", "O", simpson3_groups(), cfg)
+        assert len(calls) == 3  # observational, do=1, do=0
+        assert all(len(g.per_trial) == 6 for g in report.groups)
 
     def test_noisy_run_deterministic(self, simpson3_entry):
         cfg = RunConfig(backend="sampled", shots=1024, trials=3, seed=4, noise=NoiseSpec(0.02))
