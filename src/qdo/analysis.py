@@ -1,7 +1,7 @@
 """Statistical quantities over distributions: conditionals, effects, CIs.
 
-Conditioning works directly on full-register distributions via bit masks, for
-exact probabilities and raw sampled counts alike. A conditioning event with
+Conditioning reads an event's cells off a strided view of a full-register
+distribution, exact or sampled (raw counts) alike. A conditioning event with
 zero mass raises ``UndefinedConditionalError`` rather than silently producing
 0/0: asking about an impossible event is a caller bug worth surfacing.
 """
@@ -75,27 +75,35 @@ class EffectReport:
         return (self.ci_low, self.ci_high)
 
 
-def _event_mask(dist: Distribution, qubits: Mapping[str, int], event) -> np.ndarray:
-    idx = np.arange(dist.values.size)
-    mask = np.ones(dist.values.size, dtype=bool)
+def cells(values: np.ndarray, qubits: Mapping[str, int], event) -> np.ndarray:
+    """The entries of a 2^n distribution where every ``(name, bit)`` of ``event`` holds.
+
+    The event indexes axis n-1-q of ``values.reshape((2,) * n)`` for qubit q;
+    ``ravel()`` makes the view contiguous in index order, so its sum adds the
+    same floats in the same order as a boolean mask over ``values`` would.
+    """
+    n = values.size.bit_length() - 1
+    index: list = [slice(None)] * n
     for name, bit in event:
         if name not in qubits:
             raise ModelError(f"unknown variable {name!r} in query")
         if bit not in (0, 1):
             raise ValueError(f"variable {name!r}: value must be 0 or 1, got {bit!r}")
-        mask &= ((idx >> qubits[name]) & 1) == bit
-    return mask
+        if not 0 <= qubits[name] < n:
+            raise ValueError(f"variable {name!r}: qubit {qubits[name]} outside a {n}-qubit distribution")
+        axis = n - 1 - qubits[name]
+        # An axis asked for both bits keeps no cell.
+        index[axis] = int(bit) if index[axis] in (slice(None), bit) else slice(0)
+    return values.reshape((2,) * n)[tuple(index)].ravel()
 
 
 def cond_prob(dist: Distribution, qubits: Mapping[str, int], query: Query) -> float:
     """P(outcome | condition); for sampled distributions, a ratio of counts."""
-    cond_mask = _event_mask(dist, qubits, query.condition)
-    cond_mass = float(dist.values[cond_mask].sum())
+    cond_mass = float(cells(dist.values, qubits, query.condition).sum())
     if cond_mass <= 0.0:
         cond = ", ".join(f"{n}={b}" for n, b in query.condition) or "(empty)"
         raise UndefinedConditionalError(f"undefined conditional: condition [{cond}] has zero mass")
-    out_mask = cond_mask & _event_mask(dist, qubits, [query.outcome])
-    return float(dist.values[out_mask].sum()) / cond_mass
+    return float(cells(dist.values, qubits, (*query.condition, query.outcome)).sum()) / cond_mass
 
 
 def adjusted_effect(
@@ -118,12 +126,11 @@ def adjusted_effect(
     is an error.
     """
     given = tuple(given)
-    base = _event_mask(dist, qubits, given)
-    base_mass = float(dist.values[base].sum())
+    base_mass = float(cells(dist.values, qubits, given).sum())
     strata = []
     for value, bits in enumerate(itertools.product((0, 1), repeat=len(adjust))):
         cell = tuple(zip(adjust, bits))
-        mass = float(dist.values[base & _event_mask(dist, qubits, cell)].sum())
+        mass = float(cells(dist.values, qubits, given + cell).sum())
         if adjust and mass <= 0.0:
             continue
         try:

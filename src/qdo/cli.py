@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .analysis import UndefinedConditionalError
+from .analysis import UndefinedConditionalError, cells
 from .chart import render_chart
 from .circuit import compile_model, format_circuit
 from .engine import NoiseSpec, run_exact, run_sampled
@@ -221,10 +221,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         dist = run_sampled(circ, cfg.shots, cfg.seed, cfg.noise)
     probs = dist.probabilities()
     qubits = model.qubit_map()
-    idx = np.arange(probs.size)
-    p_one = {
-        name: float(probs[((idx >> q) & 1) == 1].sum()) for name, q in sorted(qubits.items())
-    }
+    p_one = {name: float(cells(probs, qubits, ((name, 1),)).sum()) for name in sorted(qubits)}
     sys.stdout.write(f"model: {model.name}\n")
     for iv in model.interventions:
         sys.stdout.write(f"do: {iv.variable}={iv.value}\n")

@@ -50,6 +50,8 @@ class RunConfig:
             raise ValueError(f"backend must be 'exact' or 'sampled', got {self.backend!r}")
         if self.backend == "sampled" and self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if self.backend == "sampled" and not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.noise is not None and self.backend != "sampled":

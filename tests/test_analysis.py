@@ -7,6 +7,7 @@ never through the code paths under test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from qdo import (
     UNIFORM,
     CausalModel,
+    Distribution,
     Edge,
     Intervention,
     ModelError,
@@ -86,6 +88,48 @@ class TestCondProb:
         dist, qmap = obs3
         with pytest.raises(ModelError, match="unknown variable"):
             cond_prob(dist, qmap, Query(("Z", 1)))
+
+    # A variable named twice in one event: the same bit counts once, both bits
+    # hold nowhere. A reader where the last bit named wins fails the conflicts.
+    @pytest.mark.parametrize(
+        "repeated, once",
+        [
+            ((("T", 1), ("T", 1)), (("T", 1),)),
+            ((("G", 0), ("T", 1), ("G", 0)), (("G", 0), ("T", 1))),
+        ],
+    )
+    def test_repeated_condition_counts_once(self, obs3, repeated, once):
+        dist, qmap = obs3
+        assert cond_prob(dist, qmap, Query(("O", 1), repeated)) == cond_prob(dist, qmap, Query(("O", 1), once))
+
+    @pytest.mark.parametrize("condition", [(("T", 1), ("T", 0)), (("T", 0), ("G", 1), ("T", 1))])
+    def test_conflicting_condition_raises(self, obs3, condition):
+        dist, qmap = obs3
+        with pytest.raises(UndefinedConditionalError, match="zero mass"):
+            cond_prob(dist, qmap, Query(("O", 1), condition))
+
+    @pytest.mark.parametrize(
+        "outcome, condition, expected",
+        [(("O", 1), (("O", 0),), 0.0), (("O", 1), (("O", 1),), 1.0), (("T", 0), (("G", 1), ("T", 1)), 0.0)],
+    )
+    def test_outcome_named_in_condition(self, obs3, outcome, condition, expected):
+        dist, qmap = obs3
+        assert cond_prob(dist, qmap, Query(outcome, condition)) == expected
+
+    def test_adjusting_for_treatment_leaves_an_empty_arm(self, obs3):
+        dist, qmap = obs3
+        with pytest.raises(UndefinedConditionalError, match=r"undefined stratum cell \(T=0\)"):
+            adjusted_effect(dist, qmap, "T", "O", ("T",))
+
+    def test_adjusting_for_outcome_gives_zero(self, obs3):
+        dist, qmap = obs3
+        assert adjusted_effect(dist, qmap, "T", "O", ("O",))[0] == 0.0
+
+    @pytest.mark.parametrize("qubit", [5, 3, -1])
+    def test_qubit_outside_distribution_rejected(self, obs3, qubit):
+        dist, qmap = obs3
+        with pytest.raises(ValueError, match=f"qubit {qubit} outside a 3-qubit distribution"):
+            cond_prob(dist, {**qmap, "X": qubit}, Query(("X", 0)))
 
     def test_sampled_distribution_uses_counts(self, simpson3_entry):
         dist = run_sampled(compile_model(simpson3_entry.model), 8000, seed=21)
@@ -183,6 +227,24 @@ class TestAdjustedEffect:
         effect, strata = adjusted_effect(dist, model.qubit_map(), "Treatment", "Outcome", ("Age", "Region"))
         assert sum(s.weight for s in strata) == pytest.approx(1.0, abs=1e-12)
         assert abs(effect - causal_effect(model, "Treatment", "Outcome").effect) > 0.005
+
+
+class TestTemporaries:
+    def test_estimators_allocate_at_most_half_a_state(self):
+        # v0 is the last axis of the (2,) * n view, so each read of T copies.
+        n = 18
+        values = np.random.default_rng(0).random(1 << n)
+        dist = Distribution(n, values / values.sum())
+        qmap = {f"v{q}": q for q in range(n)}
+        tracemalloc.start()
+        try:
+            observational_effect(dist, qmap, "v0", "v1")
+            stratified_effect(dist, qmap, "v0", "v1", "v2")
+            cond_prob(dist, qmap, Query(("v1", 1), (("v0", 1),)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= dist.values.nbytes // 2 + 64 * 1024
 
 
 class TestCausalEffect:

@@ -162,6 +162,18 @@ class TestRunCommand:
         assert code == 3
         assert "zero mass" in capsys.readouterr().err
 
+    def test_stratify_by_treatment_exits_3(self, capsys):
+        code = run_cli("run", str(MODELS / "simpson3.json"), "--treatment", "T", "--outcome", "O",
+                       "--stratify", "T", "--effect")
+        assert code == 3
+        assert "undefined stratum cell (T=0)" in capsys.readouterr().err
+
+    def test_stratify_by_outcome_prints_zero(self, capsys):
+        assert run_cli("run", str(MODELS / "simpson3.json"), "--treatment", "T", "--outcome", "O",
+                       "--stratify", "O", "--effect") == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("Stratified by O"))
+        assert line.split()[3] == "+0.000"
+
     def test_noise_with_exact_backend_exits_2(self, capsys):
         assert run_cli("simpson3", "--backend", "exact", "--noise", "0.01") == 2
 
@@ -275,6 +287,17 @@ class TestSeedHandling:
     def test_bad_env_seed_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("QDO_SEED", "pi")
         assert run_cli("simpson3", "--backend", "sampled", "--shots", "100", "--trials", "2") == 2
+
+    @pytest.mark.parametrize("command", ["run", "simpson3"])
+    @pytest.mark.parametrize("seed", ["-5", str(1 << 64)])
+    def test_seed_outside_64_bits_exits_2(self, capsys, monkeypatch, command, seed):
+        monkeypatch.setenv("QDO_SEED", seed)
+        argv = [command, *([str(MODELS / "simpson3.json")] if command == "run" else [])]
+        assert run_cli(*argv, "--backend", "sampled", "--shots", "10", "--trials", "2") == 2
+        assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+        monkeypatch.delenv("QDO_SEED")
+        assert run_cli(*argv, "--backend", "sampled", "--shots", "10", "--trials", "2", "--seed", seed) == 2
+        assert f"got {seed}" in capsys.readouterr().err
 
 
 def test_module_entrypoint_smoke():

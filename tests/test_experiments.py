@@ -34,10 +34,22 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="backend"):
             RunConfig(backend="qpu")
 
-    @pytest.mark.parametrize("kw", [{"trials": 0}, {"backend": "sampled", "shots": 0}])
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"trials": 0},
+            {"backend": "sampled", "shots": 0},
+            {"backend": "sampled", "seed": -1},
+            {"backend": "sampled", "seed": 1 << 64},
+        ],
+    )
     def test_bad_counts(self, kw):
         with pytest.raises(ValueError):
             RunConfig(**kw)
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    def test_seed_range_edges_accepted(self, seed):
+        assert RunConfig(backend="sampled", seed=seed).seed == seed
 
 
 class TestExactRun:

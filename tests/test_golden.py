@@ -6,6 +6,9 @@ written file from ``perfbench/refs.json``, the one golden store, which this
 test only reads. The sampled commands run at qdo seed 1729, the seed the
 digests were recorded at. Any refactor that moves a byte of these outputs
 fails here, not only in the benchmark.
+
+No digest in ``refs.json`` covers the distribution mode of ``qdo run`` (the
+P(v=1) lines and the ``--json`` payload), so its digests are kept below.
 """
 
 import hashlib
@@ -33,6 +36,35 @@ CASES = [
     ("noisy-trajectories", "h10-noisy-128"),
 ]
 
+# (model, extra argv): sha256 of stdout and of the --json payload.
+DISTRIBUTIONS = {
+    ("simpson3", ("--do", "G=1")): (
+        "764fbfe37701e93611a538f1e8827a3bcb347175ca1b3bc24d856cbd49a454c0",
+        "37f883d77bdee979cfedd488f90ba126b642b58ac8b73529c387ffedc94d04c2",
+    ),
+    ("simpson3", ("--backend", "sampled", "--seed", "1729")): (
+        "55e7ea199a5776afb5b88fa0ff989a4d5d560cc7b5a7263119e9ec0167833a85",
+        "9de21c925bc52c06c40c3bf207ed655a12a8cfed213586340c627df84e16fdba",
+    ),
+    # p_one holds 0.30000000000000004 here: a sum of shot fractions.
+    ("simpson3", ("--backend", "sampled", "--noise", "0.1", "--seed", "3", "--shots", "10")): (
+        "ae0c8fae1c5b1f60b9dd46dafdd208f73b8b305aa44bccdced02f79140c0cc96",
+        "ebe1d7a683984a3ac746e43bfda53289a06f1105dee6ddcdba9b7faf7032f4c1",
+    ),
+    ("healthcare10", ("--do", "Age=1")): (
+        "477313b581ecdc9b2c245af97ce534d29a5beb1aa7bec4e5cb7099bf8b3712e2",
+        "3be1ba1202c6e68050e61ec87d0dddee40e6f3e65b06dfa691ad7ad409de536f",
+    ),
+    ("healthcare10", ("--backend", "sampled", "--seed", "1729")): (
+        "7254b51df2993c345f3095f216c9595a79df27aab9b46e6a226fc73754c63a04",
+        "51f3d3c53fb381b3c4fccb56380a0ead6629b743172232fe137d86f77e93423d",
+    ),
+    ("healthcare10", ("--backend", "sampled", "--noise", "0.1", "--seed", "3", "--shots", "10")): (
+        "d977eb8d9c1502e80fb89c85d8a35ade13b09375e4fe4c6367413dd9fd7f999d",
+        "0b1f89e0f95b7da2dd9c43a6ce442e331638cc706c0ee2d6f2ab3d5599113871",
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def commands(tmp_path_factory):
@@ -58,3 +90,15 @@ def test_output_bytes_match_recorded_digests(workload, kind, commands, capsys, m
     assert set(blobs) == set(want)
     for name, data in blobs.items():
         assert hashlib.sha256(data).hexdigest() == want[name], f"{kind}: {name} moved"
+
+
+@pytest.mark.parametrize(
+    "model,extra", DISTRIBUTIONS, ids=[" ".join((m, *a)) for m, a in DISTRIBUTIONS]
+)
+def test_distribution_mode_bytes(model, extra, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QDO_SEED", raising=False)
+    payload = tmp_path / "dist.json"
+    assert cli.main(["run", str(ROOT / "models" / f"{model}.json"), *extra, "--json", str(payload)]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    got = (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(payload.read_bytes()).hexdigest())
+    assert got == DISTRIBUTIONS[model, extra]

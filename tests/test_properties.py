@@ -8,6 +8,10 @@ without one do():
     (c) back-door adjustment over pa(T) equals ``causal_effect`` within 1e-12
 
 Runs are derandomized, so every tier-1 run checks the same examples.
+
+The estimators' cell reader ``analysis.cells`` must also sum the same floats
+in the same order as a boolean mask over the 2^n indices, so every estimate
+matches that reference to the last bit.
 """
 
 import math
@@ -33,6 +37,7 @@ from qdo import (
     run_exact,
     topological_order,
 )
+from qdo.analysis import cells
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -131,3 +136,45 @@ def test_backdoor_over_treatment_parents_equals_do(case):
     dist = run_exact(compile_model(model))
     effect, _ = adjusted_effect(dist, model.qubit_map(), treatment, outcome, parents)
     assert abs(effect - causal_effect(model, treatment, outcome).effect) < 1e-12
+
+
+def _event_mask(values: np.ndarray, qubits: dict, event) -> np.ndarray:
+    """Boolean mask of the indices where every (name, bit) of ``event`` holds."""
+    idx = np.arange(values.size)
+    mask = np.ones(values.size, dtype=bool)
+    for name, bit in event:
+        mask &= ((idx >> qubits[name]) & 1) == bit
+    return mask
+
+
+def test_single_bit_cells_sum_like_masks():
+    # Summing the strided view itself, without the contiguous copy, changes
+    # the last bit of this distribution at qubits 2, 3, 4 and 11.
+    n = 16
+    values = np.random.default_rng(0).random(1 << n)
+    values /= values.sum()
+    qubits = {f"q{q}": q for q in range(n)}
+    for name in qubits:
+        for bit in (0, 1):
+            event = ((name, bit),)
+            assert cells(values, qubits, event).sum() == values[_event_mask(values, qubits, event)].sum()
+
+
+@st.composite
+def events(draw) -> tuple[np.ndarray, dict, list]:
+    """Float probabilities or int64 counts, and an event that may name a variable twice."""
+    n = draw(st.integers(1, 12))
+    qubits = {f"v{j}": q for j, q in enumerate(draw(st.permutations(range(n))))}
+    event = draw(st.lists(st.tuples(st.sampled_from(sorted(qubits)), st.integers(0, 1)), max_size=2 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, 1000, 1 << n) if draw(st.booleans()) else rng.random(1 << n)
+    return values, qubits, event
+
+
+@PROPERTY
+@given(events())
+def test_cells_equal_masked_entries(case):
+    values, qubits, event = case
+    got, want = cells(values, qubits, event), values[_event_mask(values, qubits, event)]
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert got.sum() == want.sum()
