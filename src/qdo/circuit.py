@@ -11,7 +11,9 @@ text export, not in the IR.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from .model import CausalModel, Intervention, ModelError, topological_order, validate
 
@@ -37,11 +39,34 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
+    """Gates over ``n_qubits``, each checked when the circuit is built (see ``_check_gate``)."""
+
     n_qubits: int
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
+        for g in self.gates:
+            _check_gate(g, self.n_qubits)
+
+
+def _is_index(i, n: int) -> bool:
+    # An int or numpy integer, never a bool; the exact-type test is the fast path.
+    return (type(i) is int or isinstance(i, Integral) and not isinstance(i, bool)) and 0 <= i < n
+
+
+def _check_gate(g: Gate, n: int) -> None:
+    if g.kind not in ("h", "x", "ry", "cry"):
+        raise ValueError(f"unknown gate kind {g.kind!r}")
+    if not _is_index(g.target, n) or g.kind == "cry" and not _is_index(g.control, n):
+        raise ValueError(f"qubit index out of range in gate {g!r} (circuit has {n} qubits)")
+    if g.kind == "cry":
+        if g.control == g.target:
+            raise ValueError(f"control equals target in gate {g!r}")
+        if not _is_index(g.control_value, 2):
+            raise ValueError(f"control_value must be 0 or 1 in gate {g!r}")
+    if g.kind in ("ry", "cry") and not math.isfinite(g.theta):
+        raise ValueError(f"non-finite rotation angle in gate {g!r}")
 
 
 def compile_model(model: CausalModel) -> Circuit:
@@ -138,13 +163,10 @@ def format_circuit(circ: Circuit, expanded: bool = False) -> str:
             lines.append(f"X q{g.target}")
         elif g.kind == "ry":
             lines.append(f"RY q{g.target} {g.theta:.6f}")
-        elif g.kind == "cry":
-            if expanded and g.control_value == 0:
-                lines.append(f"X q{g.control}")
-                lines.append(f"CRY q{g.control}=1 q{g.target} {g.theta:.6f}")
-                lines.append(f"X q{g.control}")
-            else:
-                lines.append(f"CRY q{g.control}={g.control_value} q{g.target} {g.theta:.6f}")
+        elif expanded and g.control_value == 0:
+            lines.append(f"X q{g.control}")
+            lines.append(f"CRY q{g.control}=1 q{g.target} {g.theta:.6f}")
+            lines.append(f"X q{g.control}")
         else:
-            raise ValueError(f"unknown gate kind {g.kind!r}")
+            lines.append(f"CRY q{g.control}={g.control_value} q{g.target} {g.theta:.6f}")
     return "\n".join(lines) + "\n"

@@ -118,21 +118,13 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    noise = None
-    if args.noise is not None:
-        if args.backend != "sampled":
-            raise ModelError("--noise requires --backend sampled")
-        noise = NoiseSpec(args.noise)
-    try:
-        return RunConfig(
-            backend=args.backend,
-            shots=args.shots,
-            trials=args.trials,
-            seed=_resolve_seed(args),
-            noise=noise,
-        )
-    except ValueError as exc:
-        raise ModelError(str(exc)) from exc
+    return RunConfig(
+        backend=args.backend,
+        shots=args.shots,
+        trials=args.trials,
+        seed=_resolve_seed(args),
+        noise=None if args.noise is None else NoiseSpec(args.noise),
+    )
 
 
 def _emit_report(report: Report, args: argparse.Namespace, reference: float | None = None,
@@ -191,8 +183,8 @@ def _parse_do(specs: list[str] | None) -> list[Intervention]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if not args.effect and (args.csv_path or args.svg_path):
-        raise ModelError("--csv and --svg need --effect: distribution mode writes only --json")
+    if not args.effect and (args.csv_path or args.svg_path or args.stratify):
+        raise ModelError("--csv, --svg and --stratify need --effect: distribution mode writes only --json")
     cfg = _config_from_args(args)
     model = load_model(args.model_path)
     for iv in _parse_do(args.do):
@@ -316,10 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     except UndefinedConditionalError as exc:
         print(f"qdo: error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED_CONDITIONAL
-    except (ModelError, ValueError) as exc:
-        print(f"qdo: error: {exc}", file=sys.stderr)
-        return EXIT_USER_ERROR
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ModelError is a ValueError
         print(f"qdo: error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
 

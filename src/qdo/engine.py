@@ -16,6 +16,10 @@ fixed (circuit, shots, seed, noise). A batch is measured in place: its
 amplitudes are squared, normalized and cumulated in the same array, so peak
 memory stays about one batch.
 
+An int seed must lie in [0, 2^64) (``check_seed``). A noisy run draws noise
+and measurements from one generator keyed by the seed and the constant noise
+key 0: entropy ``[seed, 0]``, or a trailing spawn-key entry 0 on a SeedSequence.
+
 Amplitudes are real (float64). H, X, RY and CRY are real matrices, and Pauli
 Y = i * [[0, -1], [1, 0]], so every trajectory row is i^k times a real vector;
 the engine stores that real vector and applies Y as (a0, a1) -> (-a1, a0).
@@ -52,10 +56,9 @@ MAX_STATE_BYTES = 2 << 30
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-gate, per-touched-qubit depolarizing probability plus a noise-stream seed."""
+    """Per-gate, per-touched-qubit depolarizing probability."""
 
     p_depol: float
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.p_depol) and 0.0 <= self.p_depol <= 1.0):
@@ -146,18 +149,6 @@ def _touched_qubits(gate: Gate) -> tuple[int, ...]:
     return (gate.target,)
 
 
-def _check_circuit(circ: Circuit) -> None:
-    n = circ.n_qubits
-    for g in circ.gates:
-        qubits = _touched_qubits(g)
-        if any(q is None or not (0 <= q < n) for q in qubits):
-            raise ValueError(f"qubit index out of range in gate {g!r} (circuit has {n} qubits)")
-        if g.kind == "cry" and g.control == g.target:
-            raise ValueError(f"control equals target in gate {g!r}")
-        if g.kind in ("ry", "cry") and not math.isfinite(g.theta):
-            raise ValueError(f"non-finite rotation angle in gate {g!r}")
-
-
 def _apply_gate(states: np.ndarray, gate: Gate) -> None:
     if gate.kind == "h":
         _apply_1q(states, gate.target, _H)
@@ -165,10 +156,8 @@ def _apply_gate(states: np.ndarray, gate: Gate) -> None:
         _apply_1q(states, gate.target, _X)
     elif gate.kind == "ry":
         _apply_1q(states, gate.target, _ry_matrix(gate.theta))
-    elif gate.kind == "cry":
-        _apply_cry(states, gate.control, gate.control_value, gate.target, gate.theta)
     else:
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
+        _apply_cry(states, gate.control, gate.control_value, gate.target, gate.theta)
 
 
 def check_state_size(n_qubits: int, rows: int = 1) -> None:
@@ -195,7 +184,6 @@ def trajectory_batch(n_qubits: int) -> int:
 
 def statevector(circ: Circuit) -> np.ndarray:
     """Final amplitudes (float64) of the circuit applied to the all-zeros state."""
-    _check_circuit(circ)
     check_state_size(circ.n_qubits)
     states = np.zeros((1, 1 << circ.n_qubits))
     states[0, 0] = 1.0
@@ -210,22 +198,17 @@ def run_exact(circ: Circuit) -> Distribution:
     return Distribution(circ.n_qubits, np.square(amps, out=amps))
 
 
-_MASK64 = (1 << 64) - 1
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` lies in [0, 2^64)."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
-def _seed_sequence(seed: int | np.random.SeedSequence, noise_seed: int | None = None) -> np.random.SeedSequence:
-    # Stream derivation: sampling and noise share one generator whose entropy
-    # combines the run seed with the noise seed (when a noisy run is requested).
+def _seed_sequence(seed: int | np.random.SeedSequence, noisy: bool = False) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
-        if noise_seed is None:
-            return seed
-        return np.random.SeedSequence(
-            entropy=seed.entropy, spawn_key=(*seed.spawn_key, int(noise_seed) & 0xFFFFFFFF)
-        )
-    entropy = [int(seed) & _MASK64]
-    if noise_seed is not None:
-        entropy.append(int(noise_seed) & _MASK64)
-    return np.random.SeedSequence(entropy)
+        return np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, 0)) if noisy else seed
+    check_seed(seed)
+    return np.random.SeedSequence([int(seed), 0] if noisy else [int(seed)])
 
 
 def draw_shots(dist: Distribution, shots: int, seed: int | np.random.SeedSequence) -> Distribution:
@@ -259,13 +242,14 @@ def run_sampled(
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if noise is None or noise.p_depol == 0.0:
+    noisy = noise is not None and noise.p_depol > 0.0
+    seed = _seed_sequence(seed, noisy)
+    if not noisy:
         return draw_shots(run_exact(circ), shots, seed)
 
-    _check_circuit(circ)
+    rng = np.random.default_rng(seed)
     max_batch = trajectory_batch(circ.n_qubits)
     dim = 1 << circ.n_qubits
-    rng = np.random.default_rng(_seed_sequence(seed, noise.seed))
     counts = np.zeros(dim, dtype=np.int64)
     done = 0
     while done < shots:

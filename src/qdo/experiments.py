@@ -28,7 +28,7 @@ from .analysis import (
     cond_prob,
 )
 from .circuit import Circuit, compile_model
-from .engine import Distribution, NoiseSpec, draw_shots, run_exact, run_sampled
+from .engine import Distribution, NoiseSpec, check_seed, draw_shots, run_exact, run_sampled
 from .model import CausalModel, Intervention, ModelError, apply_do
 
 DEFAULT_SEED = 1729
@@ -50,8 +50,8 @@ class RunConfig:
             raise ValueError(f"backend must be 'exact' or 'sampled', got {self.backend!r}")
         if self.backend == "sampled" and self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.backend == "sampled" and not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        if self.backend == "sampled":
+            check_seed(self.seed)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.noise is not None and self.backend != "sampled":

@@ -141,7 +141,7 @@ def validate(model: CausalModel) -> list[str]:
                 out.append(f"edge {e.parent!r}->{e.child!r} references unknown variable {end!r}")
         if not (math.isfinite(e.angle) and e.angle > 0):
             out.append(f"edge {e.parent!r}->{e.child!r}: angle must be finite and > 0")
-        if e.control_value not in (0, 1):
+        if isinstance(e.control_value, bool) or e.control_value not in (0, 1):
             out.append(f"edge {e.parent!r}->{e.child!r}: control_value must be 0 or 1")
         if e.sign not in (1, -1):
             out.append(f"edge {e.parent!r}->{e.child!r}: sign must be +1 or -1")

@@ -1,4 +1,6 @@
-"""Compiler output, circuit surgery, provenance tags, and the text export."""
+"""Compiler output, gate checks, circuit surgery, provenance tags, and the text export."""
+
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +19,45 @@ from qdo import (
     surgered_circuit,
 )
 from qdo.circuit import Circuit, Gate, Tag
+
+
+_T = Tag("prep", "A")
+
+
+def _cry(control, control_value, target=1, theta=0.5):
+    return Gate("cry", target, _T, theta=theta, control=control, control_value=control_value)
+
+
+class TestGateChecks:
+    """A circuit checks its gates when built, so no engine call sees a bad one."""
+
+    @pytest.mark.parametrize("gate, message", [
+        (Gate("z", 0, _T), "unknown gate kind"),
+        (Gate("x", 2, _T), "out of range"),
+        (Gate("x", -1, _T), "out of range"),
+        (Gate("x", True, _T), "out of range"),
+        (_cry(2, 1), "out of range"),
+        (_cry(None, 1), "out of range"),
+        (_cry(False, 1), "out of range"),
+        (_cry(0, 1, target=2), "out of range"),
+        (_cry(1, 1), "control equals target"),
+        (_cry(0, None), "control_value"),
+        (_cry(0, -1), "control_value"),
+        (_cry(0, 2), "control_value"),
+        (_cry(0, True), "control_value"),
+        (Gate("ry", 0, _T, theta=math.nan), "non-finite"),
+        (Gate("ry", 0, _T, theta=math.inf), "non-finite"),
+        (_cry(0, 1, theta=math.nan), "non-finite"),
+        (_cry(0, 1, theta=-math.inf), "non-finite"),
+    ], ids=[
+        "unknown-kind", "target-high", "target-negative", "target-bool",
+        "control-high", "control-none", "control-bool", "cry-target-high", "control-is-target",
+        "control-value-none", "control-value-neg", "control-value-2", "control-value-bool",
+        "ry-nan", "ry-inf", "cry-nan", "cry-neg-inf",
+    ])
+    def test_malformed_gate_rejected_at_construction(self, gate, message):
+        with pytest.raises(ValueError, match=message):
+            Circuit(2, (gate,))
 
 
 def _gate_sig(g: Gate):

@@ -11,6 +11,7 @@ Core claims:
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,18 +162,32 @@ class TestSampling:
         assert np.all(np.abs(freqs - exact) <= guard + 1e-12)
 
 
+class TestSeedRange:
+    """Every int seed entering the engine lies in [0, 2^64); none wraps onto another."""
+
+    @pytest.mark.parametrize("call, seed", [
+        (lambda c, s: run_sampled(c, 100, s), -1),
+        (lambda c, s: run_sampled(c, 100, s, NoiseSpec(0.1)), 1 << 64),
+        (lambda c, s: draw_shots(run_exact(c), 100, s), -5),
+    ], ids=["noiseless", "noisy", "draw_shots"])
+    def test_seed_outside_64_bits_rejected(self, simpson3_entry, call, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2**64), got {seed}")):
+            call(compile_model(simpson3_entry.model), seed)
+
+    @pytest.mark.parametrize("noise", [None, NoiseSpec(0.1)], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    def test_seed_range_edges_accepted(self, simpson3_entry, seed, noise):
+        circ = compile_model(simpson3_entry.model)
+        assert run_sampled(circ, 100, seed, noise).values.sum() == 100
+        assert draw_shots(run_exact(circ), 100, seed).values.sum() == 100
+
+
 class TestNoise:
     def test_noisy_run_reproducible(self, simpson3_entry):
         circ = compile_model(simpson3_entry.model)
         a = run_sampled(circ, 3000, seed=11, noise=NoiseSpec(0.02))
         b = run_sampled(circ, 3000, seed=11, noise=NoiseSpec(0.02))
         assert np.array_equal(a.values, b.values)
-
-    def test_noise_seed_changes_stream(self, simpson3_entry):
-        circ = compile_model(simpson3_entry.model)
-        a = run_sampled(circ, 3000, seed=11, noise=NoiseSpec(0.05, seed=0))
-        b = run_sampled(circ, 3000, seed=11, noise=NoiseSpec(0.05, seed=1))
-        assert not np.array_equal(a.values, b.values)
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError, match="p_depol"):

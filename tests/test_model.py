@@ -15,6 +15,8 @@ from qdo import (
     Prep,
     Variable,
     apply_do,
+    compile_model,
+    enumerate_joint,
     load_model,
     topological_order,
     validate,
@@ -65,6 +67,15 @@ class TestValidate:
     def test_nonpositive_angle(self):
         m = CausalModel("bad", (Variable("A", 0), Variable("B", 1)), (Edge("A", "B", 1, 0.0),))
         assert any("angle must be finite and > 0" in v for v in validate(m))
+
+    def test_boolean_control_value(self):
+        # A library-built edge with control_value=True must not reach the
+        # engine, which would index the control bit with a bool.
+        m = CausalModel("bad", (Variable("A", 0, UNIFORM), Variable("B", 1)), (Edge("A", "B", True, 1.0),))
+        assert any("control_value must be 0 or 1" in v for v in validate(m))
+        for route in (compile_model, enumerate_joint):
+            with pytest.raises(ModelError, match="control_value must be 0 or 1"):
+                route(m)
 
     def test_duplicate_edge_triple(self):
         m = CausalModel(
