@@ -183,8 +183,11 @@ def _parse_do(specs: list[str] | None) -> list[Intervention]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if not args.effect and (args.csv_path or args.svg_path or args.stratify):
-        raise ModelError("--csv, --svg and --stratify need --effect: distribution mode writes only --json")
+    if not args.effect and (args.csv_path or args.svg_path or args.stratify or args.treatment or args.outcome):
+        raise ModelError(
+            "--csv, --svg, --stratify, --treatment and --outcome need --effect: "
+            "distribution mode writes only --json"
+        )
     cfg = _config_from_args(args)
     model = load_model(args.model_path)
     for iv in _parse_do(args.do):

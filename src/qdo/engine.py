@@ -8,13 +8,18 @@ A control-on-zero CRY is executed as the equivalent unitary of its X-wrapped
 realization (rotate exactly the branch where the control bit equals 0).
 
 The noisy path is a quantum-trajectory unraveling, not a density matrix: each
-shot evolves its own pure state and, after every IR gate, each touched qubit
+shot follows its own pure state and, after every IR gate, each touched qubit
 is hit by a uniformly random Pauli (X, Y or Z) with probability ``p_depol``.
-Shots are evolved in batches of up to ``_TRAJECTORY_BATCH`` rows, fewer when a
-full batch would exceed ``MAX_STATE_BYTES``; results are deterministic for a
-fixed (circuit, shots, seed, noise). A batch is measured in place: its
-amplitudes are squared, normalized and cumulated in the same array, so peak
-memory stays about one batch.
+Shots run in batches of up to ``_TRAJECTORY_BATCH`` rows, fewer when a full
+batch would exceed ``MAX_STATE_BYTES``; results are deterministic for a fixed
+(circuit, shots, seed, noise). Shots that share a Pauli history share one
+state: a batch starts with one slot, the all-zeros state, and a hit only forks
+a new slot per distinct (old slot, Pauli), so the work scales with the
+distinct histories, not with the shots. Every slot sees exactly the float
+operations of each shot it stands for, so the counts equal those of one row
+per shot. A batch is measured in place: its slots are squared, normalized and
+cumulated in the same array, and each shot's outcome is a binary search of
+its slot, so peak memory stays about one batch.
 
 An int seed must lie in [0, 2^64) (``check_seed``). A noisy run draws noise
 and measurements from one generator keyed by the seed and the constant noise
@@ -127,9 +132,9 @@ def _apply_cry(states: np.ndarray, control: int, control_value: int, target: int
     a1 += b0  # s*a0 + c*a1
 
 
-def _apply_pauli_rows(states: np.ndarray, rows: np.ndarray, qubit: int, pauli: int) -> None:
-    # pauli: 0 = X, 1 = Y (up to its global phase i), 2 = Z, applied only to
-    # the selected trajectory rows.
+def _apply_pauli_rows(states: np.ndarray, rows: np.ndarray, qubit: int, pauli: int, dest: np.ndarray) -> None:
+    # pauli: 0 = X, 1 = Y (up to its global phase i), 2 = Z. Sets states[dest]
+    # to the Pauli times states[rows].
     sub = states[rows]
     m = sub.reshape(sub.shape[0], -1, 2, 1 << qubit)
     if pauli == 2:
@@ -140,7 +145,36 @@ def _apply_pauli_rows(states: np.ndarray, rows: np.ndarray, qubit: int, pauli: i
         m[:, :, 1, :] = a0
         if pauli == 1:
             m[:, :, 0, :] *= -1.0
-    states[rows] = sub
+    states[dest] = sub
+
+
+def _fork(buf: np.ndarray, owner: np.ndarray, live: int, hit: np.ndarray, paulis: np.ndarray, qubit: int) -> int:
+    # Move each hit row to a slot holding its old slot's state times its Pauli;
+    # hit rows with the same key (old slot, Pauli) share one slot. A slot that
+    # lost every row is taken over in place by its last key, the other keys
+    # go onto the end, so buf[:live] stays dense. Returns the new live count.
+    key = owner[hit] * 3 + paulis
+    per_key = np.bincount(key, minlength=3 * live)
+    present = per_key > 0
+    keys = present.nonzero()[0]  # sorted, as np.unique(key) would give
+    rank = np.cumsum(present) - 1  # rank[k]: index in keys of the last key <= k
+    lost_all = per_key.reshape(live, 3).sum(axis=1) == np.bincount(owner, minlength=live)
+    freed = lost_all.nonzero()[0]
+    reuse = rank[3 * freed + 2]  # a freed slot had rows, so its last key is its own
+    moved = np.ones(keys.size, dtype=bool)
+    moved[reuse] = False
+    dest = np.cumsum(moved) + (live - 1)
+    dest[reuse] = freed
+    slots, kinds = np.divmod(keys, 3)
+    # Kinds run in ascending order and a slot is rewritten only by its last
+    # key, so every copy of a slot is read before the slot changes.
+    for p in (0, 1, 2):
+        sel = kinds == p
+        rows = slots[sel]
+        if rows.size:
+            _apply_pauli_rows(buf, rows, qubit, p, dest[sel])
+    owner[hit] = dest[rank[key]]
+    return live + keys.size - freed.size
 
 
 def _touched_qubits(gate: Gate) -> tuple[int, ...]:
@@ -237,8 +271,8 @@ def run_sampled(
 
     Without noise (or with p_depol = 0) the exact distribution is computed once
     and shots are drawn i.i.d. from it (``draw_shots``). With noise, every shot
-    evolves its own trajectory with stochastic Pauli injection and is then
-    measured once.
+    follows its own trajectory with stochastic Pauli injection and is then
+    measured once; shots with the same Pauli history share one state.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -249,32 +283,46 @@ def run_sampled(
 
     rng = np.random.default_rng(seed)
     max_batch = trajectory_batch(circ.n_qubits)
-    dim = 1 << circ.n_qubits
-    counts = np.zeros(dim, dtype=np.int64)
+    counts = np.zeros(1 << circ.n_qubits, dtype=np.int64)
     done = 0
     while done < shots:
         batch = min(max_batch, shots - done)
-        states = np.zeros((batch, dim))
-        states[:, 0] = 1.0
-        for gate in circ.gates:
-            _apply_gate(states, gate)
-            for q in _touched_qubits(gate):
-                hit = np.nonzero(rng.random(batch) < noise.p_depol)[0]
-                if hit.size == 0:
-                    continue
-                paulis = rng.integers(0, 3, size=hit.size)
-                for p in (0, 1, 2):
-                    rows = hit[paulis == p]
-                    if rows.size:
-                        _apply_pauli_rows(states, rows, q, p)
-        probs = np.square(states, out=states)
-        probs /= probs.sum(axis=1, keepdims=True)
-        np.cumsum(probs, axis=1, out=probs)
-        u = rng.random((batch, 1))
-        outcomes = np.minimum((probs < u).sum(axis=1), dim - 1)
-        counts += np.bincount(outcomes, minlength=dim)
+        counts += _trajectory_counts(circ, batch, noise.p_depol, rng)
         done += batch
     return Distribution(circ.n_qubits, counts, shots=shots)
+
+
+def _trajectory_counts(circ: Circuit, rows: int, p_depol: float, rng: np.random.Generator) -> np.ndarray:
+    # One noisy batch: ``rows`` shots over at most ``rows`` slots; owner[r] is
+    # the slot of row r. Slots past ``live`` are never written, so their pages
+    # of the np.zeros buffer are never touched.
+    dim = 1 << circ.n_qubits
+    buf = np.zeros((rows, dim))
+    buf[0, 0] = 1.0
+    owner = np.zeros(rows, dtype=np.intp)
+    live = 1
+    for gate in circ.gates:
+        _apply_gate(buf[:live], gate)
+        for q in _touched_qubits(gate):
+            hit = np.nonzero(rng.random(rows) < p_depol)[0]
+            if hit.size:
+                live = _fork(buf, owner, live, hit, rng.integers(0, 3, size=hit.size), q)
+    cum = buf[:live]
+    np.square(cum, out=cum)
+    cum /= cum.sum(axis=1, keepdims=True)
+    np.cumsum(cum, axis=1, out=cum)
+    u = rng.random(rows)
+    # A row's outcome is the number of its slot's cumulative probabilities
+    # below u, capped at dim - 1 (the cumsum never decreases): a binary search
+    # on flat indices, one bit per step, that gathers one entry per row.
+    flat = cum.reshape(-1)
+    start = owner * dim
+    idx = start.copy()
+    step = dim >> 1
+    while step:
+        idx += step * (flat[idx + (step - 1)] < u)
+        step >>= 1
+    return np.bincount(idx - start, minlength=dim)
 
 
 def marginal(dist: Distribution, qubits) -> Distribution:

@@ -137,7 +137,7 @@ class TestRunCommand:
     def test_do_bad_syntax_exits_2(self, capsys):
         assert run_cli("run", str(MODELS / "simpson3.json"), "--do", "G=2") == 2
 
-    @pytest.mark.parametrize("flag", ["--csv", "--svg", "--stratify"])
+    @pytest.mark.parametrize("flag", ["--csv", "--svg", "--stratify", "--treatment", "--outcome"])
     def test_report_files_require_effect(self, tmp_path, capsys, flag):
         out = tmp_path / "out"
         assert run_cli("run", str(MODELS / "simpson3.json"), flag, str(out)) == 2

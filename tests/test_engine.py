@@ -285,6 +285,29 @@ class TestStateBudget:
         noise = NoiseSpec(0.05)
         one_batch = run_sampled(circ, 100, 4, noise)
         monkeypatch.setattr(engine, "MAX_STATE_BYTES", 100 * (8 << circ.n_qubits))
+        batches = []
+        trajectory_counts = engine._trajectory_counts
+
+        def spy(circ, rows, p_depol, rng):
+            batches.append(rows)
+            return trajectory_counts(circ, rows, p_depol, rng)
+
+        monkeypatch.setattr(engine, "_trajectory_counts", spy)
+        dist = run_sampled(circ, 1050, 4, noise)
+        assert dist.shots == 1050 and dist.values.sum() == 1050
+        assert batches == [100] * 10 + [50]
+        # A run that fits in one batch under either budget draws the same shots.
+        batches.clear()
+        assert np.array_equal(run_sampled(circ, 100, 4, noise).values, one_batch.values)
+        assert batches == [100]
+
+
+class TestSharedHistories:
+    """Shots with the same Pauli history share one state slot in a noisy batch."""
+
+    @pytest.fixture
+    def gate_rows(self, monkeypatch):
+        """Rows of every state array the engine applies a gate to."""
         rows = []
         apply_gate = engine._apply_gate
 
@@ -293,9 +316,21 @@ class TestStateBudget:
             apply_gate(states, gate)
 
         monkeypatch.setattr(engine, "_apply_gate", spy)
-        dist = run_sampled(circ, 1050, 4, noise)
-        assert dist.shots == 1050 and dist.values.sum() == 1050
-        assert len(rows) == 11 * len(circ.gates)  # ten batches of 100, one of 50
-        assert sorted(set(rows)) == [50, 100]
-        # A run that fits in one batch under either budget draws the same shots.
-        assert np.array_equal(run_sampled(circ, 100, 4, noise).values, one_batch.values)
+        return rows
+
+    def test_unhit_shots_share_one_state(self, gate_rows, healthcare10_entry):
+        circ = compile_model(healthcare10_entry.model)
+        assert run_sampled(circ, 1024, 2, NoiseSpec(1e-12)).values.sum() == 1024
+        assert gate_rows == [1] * len(circ.gates)
+
+    def test_live_slots_never_exceed_the_batch(self, monkeypatch, gate_rows, healthcare10_entry):
+        circ = compile_model(healthcare10_entry.model)
+        monkeypatch.setattr(engine, "MAX_STATE_BYTES", 40 * (8 << circ.n_qubits))
+        for p in (0.05, 0.4, 1.0):
+            gate_rows.clear()
+            assert run_sampled(circ, 90, 2, NoiseSpec(p)).values.sum() == 90
+            assert gate_rows[0] == 1 and max(gate_rows) <= 40
+        # At p = 1 every shot has its own history (3^45 of them), so the
+        # last gate of each batch of 40, 40 and 10 shots sees one slot per shot.
+        last = [len(circ.gates) * i - 1 for i in (1, 2, 3)]
+        assert [gate_rows[i] for i in last] == [40, 40, 10]

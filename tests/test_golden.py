@@ -34,6 +34,7 @@ CASES = [
     ("catalog-cli", "validate"),
     ("noisy-trajectories", "s3-noisy"),
     ("noisy-trajectories", "h10-noisy-128"),
+    ("noisy-trajectories", "h10-noisy-1024"),
 ]
 
 # (model, extra argv): sha256 of stdout and of the --json payload.

@@ -10,17 +10,23 @@ terms, and hypot(x, 0) == |x|).
 
 Circuits are random, up to 8 qubits, with every gate kind, control-on-zero
 CRY and X/Y/Z insertions on chosen trajectory rows. Runs are derandomized.
+
+The noisy sampler keeps one state per distinct Pauli history, not one per
+shot; its counts must equal, array for array, those of a plain loop that
+evolves every shot as its own row with the same kernels and the same draws.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdo import statevector
+from qdo import NoiseSpec, run_sampled, statevector
+from qdo import engine
 from qdo.circuit import Circuit, Gate, Tag
-from qdo.engine import _apply_gate, _apply_pauli_rows
+from qdo.engine import _apply_gate, _apply_pauli_rows, _touched_qubits, trajectory_batch
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -125,7 +131,50 @@ def test_pauli_row_kernel_equals_complex_reference(program):
                 _ref_gate(psi, step)
         else:
             qubit, pauli, hit = step
-            _apply_pauli_rows(states, np.array(hit), qubit, pauli)
+            rows = np.array(hit)
+            _apply_pauli_rows(states, rows, qubit, pauli, rows)
             for r in hit:
                 _ref_apply(ref[r], _PAULI[pauli], qubit)
     assert np.array_equal(np.square(states), np.abs(ref) ** 2)
+
+
+def _one_row_per_shot(circ: Circuit, shots: int, seed: int, p_depol: float) -> np.ndarray:
+    """Noisy counts with every shot evolved as its own row of the batch."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    max_batch = trajectory_batch(circ.n_qubits)
+    dim = 1 << circ.n_qubits
+    counts = np.zeros(dim, dtype=np.int64)
+    done = 0
+    while done < shots:
+        batch = min(max_batch, shots - done)
+        states = np.zeros((batch, dim))
+        states[:, 0] = 1.0
+        for gate in circ.gates:
+            _apply_gate(states, gate)
+            for q in _touched_qubits(gate):
+                hit = np.nonzero(rng.random(batch) < p_depol)[0]
+                if hit.size == 0:
+                    continue
+                paulis = rng.integers(0, 3, size=hit.size)
+                for p in (0, 1, 2):
+                    rows = hit[paulis == p]
+                    if rows.size:
+                        _apply_pauli_rows(states, rows, q, p, rows)
+        probs = np.square(states)
+        probs /= probs.sum(axis=1, keepdims=True)
+        np.cumsum(probs, axis=1, out=probs)
+        u = rng.random((batch, 1))
+        counts += np.bincount(np.minimum((probs < u).sum(axis=1), dim - 1), minlength=dim)
+        done += batch
+    return counts
+
+
+@PROPERTY
+@given(circuits(), st.integers(1, 40), st.integers(1, 200), st.integers(0, 2**64 - 1))
+def test_shared_histories_count_like_one_row_per_shot(circ, batch_rows, shots, seed):
+    # The budget holds batch_rows states, so most runs span several batches.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "MAX_STATE_BYTES", batch_rows * (8 << circ.n_qubits))
+        for p in (0.003, 0.05, 0.4, 1.0):
+            got = run_sampled(circ, shots, seed, NoiseSpec(p)).values
+            assert np.array_equal(got, _one_row_per_shot(circ, shots, seed, p)), p
