@@ -7,6 +7,22 @@ sin(t/2)|1>, so a rotation by t flips the target with probability sin^2(t/2).
 A control-on-zero CRY is executed as the equivalent unitary of its X-wrapped
 realization (rotate exactly the branch where the control bit equals 0).
 
+Gates run on the first-touch register, not on all 2^n entries. Each qubit
+takes the next position when a gate first touches it (a CRY's control, then
+its target), and qubits no gate touches take the positions left over. A qubit
+no gate has touched yet is still |0>, so before a gate that brings the count
+of touched qubits to k the state lives in the first 2^k entries of this
+order, and the gate runs on those 2^k entries alone. The exact and the noisy
+loops share this plan (``_plan``). At the end, one transposed copy returns the
+state, or a noisy batch's live slots before they are squared, to qubit order;
+when the first-touch order is already 0..n-1 (both catalog circuits) there is
+no copy. No output byte moves: a gate's pair partner differs only in a
+touched bit, so every entry inside the register gets the float operations a
+full-width pass gives it, and every entry outside is zero on both paths (at
+most the sign of a zero differs, and squaring removes it). The reordering
+copy is one more state-sized array (batch-sized when noisy), only when the
+orders differ; a gate's temporaries scale with the register's current width.
+
 The noisy path is a quantum-trajectory unraveling, not a density matrix: each
 shot follows its own pure state and, after every IR gate, each touched qubit
 is hit by a uniformly random Pauli (X, Y or Z) with probability ``p_depol``.
@@ -106,7 +122,8 @@ def _ry_matrix(theta: float) -> np.ndarray:
 
 
 def _apply_1q(states: np.ndarray, qubit: int, mat: np.ndarray) -> None:
-    # states: (batch, 2^n), contiguous; axis split isolates the target bit.
+    # states: (rows, width), each row contiguous, e.g. buf[:live, :width].
+    # Splitting the last axis isolates the target bit and stays a view of buf.
     m = states.reshape(states.shape[0], -1, 2, 1 << qubit)
     a0, a1 = m[:, :, 0, :], m[:, :, 1, :]
     b0 = mat[1, 0] * a0
@@ -183,15 +200,47 @@ def _touched_qubits(gate: Gate) -> tuple[int, ...]:
     return (gate.target,)
 
 
-def _apply_gate(states: np.ndarray, gate: Gate) -> None:
+def _apply_gate(states: np.ndarray, gate: Gate, pos: tuple[int, ...]) -> None:
+    # pos: the register positions of _touched_qubits(gate).
     if gate.kind == "h":
-        _apply_1q(states, gate.target, _H)
+        _apply_1q(states, pos[0], _H)
     elif gate.kind == "x":
-        _apply_1q(states, gate.target, _X)
+        _apply_1q(states, pos[0], _X)
     elif gate.kind == "ry":
-        _apply_1q(states, gate.target, _ry_matrix(gate.theta))
+        _apply_1q(states, pos[0], _ry_matrix(gate.theta))
     else:
-        _apply_cry(states, gate.control, gate.control_value, gate.target, gate.theta)
+        _apply_cry(states, pos[0], gate.control_value, pos[1], gate.theta)
+
+
+def _plan(circ: Circuit) -> tuple[list[tuple[Gate, tuple[int, ...], int]], tuple[int, ...] | None]:
+    # The first-touch register (module docstring). Returns (gate, its
+    # positions, 2^(qubits touched through it)) per gate, and the transpose
+    # axes that return a (rows, 2, ..., 2) view of register-order states to
+    # qubit order, or None when the two orders agree.
+    position: dict[int, int] = {}
+    steps = []
+    for gate in circ.gates:
+        touched = _touched_qubits(gate)
+        for q in touched:
+            position.setdefault(q, len(position))
+        steps.append((gate, tuple(position[q] for q in touched), 1 << len(position)))
+    n = circ.n_qubits
+    for q in range(n):
+        position.setdefault(q, len(position))
+    if all(position[q] == q for q in range(n)):
+        return steps, None
+    # Axis 1 + j holds the bit of qubit n-1-j in qubit order, of position
+    # n-1-j in register order.
+    return steps, (0, *(n - position[n - 1 - j] for j in range(n)))
+
+
+def _qubit_order(states: np.ndarray, axes: tuple[int, ...] | None) -> np.ndarray:
+    # states: (rows, 2^n) in register order. A transposed copy in qubit order,
+    # or states itself when the orders agree.
+    if axes is None:
+        return states
+    rows = states.shape[0]
+    return states.reshape(rows, *(2,) * (len(axes) - 1)).transpose(axes).reshape(rows, -1)
 
 
 def check_state_size(n_qubits: int, rows: int = 1) -> None:
@@ -219,11 +268,12 @@ def trajectory_batch(n_qubits: int) -> int:
 def statevector(circ: Circuit) -> np.ndarray:
     """Final amplitudes (float64) of the circuit applied to the all-zeros state."""
     check_state_size(circ.n_qubits)
-    states = np.zeros((1, 1 << circ.n_qubits))
-    states[0, 0] = 1.0
-    for gate in circ.gates:
-        _apply_gate(states, gate)
-    return states[0]
+    steps, axes = _plan(circ)
+    buf = np.zeros((1, 1 << circ.n_qubits))
+    buf[0, 0] = 1.0
+    for gate, pos, width in steps:
+        _apply_gate(buf[:, :width], gate, pos)
+    return _qubit_order(buf, axes)[0]
 
 
 def run_exact(circ: Circuit) -> Distribution:
@@ -294,20 +344,21 @@ def run_sampled(
 
 def _trajectory_counts(circ: Circuit, rows: int, p_depol: float, rng: np.random.Generator) -> np.ndarray:
     # One noisy batch: ``rows`` shots over at most ``rows`` slots; owner[r] is
-    # the slot of row r. Slots past ``live`` are never written, so their pages
-    # of the np.zeros buffer are never touched.
+    # the slot of row r. Only buf[:live, :width] is ever written, so the pages
+    # of the np.zeros buffer past it are never touched.
+    steps, axes = _plan(circ)
     dim = 1 << circ.n_qubits
     buf = np.zeros((rows, dim))
     buf[0, 0] = 1.0
     owner = np.zeros(rows, dtype=np.intp)
     live = 1
-    for gate in circ.gates:
-        _apply_gate(buf[:live], gate)
-        for q in _touched_qubits(gate):
+    for gate, pos, width in steps:
+        _apply_gate(buf[:live, :width], gate, pos)
+        for q in pos:
             hit = np.nonzero(rng.random(rows) < p_depol)[0]
             if hit.size:
-                live = _fork(buf, owner, live, hit, rng.integers(0, 3, size=hit.size), q)
-    cum = buf[:live]
+                live = _fork(buf[:, :width], owner, live, hit, rng.integers(0, 3, size=hit.size), q)
+    cum = _qubit_order(buf[:live], axes)
     np.square(cum, out=cum)
     cum /= cum.sum(axis=1, keepdims=True)
     np.cumsum(cum, axis=1, out=cum)

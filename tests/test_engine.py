@@ -12,6 +12,7 @@ Core claims:
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -302,35 +303,74 @@ class TestStateBudget:
         assert batches == [100]
 
 
+@pytest.fixture
+def gate_shapes(monkeypatch):
+    """(rows, width) of every state array the engine applies a gate to."""
+    shapes = []
+    apply_gate = engine._apply_gate
+
+    def spy(states, gate, pos):
+        shapes.append(states.shape)
+        apply_gate(states, gate, pos)
+
+    monkeypatch.setattr(engine, "_apply_gate", spy)
+    return shapes
+
+
 class TestSharedHistories:
     """Shots with the same Pauli history share one state slot in a noisy batch."""
 
-    @pytest.fixture
-    def gate_rows(self, monkeypatch):
-        """Rows of every state array the engine applies a gate to."""
-        rows = []
-        apply_gate = engine._apply_gate
-
-        def spy(states, gate):
-            rows.append(states.shape[0])
-            apply_gate(states, gate)
-
-        monkeypatch.setattr(engine, "_apply_gate", spy)
-        return rows
-
-    def test_unhit_shots_share_one_state(self, gate_rows, healthcare10_entry):
+    def test_unhit_shots_share_one_state(self, gate_shapes, healthcare10_entry):
         circ = compile_model(healthcare10_entry.model)
         assert run_sampled(circ, 1024, 2, NoiseSpec(1e-12)).values.sum() == 1024
-        assert gate_rows == [1] * len(circ.gates)
+        assert [rows for rows, _ in gate_shapes] == [1] * len(circ.gates)
 
-    def test_live_slots_never_exceed_the_batch(self, monkeypatch, gate_rows, healthcare10_entry):
+    def test_live_slots_never_exceed_the_batch(self, monkeypatch, gate_shapes, healthcare10_entry):
         circ = compile_model(healthcare10_entry.model)
         monkeypatch.setattr(engine, "MAX_STATE_BYTES", 40 * (8 << circ.n_qubits))
         for p in (0.05, 0.4, 1.0):
-            gate_rows.clear()
+            gate_shapes.clear()
             assert run_sampled(circ, 90, 2, NoiseSpec(p)).values.sum() == 90
+            gate_rows = [rows for rows, _ in gate_shapes]
             assert gate_rows[0] == 1 and max(gate_rows) <= 40
         # At p = 1 every shot has its own history (3^45 of them), so the
         # last gate of each batch of 40, 40 and 10 shots sees one slot per shot.
         last = [len(circ.gates) * i - 1 for i in (1, 2, 3)]
         assert [gate_rows[i] for i in last] == [40, 40, 10]
+
+
+def _reversed_qubits(model):
+    n = model.n_qubits
+    return replace(model, variables=tuple(replace(v, qubit=n - 1 - v.qubit) for v in model.variables))
+
+
+class TestFirstTouchRegister:
+    """Each gate runs on the 2^k entries of the k qubits touched through it, not on all 2^n."""
+
+    @staticmethod
+    def touched_widths(circ):
+        seen, widths = set(), []
+        for g in circ.gates:
+            seen.update(q for q in (g.control, g.target) if q is not None)
+            widths.append(1 << len(seen))
+        return widths
+
+    def test_width_follows_the_touched_qubits(self, gate_shapes, healthcare10_entry):
+        circ = compile_model(healthcare10_entry.model)
+        run_exact(circ)
+        widths = [width for _, width in gate_shapes]
+        assert widths == self.touched_widths(circ)
+        assert widths[0] == 2 and widths[-1] == 1 << circ.n_qubits
+
+    def test_reversed_qubit_map_gives_the_same_widths(self, gate_shapes, healthcare10_entry):
+        model = healthcare10_entry.model
+        run_exact(compile_model(model))
+        forward = list(gate_shapes)
+        gate_shapes.clear()
+        run_exact(compile_model(_reversed_qubits(model)))
+        assert gate_shapes == forward
+
+    def test_noisy_batch_uses_the_same_widths(self, gate_shapes, healthcare10_entry):
+        circ = compile_model(healthcare10_entry.model)
+        assert run_sampled(circ, 1024, 2, NoiseSpec(1e-12)).values.sum() == 1024
+        assert gate_shapes == [(1, width) for width in self.touched_widths(circ)]

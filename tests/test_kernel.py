@@ -11,6 +11,10 @@ terms, and hypot(x, 0) == |x|).
 Circuits are random, up to 8 qubits, with every gate kind, control-on-zero
 CRY and X/Y/Z insertions on chosen trajectory rows. Runs are derandomized.
 
+The engine runs each gate on the first-touch register, the 2^k entries of the
+k qubits touched so far, and returns to qubit order at the end; its bytes must
+equal those of the full-width loop that runs every gate on all 2^n entries.
+
 The noisy sampler keeps one state per distinct Pauli history, not one per
 shot; its counts must equal, array for array, those of a plain loop that
 evolves every shot as its own row with the same kernels and the same draws.
@@ -23,10 +27,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdo import NoiseSpec, run_sampled, statevector
+from qdo import Intervention, NoiseSpec, compile_model, run_exact, run_sampled, statevector
 from qdo import engine
-from qdo.circuit import Circuit, Gate, Tag
-from qdo.engine import _apply_gate, _apply_pauli_rows, _touched_qubits, trajectory_batch
+from qdo.circuit import Circuit, Gate, Tag, surgered_circuit
+from qdo.engine import (
+    _apply_1q,
+    _apply_cry,
+    _apply_gate,
+    _apply_pauli_rows,
+    _ry_matrix,
+    _touched_qubits,
+    trajectory_batch,
+)
+from conftest import chain_model
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -126,7 +139,7 @@ def test_pauli_row_kernel_equals_complex_reference(program):
     ref[:, 0] = 1.0
     for step in steps:
         if isinstance(step, Gate):
-            _apply_gate(states, step)
+            _apply_gate(states, step, _touched_qubits(step))
             for psi in ref:
                 _ref_gate(psi, step)
         else:
@@ -136,6 +149,81 @@ def test_pauli_row_kernel_equals_complex_reference(program):
             for r in hit:
                 _ref_apply(ref[r], _PAULI[pauli], qubit)
     assert np.array_equal(np.square(states), np.abs(ref) ** 2)
+
+
+def _full_width_statevector(circ: Circuit) -> np.ndarray:
+    """Every gate on all 2^n entries, at the qubits' own indices."""
+    states = np.zeros((1, 1 << circ.n_qubits))
+    states[0, 0] = 1.0
+    for gate in circ.gates:
+        _apply_gate(states, gate, _touched_qubits(gate))
+    return states[0]
+
+
+def _assert_equals_full_width(circ: Circuit) -> None:
+    ref = _full_width_statevector(circ)
+    assert np.array_equal(statevector(circ), ref)
+    assert run_exact(circ).values.tobytes() == np.square(ref).tobytes()
+
+
+def _cry(control: int, control_value: int, target: int, theta: float) -> Gate:
+    return Gate("cry", target, _T, theta=theta, control=control, control_value=control_value)
+
+
+@pytest.mark.parametrize(
+    "circ",
+    [
+        # q1 and q3 are never touched.
+        Circuit(4, (Gate("h", 2, _T), _cry(2, 1, 0, 1.1), Gate("ry", 0, _T, theta=-0.4))),
+        # q2 is first touched as the control of a CRY: a ground parent.
+        Circuit(3, (Gate("ry", 0, _T, theta=0.8), _cry(2, 0, 1, 1.3), _cry(1, 1, 0, -2.1))),
+        Circuit(3, (Gate("ry", 0, _T, theta=0.8), _cry(2, 1, 1, 1.3), _cry(1, 1, 0, -2.1))),
+        Circuit(3, ()),
+    ],
+    ids=["untouched-qubits", "ground-parent-on-0", "ground-parent-on-1", "no-gates"],
+)
+def test_first_touch_edge_cases_equal_full_width(circ):
+    _assert_equals_full_width(circ)
+
+
+def test_surgery_x_at_the_start_equals_full_width():
+    # v1 has no prep gate, so do(v1 = 1) puts its X first and q1 is touched first.
+    circ = surgered_circuit(compile_model(chain_model(4)), Intervention("v1", 1))
+    assert (circ.gates[0].kind, circ.gates[0].target) == ("x", 1)
+    _assert_equals_full_width(circ)
+
+
+def _relabelled(gate: Gate, label) -> Gate:
+    control = None if gate.control is None else label[gate.control]
+    return Gate(gate.kind, label[gate.target], gate.tag, gate.theta, control, gate.control_value)
+
+
+@PROPERTY
+@given(circuits(), st.data())
+def test_shuffled_qubits_equal_full_width(circ, data):
+    label = data.draw(st.permutations(range(circ.n_qubits)))
+    _assert_equals_full_width(Circuit(circ.n_qubits, tuple(_relabelled(g, label) for g in circ.gates)))
+
+
+@pytest.mark.parametrize(
+    "apply",
+    [
+        lambda s: _apply_1q(s, 1, _ry_matrix(0.9)),
+        lambda s: _apply_cry(s, 2, 0, 0, 0.7),
+        lambda s: _apply_cry(s, 0, 1, 2, -1.3),
+    ],
+    ids=["1q", "cry-control-high", "cry-control-low"],
+)
+def test_kernel_writes_through_a_strided_view(apply):
+    # The noisy sampler runs gates on buf[:live, :width]: a reshape that
+    # copied such a view would drop the update without an error.
+    buf = np.random.default_rng(0).standard_normal((5, 16))
+    before = buf.copy()
+    want = buf[:3, :8].copy()
+    apply(want)
+    apply(buf[:3, :8])
+    assert np.array_equal(buf[:3, :8], want) and not np.array_equal(want, before[:3, :8])
+    assert np.array_equal(buf[:, 8:], before[:, 8:]) and np.array_equal(buf[3:], before[3:])
 
 
 def _one_row_per_shot(circ: Circuit, shots: int, seed: int, p_depol: float) -> np.ndarray:
@@ -150,7 +238,7 @@ def _one_row_per_shot(circ: Circuit, shots: int, seed: int, p_depol: float) -> n
         states = np.zeros((batch, dim))
         states[:, 0] = 1.0
         for gate in circ.gates:
-            _apply_gate(states, gate)
+            _apply_gate(states, gate, _touched_qubits(gate))
             for q in _touched_qubits(gate):
                 hit = np.nonzero(rng.random(batch) < p_depol)[0]
                 if hit.size == 0:
