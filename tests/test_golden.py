@@ -7,8 +7,9 @@ test only reads. The sampled commands run at qdo seed 1729, the seed the
 digests were recorded at. Any refactor that moves a byte of these outputs
 fails here, not only in the benchmark.
 
-No digest in ``refs.json`` covers the distribution mode of ``qdo run`` (the
-P(v=1) lines and the ``--json`` payload), so its digests are kept below.
+``refs.json`` holds every digest the benchmark checks, and every one is
+checked here. It covers only the stdout of the distribution mode of ``qdo run``
+(the P(v=1) lines), not its ``--json`` payload, so those digests are kept below.
 """
 
 import hashlib
@@ -28,10 +29,16 @@ import workloads  # noqa: E402  (perfbench/ is not a package)
 REFS = json.loads((ROOT / "perfbench" / "refs.json").read_text(encoding="utf-8"))
 CASES = [
     ("catalog-cli", "s3-exact"),
+    ("catalog-cli", "s3-sampled"),
+    ("catalog-cli", "h10-exact"),
+    ("catalog-cli", "h10-insurance"),
     ("catalog-cli", "h10-sampled"),
     ("catalog-cli", "run-effect-exact"),
+    ("catalog-cli", "run-effect-sampled"),
+    ("catalog-cli", "run-do-exact"),
     ("catalog-cli", "run-do-sampled"),
     ("catalog-cli", "validate"),
+    ("catalog-cli", "chart"),
     ("noisy-trajectories", "s3-noisy"),
     ("noisy-trajectories", "h10-noisy-128"),
     ("noisy-trajectories", "h10-noisy-1024"),
@@ -91,6 +98,10 @@ def test_output_bytes_match_recorded_digests(workload, kind, commands, capsys, m
     assert set(blobs) == set(want)
     for name, data in blobs.items():
         assert hashlib.sha256(data).hexdigest() == want[name], f"{kind}: {name} moved"
+
+
+def test_every_recorded_digest_is_checked():
+    assert {(w, k) for w in REFS["digests"] for k in REFS["digests"][w]} == set(CASES)
 
 
 @pytest.mark.parametrize(
