@@ -99,13 +99,3 @@ def healthcare10() -> CatalogEntry:
     )
     return CatalogEntry("healthcare10", model, Roles("Treatment", "Outcome", ("Age", "Region")))
 
-
-CATALOG_IDS = ("simpson3", "healthcare10")
-
-
-def get(entry_id: str) -> CatalogEntry:
-    if entry_id == "simpson3":
-        return simpson3()
-    if entry_id == "healthcare10":
-        return healthcare10()
-    raise KeyError(f"unknown catalog id {entry_id!r}; known: {', '.join(CATALOG_IDS)}")

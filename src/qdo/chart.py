@@ -34,7 +34,6 @@ def render_chart(
     groups: Sequence[EffectReport],
     title: str = "",
     reference: float | None = None,
-    reference_label: str = "causal effect",
 ) -> str:
     """Render the groups as a grouped bar chart; returns the SVG text."""
     if not groups:
@@ -133,7 +132,7 @@ def render_chart(
         parts.append(
             f'<text x="{width - _MARGIN_R}" y="{_fmt(y(reference) - 5)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="10" fill="{_REF}">'
-            f'{_escape(reference_label)} {reference:+.3f}</text>'
+            f'causal effect {reference:+.3f}</text>'
         )
 
     parts.append("</svg>")

@@ -3,7 +3,9 @@
 Subcommands: ``simpson3`` and ``healthcare10`` run the built-in experiments,
 ``run`` applies the same pipeline to a user model file, ``validate`` checks a
 model file and cross-checks the engine against the enumeration oracle, and
-``chart`` renders saved JSON reports as an SVG.
+``chart`` renders saved JSON reports as an SVG. The parser is built once, at
+import, and names each subcommand's handler; ``_run_effects`` runs, prints and
+writes every effect table (``simpson3``, ``healthcare10``, ``run --effect``).
 
 Exit codes: 0 success, 1 engine/oracle equivalence failure, 2 invalid
 configuration or model, 3 conditioning on a zero-mass event.
@@ -21,13 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .analysis import UndefinedConditionalError, cells
+from .analysis import EffectReport, UndefinedConditionalError, cells
 from .chart import render_chart
 from .circuit import compile_model, format_circuit
 from .engine import NoiseSpec, run_exact, run_sampled
 from .experiments import (
     DEFAULT_SEED,
-    Report,
+    Group,
     RunConfig,
     causal_group,
     format_report_table,
@@ -39,7 +41,7 @@ from .experiments import (
     simpson3_groups,
     stratified_group,
 )
-from .model import Intervention, ModelError, apply_do, load_model
+from .model import CausalModel, Intervention, ModelError, apply_do, load_model
 from .oracle import enumerate_joint
 
 EQUIVALENCE_TOLERANCE = 1e-10
@@ -75,11 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     s3 = sub.add_parser("simpson3", help="run the 3-qubit sign-reversal experiment")
     _add_backend_flags(s3, default_trials=30)
+    s3.set_defaults(handler=_cmd_simpson3)
 
     h10 = sub.add_parser("healthcare10", help="run the 10-qubit confounding-bias experiment")
     _add_backend_flags(h10, default_trials=10)
     h10.add_argument("--stratify", action="append", default=None, metavar="VAR",
                      help="stratifier (repeatable; default: Age and Region)")
+    h10.set_defaults(handler=_cmd_healthcare10)
 
     run = sub.add_parser("run", help="run the analysis pipeline on a model file")
     run.add_argument("model_path", metavar="MODEL.json")
@@ -91,9 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="intervene before analysis (repeatable)")
     run.add_argument("--effect", action="store_true",
                      help="report effect sizes (requires --treatment and --outcome)")
+    run.set_defaults(handler=_cmd_run)
 
     val = sub.add_parser("validate", help="validate a model file and cross-check the engine")
     val.add_argument("model_path", metavar="MODEL.json")
+    val.set_defaults(handler=_cmd_validate)
 
     ch = sub.add_parser("chart", help="render saved JSON reports as an SVG bar chart")
     ch.add_argument("reports", nargs="+", metavar="REPORT.json")
@@ -101,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--reference", type=float, default=None,
                     help="draw a dashed horizontal line at this effect value")
     ch.add_argument("--title", default="")
+    ch.set_defaults(handler=_cmd_chart)
 
     return p
 
@@ -127,49 +134,43 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _emit_report(report: Report, args: argparse.Namespace, reference: float | None = None,
-                 bias_against: str | None = None, title: str = "") -> None:
+def _run_effects(args: argparse.Namespace, cfg: RunConfig, model: CausalModel, treatment: str,
+                 outcome: str, groups: list[Group], title: str, bias: bool = False) -> int:
+    """Run ``groups`` and print and write the report, for every effect command.
+
+    With ``bias``, the table's bias column and the chart's reference line
+    measure against the do group.
+    """
+    report = run_experiment(model, treatment, outcome, groups, cfg)
+    causal = next(g.label for g in groups if g.do) if bias else None
     if args.print_circuit:
         for circ in report.circuits:
-            sys.stdout.write(format_circuit(circ, expanded=args.expanded))
-            sys.stdout.write("\n")
-    sys.stdout.write(format_report_table(report, bias_against=bias_against))
+            sys.stdout.write(format_circuit(circ, expanded=args.expanded) + "\n")
+    sys.stdout.write(format_report_table(report, bias_against=causal))
     if args.json_path:
         Path(args.json_path).write_text(report_json_text(report), encoding="utf-8")
     if args.csv_path:
         Path(args.csv_path).write_text(report_csv_text(report), encoding="utf-8")
     if args.svg_path:
+        reference = report.group(causal).effect if bias else None
         svg = render_chart(report.groups, title=title, reference=reference)
         Path(args.svg_path).write_text(svg, encoding="utf-8")
+    return EXIT_OK
 
 
 def _cmd_simpson3(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
     entry = catalog.simpson3()
-    report = run_experiment(
-        entry.model, entry.roles.treatment, entry.roles.outcome,
-        simpson3_groups(entry.roles.stratifiers[0]), cfg,
-    )
-    _emit_report(report, args, title="3-qubit treatment effects")
-    return EXIT_OK
+    roles = entry.roles
+    return _run_effects(args, _config_from_args(args), entry.model, roles.treatment, roles.outcome,
+                        simpson3_groups(roles.stratifiers[0]), "3-qubit treatment effects")
 
 
 def _cmd_healthcare10(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
     entry = catalog.healthcare10()
-    stratifiers = tuple(args.stratify) if args.stratify else entry.roles.stratifiers
-    causal_label = "Causal Intervention (do)"
-    report = run_experiment(
-        entry.model, entry.roles.treatment, entry.roles.outcome,
-        healthcare10_groups(stratifiers), cfg,
-    )
-    _emit_report(
-        report, args,
-        reference=report.group(causal_label).effect,
-        bias_against=causal_label,
-        title="10-qubit treatment effects",
-    )
-    return EXIT_OK
+    roles = entry.roles
+    groups = healthcare10_groups(args.stratify or roles.stratifiers)
+    return _run_effects(args, _config_from_args(args), entry.model, roles.treatment, roles.outcome,
+                        groups, "10-qubit treatment effects", bias=True)
 
 
 def _parse_do(specs: list[str] | None) -> list[Intervention]:
@@ -198,18 +199,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise ModelError("--effect requires --treatment and --outcome")
         model.variable(args.treatment)
         model.variable(args.outcome)
-        groups = [observational_group()]
-        groups += [stratified_group(s) for s in (args.stratify or [])]
-        groups.append(causal_group())
-        report = run_experiment(model, args.treatment, args.outcome, groups, cfg)
-        _emit_report(report, args, title=f"effects: {model.name}")
-        return EXIT_OK
+        groups = [observational_group(), *map(stratified_group, args.stratify or ()), causal_group()]
+        return _run_effects(args, cfg, model, args.treatment, args.outcome, groups,
+                            f"effects: {model.name}")
 
     # Distribution mode: report the (possibly post-intervention) distribution.
     circ = compile_model(model)
     if args.print_circuit:
-        sys.stdout.write(format_circuit(circ, expanded=args.expanded))
-        sys.stdout.write("\n")
+        sys.stdout.write(format_circuit(circ, expanded=args.expanded) + "\n")
     if cfg.backend == "exact":
         dist = run_exact(circ)
     else:
@@ -258,8 +255,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_chart(args: argparse.Namespace) -> int:
-    from .analysis import EffectReport
-
     if args.reference is not None and not math.isfinite(args.reference):
         raise ModelError(f"--reference must be finite, got {args.reference!r}")
     groups = []
@@ -275,6 +270,8 @@ def _cmd_chart(args: argparse.Namespace) -> int:
         for i, g in enumerate(data["groups"]):
             try:
                 ci = g.get("ci")
+                if not isinstance(g["label"], str):
+                    raise TypeError(f"label must be a string, got {g['label']!r}")
                 group = EffectReport(
                     label=g["label"],
                     effect=float(g["effect"]),
@@ -294,20 +291,13 @@ def _cmd_chart(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "simpson3": _cmd_simpson3,
-    "healthcare10": _cmd_healthcare10,
-    "run": _cmd_run,
-    "validate": _cmd_validate,
-    "chart": _cmd_chart,
-}
+_PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except UndefinedConditionalError as exc:
         print(f"qdo: error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED_CONDITIONAL

@@ -74,16 +74,16 @@ class Group:
     do: bool = False
 
 
-def observational_group(label: str = "Observational, Overall") -> Group:
-    return Group(label)
+def observational_group() -> Group:
+    return Group("Observational, Overall")
 
 
-def subgroup(stratifier: str, stratum: int, label: str | None = None) -> Group:
-    return Group(label or f"Observational, {stratifier}={stratum}", given=((stratifier, stratum),))
+def subgroup(stratifier: str, stratum: int) -> Group:
+    return Group(f"Observational, {stratifier}={stratum}", given=((stratifier, stratum),))
 
 
-def stratified_group(stratifier: str, label: str | None = None) -> Group:
-    return Group(label or f"Stratified by {stratifier}", adjust=(stratifier,))
+def stratified_group(stratifier: str) -> Group:
+    return Group(f"Stratified by {stratifier}", adjust=(stratifier,))
 
 
 def causal_group(label: str = "Causal, Overall (do)") -> Group:
@@ -195,7 +195,6 @@ def causal_effect(
     trials: int = 1,
     seed: int = 0,
     noise: NoiseSpec | None = None,
-    label: str = "Causal, Overall (do)",
 ) -> EffectReport:
     """ACE = P(outcome=1 | do(treatment=1)) - P(outcome=1 | do(treatment=0)).
 
@@ -203,7 +202,7 @@ def causal_effect(
     do=0) streams of the seed contract above.
     """
     cfg = RunConfig(backend=backend, shots=shots, trials=trials, seed=seed, noise=noise)
-    return run_experiment(model, treatment, outcome, [causal_group(label)], cfg).groups[0]
+    return run_experiment(model, treatment, outcome, [causal_group()], cfg).groups[0]
 
 
 def _mean_strata(trials: list[tuple[StratumEffect, ...]]) -> tuple[StratumEffect, ...] | None:

@@ -8,6 +8,7 @@ import pytest
 from qdo import (
     GROUND,
     UNIFORM,
+    catalog,
     causal_effect,
     compile_model,
     enumerate_joint,
@@ -15,7 +16,6 @@ from qdo import (
     topological_order,
     validate,
 )
-from qdo.catalog import get
 from qdo.model import model_from_dict, model_to_dict
 
 
@@ -104,20 +104,15 @@ class TestHealthcare10:
 
 
 class TestCatalogApi:
-    def test_get_by_id(self):
-        assert get("simpson3").model.name == "simpson3"
-        assert get("healthcare10").model.name == "healthcare10"
-        with pytest.raises(KeyError):
-            get("nonexistent")
-
     @pytest.mark.parametrize("entry_id", ["simpson3", "healthcare10"])
     def test_json_round_trip(self, entry_id):
-        model = get(entry_id).model
+        model = getattr(catalog, entry_id)().model
+        assert model.name == entry_id
         assert model_from_dict(model_to_dict(model)) == model
 
     @pytest.mark.parametrize("entry_id", ["simpson3", "healthcare10"])
     def test_oracle_engine_equivalence(self, entry_id):
-        model = get(entry_id).model
+        model = getattr(catalog, entry_id)().model
         engine = run_exact(compile_model(model)).values
         oracle = enumerate_joint(model).values
         assert np.max(np.abs(engine - oracle)) < 1e-10

@@ -255,6 +255,9 @@ class TestChartCommand:
             ("nan_effect", {"groups": [{"label": "a", "effect": math.nan}, {"label": "b", "effect": 0.2}]}),
             ("inf_effect", {"groups": [{"label": "a", "effect": math.inf}]}),
             ("inf_ci", {"groups": [{"label": "a", "effect": 0.1, "ci": [0.0, -math.inf]}]}),
+            ("int_label", {"groups": [{"label": 5, "effect": 0.1}]}),
+            ("null_label", {"groups": [{"label": None, "effect": 0.1}]}),
+            ("list_label", {"groups": [{"label": ["a"], "effect": 0.1}]}),
         ]
         for name, payload in cases:
             report = tmp_path / f"{name}.json"
@@ -298,6 +301,44 @@ class TestSeedHandling:
         monkeypatch.delenv("QDO_SEED")
         assert run_cli(*argv, "--backend", "sampled", "--shots", "10", "--trials", "2", "--seed", seed) == 2
         assert f"got {seed}" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """Consecutive ``main`` calls in one process share one parser and no state."""
+
+    def test_main_builds_no_parser(self, monkeypatch, capsys):
+        import qdo.cli as cli_mod
+
+        def build_parser():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli_mod, "build_parser", build_parser)
+        assert run_cli("simpson3", "--backend", "exact") == 0
+        assert run_cli("validate", str(MODELS / "simpson3.json")) == 0
+
+    def test_stratify_does_not_carry_over(self, capsys):
+        assert run_cli("healthcare10", "--stratify", "Insurance") == 0
+        assert "Stratified by Insurance" in capsys.readouterr().out
+        assert run_cli("healthcare10") == 0
+        out = capsys.readouterr().out
+        assert "Stratified by Age" in out and "Stratified by Region" in out
+        assert "Insurance" not in out
+
+    def test_trials_default_is_per_command(self, tmp_path, capsys):
+        run = ["run", str(MODELS / "simpson3.json"), "--treatment", "T", "--outcome", "O", "--effect"]
+        sampled = ["--backend", "sampled", "--shots", "2000", "--seed", "1"]
+        trials = []
+        for i, argv in enumerate((run, ["simpson3"], run)):
+            path = tmp_path / f"{i}.json"
+            assert run_cli(*argv, *sampled, "--json", str(path)) == 0
+            trials.append(json.loads(path.read_text())["trials"])
+        assert trials == [10, 30, 10]
+
+    def test_do_does_not_carry_over(self, capsys):
+        assert run_cli("run", str(MODELS / "simpson3.json"), "--do", "G=1") == 0
+        assert "do: G=1\n" in capsys.readouterr().out
+        assert run_cli("run", str(MODELS / "simpson3.json")) == 0
+        assert "do:" not in capsys.readouterr().out
 
 
 def test_module_entrypoint_smoke():
