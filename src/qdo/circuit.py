@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 
-from .model import CausalModel, Intervention, ModelError, topological_order, validate
+from .model import CausalModel, Intervention, topological_order
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,6 @@ def compile_model(model: CausalModel) -> Circuit:
     edge becomes a rotation by ``-angle``. Intervening to 0 emits nothing: the
     qubit is already in the ground state.
     """
-    violations = validate(model)
-    if violations:
-        raise ModelError("invalid model: " + "; ".join(violations))
-
     qubit = model.qubit_map()
     forced = {iv.variable: iv.value for iv in model.interventions}
     gates: list[Gate] = []

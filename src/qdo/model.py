@@ -6,6 +6,10 @@ Y-rotation) and each edge carries a controlled-rotation angle. Interventions
 are represented by graph surgery: ``apply_do`` removes the intervened
 variable's incoming edges and pins its preparation, leaving the forcing of the
 value to the circuit compiler.
+
+``CausalModel`` raises ``ModelError`` with every violation ``validate`` finds
+when it is built, so a model that exists is valid; that includes each result
+of ``apply_do``.
 """
 
 from __future__ import annotations
@@ -84,6 +88,9 @@ class CausalModel:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "interventions", tuple(self.interventions))
+        violations = validate(self)
+        if violations:
+            raise ModelError("invalid model: " + "; ".join(violations))
 
     @property
     def n_qubits(self) -> int:
@@ -109,15 +116,20 @@ def validate(model: CausalModel) -> list[str]:
     """Return every invariant violation as a human-readable string.
 
     An empty list means the model is valid. Violations are data, not errors:
-    this never raises.
+    this never raises. ``CausalModel`` runs it on every model it builds and
+    raises all of them at once.
     """
     out: list[str] = []
     names = [v.name for v in model.variables]
     known = set(names)
 
+    integral = True  # sorting and the peel's heap need comparable qubit indices
     for v in model.variables:
         if not v.name:
             out.append("variable with empty name")
+        if isinstance(v.qubit, bool) or not isinstance(v.qubit, int):
+            out.append(f"variable {v.name!r}: qubit index must be an integer, got {v.qubit!r}")
+            integral = False
         if v.prep.kind not in ("ground", "uniform", "rotation"):
             out.append(f"variable {v.name!r}: unknown prep kind {v.prep.kind!r}")
         elif v.prep.kind == "rotation" and not math.isfinite(v.prep.angle):
@@ -125,11 +137,12 @@ def validate(model: CausalModel) -> list[str]:
     if len(known) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         out.append(f"duplicate variable names: {', '.join(dupes)}")
-    qubits = sorted(v.qubit for v in model.variables)
-    if qubits != list(range(len(model.variables))):
-        out.append(
-            f"qubit indices must be a permutation of 0..{len(model.variables) - 1}, got {qubits}"
-        )
+    if integral:
+        qubits = sorted(v.qubit for v in model.variables)
+        if qubits != list(range(len(model.variables))):
+            out.append(
+                f"qubit indices must be a permutation of 0..{len(model.variables) - 1}, got {qubits}"
+            )
 
     seen_triples: set[tuple[str, str, int]] = set()
     for e in model.edges:
@@ -143,14 +156,14 @@ def validate(model: CausalModel) -> list[str]:
             out.append(f"edge {e.parent!r}->{e.child!r}: angle must be finite and > 0")
         if isinstance(e.control_value, bool) or e.control_value not in (0, 1):
             out.append(f"edge {e.parent!r}->{e.child!r}: control_value must be 0 or 1")
-        if e.sign not in (1, -1):
+        if isinstance(e.sign, bool) or e.sign not in (1, -1):
             out.append(f"edge {e.parent!r}->{e.child!r}: sign must be +1 or -1")
         triple = (e.parent, e.child, e.control_value)
         if triple in seen_triples:
             out.append(f"duplicate edge {e.parent!r}->{e.child!r} (control={e.control_value})")
         seen_triples.add(triple)
 
-    cyclic = _peel(model)[1]
+    cyclic = _peel(model)[1] if integral else []
     if cyclic:
         out.append(f"cycle detected involving: {', '.join(cyclic)}")
 
@@ -159,7 +172,7 @@ def validate(model: CausalModel) -> list[str]:
         if iv.variable not in known:
             out.append(f"intervention on unknown variable {iv.variable!r}")
             continue
-        if iv.value not in (0, 1):
+        if isinstance(iv.value, bool) or iv.value not in (0, 1):
             out.append(f"intervention {iv.variable!r}: value must be 0 or 1")
         if iv.variable in intervened:
             out.append(f"variable {iv.variable!r} intervened more than once")
@@ -218,18 +231,7 @@ def topological_order(model: CausalModel) -> list[str]:
 
     Ties are broken by ascending qubit index, so the result is deterministic.
     """
-    known = {v.name for v in model.variables}
-    for e in model.edges:
-        if e.parent not in known or e.child not in known:
-            raise ModelError(
-                f"edge {e.parent!r}->{e.child!r} references a variable missing from the model"
-            )
-        if e.parent == e.child:
-            raise ModelError(f"self-loop on {e.parent!r}")
-    order, cyclic = _peel(model)
-    if cyclic:
-        raise ModelError(f"cycle detected involving: {', '.join(cyclic)}")
-    return order
+    return _peel(model)[0]
 
 
 def apply_do(model: CausalModel, iv: Intervention) -> CausalModel:
@@ -237,12 +239,9 @@ def apply_do(model: CausalModel, iv: Intervention) -> CausalModel:
 
     Returns a new model with ``iv`` recorded; the input is unmodified. The
     forced value itself is realized by the compiler (an X gate when value is 1).
+    The new model checks itself, so an unknown variable, a value other than 0
+    or 1, or a variable already intervened on raises ``ModelError``.
     """
-    model.variable(iv.variable)
-    if iv.value not in (0, 1):
-        raise ModelError(f"intervention value must be 0 or 1, got {iv.value!r}")
-    if model.is_intervened(iv.variable):
-        raise ModelError(f"variable {iv.variable!r} is already intervened on")
     variables = tuple(
         replace(v, prep=GROUND) if v.name == iv.variable else v for v in model.variables
     )
@@ -379,18 +378,17 @@ def model_json_text(model: CausalModel) -> str:
 
 
 def load_model(path: str | Path) -> CausalModel:
-    """Parse and validate a model file; raises ModelError with diagnostics."""
+    """Parse a model file; every ModelError it raises names ``path``."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ModelError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    model = model_from_dict(data)
-    violations = validate(model)
-    if violations:
-        raise ModelError(f"{path}: invalid model: " + "; ".join(violations))
-    return model
+    try:
+        return model_from_dict(data)
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from exc
 
 
 def save_model(model: CausalModel, path: str | Path) -> None:

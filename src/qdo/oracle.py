@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .engine import Distribution, check_state_size
-from .model import CausalModel, ModelError, topological_order, validate
+from .model import CausalModel, ModelError, topological_order
 
 
 class UnsupportedModelError(ModelError):
@@ -113,10 +113,6 @@ def enumerate_joint(model: CausalModel) -> Distribution:
     0.0. Raises ``ValueError`` (via ``engine.check_state_size``) before
     allocating when the joint would not fit the state budget.
     """
-    violations = validate(model)
-    if violations:
-        raise ModelError("invalid model: " + "; ".join(violations))
-
     n = model.n_qubits
     check_state_size(n)
     probs = np.ones((2,) * n)

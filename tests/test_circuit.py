@@ -115,9 +115,9 @@ class TestCompile:
         assert circ.gates[-1].theta == pytest.approx(-1.4)
 
     def test_invalid_model_rejected(self):
-        m = CausalModel("bad", (Variable("A", 0),), (Edge("A", "A", 1, 0.5),))
+        # The compiler trusts its input: an invalid model is refused when built.
         with pytest.raises(ModelError, match="invalid model"):
-            compile_model(m)
+            CausalModel("bad", (Variable("A", 0),), (Edge("A", "A", 1, 0.5),))
 
     def test_gate_count_formula(self, simpson3_entry, healthcare10_entry):
         # IR gates = non-ground preps + edges; the X-wrap never appears in the IR.

@@ -137,6 +137,17 @@ class TestRunCommand:
     def test_do_bad_syntax_exits_2(self, capsys):
         assert run_cli("run", str(MODELS / "simpson3.json"), "--do", "G=2") == 2
 
+    @pytest.mark.parametrize("specs, message", [
+        (["Z=1"], "invalid model: intervention on unknown variable 'Z'"),
+        (["G=1", "G=0"], "invalid model: variable 'G' intervened more than once"),
+    ])
+    def test_do_on_invalid_target_exits_2(self, capsys, specs, message):
+        argv = ["run", str(MODELS / "simpson3.json")]
+        for spec in specs:
+            argv += ["--do", spec]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"qdo: error: {message}\n"
+
     @pytest.mark.parametrize("flag", ["--csv", "--svg", "--stratify", "--treatment", "--outcome"])
     def test_report_files_require_effect(self, tmp_path, capsys, flag):
         out = tmp_path / "out"
@@ -210,6 +221,19 @@ class TestValidateCommand:
         path.write_text(json.dumps(model), encoding="utf-8")
         assert run_cli("validate", str(path)) == 2
         assert "oracle-unsupported prep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["variables"][0].update(qubit=-1),  # shape error
+        lambda m: m["edges"][0].update(color="red"),  # shape error
+        lambda m: m["edges"][0].update(parent="O", child="G"),  # cycle G -> T -> O -> G
+    ], ids=["negative-qubit", "unknown-field", "cycle"])
+    def test_model_errors_name_the_file(self, tmp_path, capsys, edit):
+        model = json.loads((MODELS / "simpson3.json").read_text(encoding="utf-8"))
+        edit(model)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        assert run_cli("validate", str(path)) == 2
+        assert capsys.readouterr().err.startswith(f"qdo: error: {path}: ")
 
     def test_wide_model_passes(self, tmp_path, capsys):
         path = tmp_path / "wide18.json"

@@ -1,4 +1,4 @@
-"""Model validation, topological ordering, graph surgery, and the JSON format."""
+"""Model validation at construction, topological ordering, graph surgery, and the JSON format."""
 
 import json
 import math
@@ -15,8 +15,6 @@ from qdo import (
     Prep,
     Variable,
     apply_do,
-    compile_model,
-    enumerate_joint,
     load_model,
     topological_order,
     validate,
@@ -33,75 +31,102 @@ def _tiny(name="tiny"):
 
 
 class TestValidate:
+    """Every rule of ``validate`` is enforced when a ``CausalModel`` is built."""
+
     def test_catalog_models_are_valid(self, simpson3_entry, healthcare10_entry):
         assert validate(simpson3_entry.model) == []
         assert validate(healthcare10_entry.model) == []
 
     def test_self_loop(self):
-        m = CausalModel("bad", (Variable("G", 0),), (Edge("G", "G", 1, 0.5),))
-        violations = validate(m)
-        assert len(violations) == 1
-        assert "self-loop" in violations[0]
+        with pytest.raises(ModelError, match="self-loop") as excinfo:
+            CausalModel("bad", (Variable("G", 0),), (Edge("G", "G", 1, 0.5),))
+        assert str(excinfo.value) == "invalid model: self-loop on 'G'"
 
     def test_cycle(self):
-        m = CausalModel(
-            "bad",
-            (Variable("A", 0), Variable("B", 1)),
-            (Edge("A", "B", 1, 0.5), Edge("B", "A", 1, 0.5)),
-        )
-        violations = validate(m)
-        assert len(violations) == 1
-        assert "cycle detected" in violations[0]
-        assert "A" in violations[0] and "B" in violations[0]
+        with pytest.raises(ModelError, match="cycle detected") as excinfo:
+            CausalModel(
+                "bad",
+                (Variable("A", 0), Variable("B", 1)),
+                (Edge("A", "B", 1, 0.5), Edge("B", "A", 1, 0.5)),
+            )
+        assert str(excinfo.value) == "invalid model: cycle detected involving: A, B"
 
     def test_duplicate_names_and_bad_qubits(self):
-        m = CausalModel("bad", (Variable("A", 0), Variable("A", 2)), ())
-        violations = validate(m)
-        assert any("duplicate variable names" in v for v in violations)
-        assert any("permutation" in v for v in violations)
+        with pytest.raises(ModelError, match="duplicate variable names.*; .*permutation"):
+            CausalModel("bad", (Variable("A", 0), Variable("A", 2)), ())
 
     def test_unknown_edge_endpoint(self):
-        m = CausalModel("bad", (Variable("A", 0),), (Edge("A", "Z", 1, 0.5),))
-        assert any("unknown variable 'Z'" in v for v in validate(m))
+        with pytest.raises(ModelError, match="unknown variable 'Z'"):
+            CausalModel("bad", (Variable("A", 0),), (Edge("A", "Z", 1, 0.5),))
 
     def test_nonpositive_angle(self):
-        m = CausalModel("bad", (Variable("A", 0), Variable("B", 1)), (Edge("A", "B", 1, 0.0),))
-        assert any("angle must be finite and > 0" in v for v in validate(m))
+        with pytest.raises(ModelError, match="angle must be finite and > 0"):
+            CausalModel("bad", (Variable("A", 0), Variable("B", 1)), (Edge("A", "B", 1, 0.0),))
 
     def test_boolean_control_value(self):
         # A library-built edge with control_value=True must not reach the
         # engine, which would index the control bit with a bool.
-        m = CausalModel("bad", (Variable("A", 0, UNIFORM), Variable("B", 1)), (Edge("A", "B", True, 1.0),))
-        assert any("control_value must be 0 or 1" in v for v in validate(m))
-        for route in (compile_model, enumerate_joint):
-            with pytest.raises(ModelError, match="control_value must be 0 or 1"):
-                route(m)
+        with pytest.raises(ModelError, match="control_value must be 0 or 1"):
+            CausalModel("bad", (Variable("A", 0, UNIFORM), Variable("B", 1)), (Edge("A", "B", True, 1.0),))
+
+    @pytest.mark.parametrize("qubit", [1.0, True, "1", None])
+    def test_non_integer_qubit(self, qubit):
+        # 1.0 and True sort as a valid permutation; "1" and None do not sort
+        # against 0 at all. Each must be refused by name, not crash the check.
+        with pytest.raises(ModelError, match=f"variable 'B': qubit index must be an integer, got {qubit!r}"):
+            CausalModel("m", (Variable("A", 0, UNIFORM), Variable("B", qubit)), (Edge("A", "B", 1, 1.0),))
+
+    @pytest.mark.parametrize("value", [True, 2])
+    def test_intervention_value_not_a_bit(self, value):
+        m = CausalModel("m", (Variable("A", 0, UNIFORM), Variable("B", 1)), (Edge("A", "B", 1, 1.0),))
+        with pytest.raises(ModelError, match="intervention 'B': value must be 0 or 1"):
+            CausalModel("m", m.variables, (), (Intervention("B", value),))
+        with pytest.raises(ModelError, match="intervention 'B': value must be 0 or 1"):
+            apply_do(m, Intervention("B", value))
+
+    def test_unknown_prep_kind(self):
+        with pytest.raises(ModelError, match="variable 'A': unknown prep kind 'excited'"):
+            CausalModel("bad", (Variable("A", 0, Prep("excited")),), ())
+
+    @pytest.mark.parametrize("sign", [0, True])
+    def test_sign_outside_plus_minus_one(self, sign):
+        # A bool sign would be saved as "sign": true, which load_model refuses.
+        with pytest.raises(ModelError, match="sign must be \\+1 or -1"):
+            CausalModel("bad", (Variable("A", 0, UNIFORM), Variable("B", 1)), (Edge("A", "B", 1, 1.0, sign),))
 
     def test_duplicate_edge_triple(self):
-        m = CausalModel(
-            "bad",
-            (Variable("A", 0), Variable("B", 1)),
-            (Edge("A", "B", 1, 0.5), Edge("A", "B", 1, 0.7)),
-        )
-        assert any("duplicate edge" in v for v in validate(m))
+        with pytest.raises(ModelError, match="duplicate edge"):
+            CausalModel(
+                "bad",
+                (Variable("A", 0), Variable("B", 1)),
+                (Edge("A", "B", 1, 0.5), Edge("A", "B", 1, 0.7)),
+            )
 
     def test_intervened_variable_with_incoming_edge(self):
-        m = CausalModel(
-            "bad",
-            (Variable("A", 0), Variable("B", 1)),
-            (Edge("A", "B", 1, 0.5),),
-            (Intervention("B", 1),),
-        )
-        assert any("still has incoming edges" in v for v in validate(m))
+        with pytest.raises(ModelError, match="still has incoming edges"):
+            CausalModel(
+                "bad",
+                (Variable("A", 0), Variable("B", 1)),
+                (Edge("A", "B", 1, 0.5),),
+                (Intervention("B", 1),),
+            )
 
     def test_double_intervention(self):
-        m = CausalModel(
-            "bad",
-            (Variable("A", 0), Variable("B", 1)),
-            (),
-            (Intervention("B", 1), Intervention("B", 0)),
+        with pytest.raises(ModelError, match="intervened more than once"):
+            CausalModel(
+                "bad",
+                (Variable("A", 0), Variable("B", 1)),
+                (),
+                (Intervention("B", 1), Intervention("B", 0)),
+            )
+
+    def test_every_violation_reported_at_once(self):
+        with pytest.raises(ModelError) as excinfo:
+            CausalModel("bad", (Variable("", 0),), (Edge("", "Z", 1, -1.0),))
+        assert str(excinfo.value) == (
+            "invalid model: variable with empty name; edge ''->'Z' references unknown "
+            "variable 'Z'; edge ''->'Z': angle must be finite and > 0"
         )
-        assert any("intervened more than once" in v for v in validate(m))
 
 
 class TestTopologicalOrder:
@@ -130,22 +155,20 @@ class TestTopologicalOrder:
         assert topological_order(m) == ["A", "B", "C"]
 
     def test_cycle_raises_naming_participants(self):
-        m = CausalModel(
-            "bad",
-            (Variable("A", 0), Variable("B", 1)),
-            (Edge("A", "B", 1, 0.5), Edge("B", "A", 1, 0.5)),
-        )
         with pytest.raises(ModelError, match="cycle.*A.*B"):
-            topological_order(m)
+            CausalModel(
+                "bad",
+                (Variable("A", 0), Variable("B", 1)),
+                (Edge("A", "B", 1, 0.5), Edge("B", "A", 1, 0.5)),
+            )
 
     def test_cycle_message_excludes_downstream_nodes(self):
-        m = CausalModel(
-            "bad",
-            (Variable("A", 0), Variable("B", 1), Variable("C", 2)),
-            (Edge("A", "B", 1, 0.5), Edge("B", "A", 1, 0.5), Edge("B", "C", 1, 0.5)),
-        )
         with pytest.raises(ModelError) as excinfo:
-            topological_order(m)
+            CausalModel(
+                "bad",
+                (Variable("A", 0), Variable("B", 1), Variable("C", 2)),
+                (Edge("A", "B", 1, 0.5), Edge("B", "A", 1, 0.5), Edge("B", "C", 1, 0.5)),
+            )
         assert "A" in str(excinfo.value) and "B" in str(excinfo.value)
         assert "C" not in str(excinfo.value)
 
@@ -185,11 +208,11 @@ class TestApplyDo:
     def test_double_intervention_rejected(self, simpson3_entry):
         surgered = apply_do(simpson3_entry.model, Intervention("T", 1))
         assert not any(e.child == "T" for e in surgered.edges)
-        with pytest.raises(ModelError, match="already intervened"):
+        with pytest.raises(ModelError, match="variable 'T' intervened more than once"):
             apply_do(surgered, Intervention("T", 0))
 
     def test_unknown_variable_rejected(self, simpson3_entry):
-        with pytest.raises(ModelError, match="unknown variable"):
+        with pytest.raises(ModelError, match="intervention on unknown variable 'Z'"):
             apply_do(simpson3_entry.model, Intervention("Z", 1))
 
 
@@ -200,8 +223,8 @@ class TestPrep:
         assert Prep.rotation(-0.3).angle == pytest.approx(2 * math.pi - 0.3)
 
     def test_nonfinite_rotation_flagged_by_validate(self):
-        m = CausalModel("bad", (Variable("A", 0, Prep.rotation(math.nan)),), ())
-        assert any("non-finite" in v for v in validate(m))
+        with pytest.raises(ModelError, match="non-finite"):
+            CausalModel("bad", (Variable("A", 0, Prep.rotation(math.nan)),), ())
 
 
 class TestJsonFormat:
@@ -251,10 +274,13 @@ class TestJsonFormat:
             load_model(path)
 
     def test_load_model_rejects_invalid_model(self, tmp_path):
-        data = model_to_dict(
-            CausalModel("bad", (Variable("A", 0), Variable("B", 1)),
-                        (Edge("A", "B", 1, 0.5), Edge("B", "A", 1, 0.5)))
-        )
+        edge = {"control_value": 1, "angle": 0.5, "sign": 1}
+        data = {
+            "name": "bad",
+            "variables": [{"name": "A", "qubit": 0, "prep": "ground"},
+                          {"name": "B", "qubit": 1, "prep": "ground"}],
+            "edges": [{"parent": "A", "child": "B", **edge}, {"parent": "B", "child": "A", **edge}],
+        }
         path = tmp_path / "cyclic.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(ModelError, match="cycle"):

@@ -7,6 +7,11 @@ without one do():
     (b) the statevector engine equals the oracle within 1e-10
     (c) back-door adjustment over pa(T) equals ``causal_effect`` within 1e-12
 
+Stacked interventions on 2-3 variables must not depend on the order they are
+applied in: graph surgery gives the same bytes in every order, matches the
+oracle, and matches chained circuit surgery wherever circuit surgery can place
+the interventions.
+
 Runs are derandomized, so every tier-1 run checks the same examples.
 
 The estimators' cell reader ``analysis.cells`` must also sum the same floats
@@ -15,8 +20,11 @@ matches that reference to the last bit.
 """
 
 import math
+from functools import reduce
+from itertools import permutations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +43,7 @@ from qdo import (
     conditional_table,
     enumerate_joint,
     run_exact,
+    surgered_circuit,
     topological_order,
 )
 from qdo.analysis import cells
@@ -99,6 +108,15 @@ def backdoor_cases(draw) -> tuple[CausalModel, str, str]:
     return CausalModel(model.name, variables, edges), treatment, outcome
 
 
+@st.composite
+def stacked_interventions(draw) -> tuple[CausalModel, list[Intervention]]:
+    """A model and do() on 2-3 distinct variables with random values."""
+    model = draw(oracle_models())
+    names = draw(st.permutations([v.name for v in model.variables]))
+    k = draw(st.integers(2, min(3, len(names))))
+    return model, [Intervention(name, draw(st.integers(0, 1))) for name in names[:k]]
+
+
 def _reference_joint(model: CausalModel) -> np.ndarray:
     """Per-assignment product of the conditional-table entries, in topological order."""
     qubit = model.qubit_map()
@@ -136,6 +154,45 @@ def test_backdoor_over_treatment_parents_equals_do(case):
     dist = run_exact(compile_model(model))
     effect, _ = adjusted_effect(dist, model.qubit_map(), treatment, outcome, parents)
     assert abs(effect - causal_effect(model, treatment, outcome).effect) < 1e-12
+
+
+@PROPERTY
+@given(stacked_interventions())
+def test_stacked_interventions_commute(case):
+    model, ivs = case
+    circ = compile_model(model)
+    first = None
+    for order in permutations(ivs):
+        graph = run_exact(compile_model(reduce(apply_do, order, model))).values
+        if first is None:
+            first = graph
+            oracle = enumerate_joint(reduce(apply_do, order, model)).values
+            assert float(np.max(np.abs(graph - oracle))) < 1e-10
+        assert graph.tobytes() == first.tobytes()
+        try:
+            surgered = reduce(surgered_circuit, order, circ)
+        except ValueError as exc:
+            # An earlier surgery may delete the only gates that located a
+            # later variable's qubit (see the xfail below).
+            assert "does not appear in any circuit tag" in str(exc)
+            continue
+        assert float(np.max(np.abs(run_exact(surgered).values - graph))) < 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="circuit surgery finds a qubit only through the gates tagged with its variable")
+def test_circuit_surgery_after_the_only_tagged_gate_is_gone():
+    # A is ground, so its one tagged gate is the A -> B link. do(A=1) then
+    # do(B=1) works; do(B=1) first deletes that link, and do(A=1) then
+    # cannot find A's qubit.
+    model = CausalModel("ab", (Variable("A", 0), Variable("B", 1, Prep.rotation(0.4))),
+                        (Edge("A", "B", 1, 0.9),))
+    circ = compile_model(model)
+    for order in ([Intervention("A", 1), Intervention("B", 1)],
+                  [Intervention("B", 1), Intervention("A", 1)]):
+        graph = run_exact(compile_model(reduce(apply_do, order, model))).values
+        surgered = run_exact(reduce(surgered_circuit, order, circ)).values
+        assert float(np.max(np.abs(surgered - graph))) < 1e-12
 
 
 def _event_mask(values: np.ndarray, qubits: dict, event) -> np.ndarray:
