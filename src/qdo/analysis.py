@@ -1,9 +1,12 @@
 """Statistical quantities over distributions: conditionals, effects, CIs.
 
 Conditioning reads an event's cells off a strided view of a full-register
-distribution, exact or sampled (raw counts) alike. A conditioning event with
-zero mass raises ``UndefinedConditionalError`` rather than silently producing
-0/0: asking about an impossible event is a caller bug worth surfacing.
+distribution, exact or sampled (raw counts) alike. The estimators also take a
+(trials, 2^n) stack with one distribution per row and return one estimate per
+row, so K trials are estimated in one pass; a Distribution is the one-row
+case. A conditioning event with zero mass raises ``UndefinedConditionalError``
+rather than silently producing 0/0: asking about an impossible event is a
+caller bug worth surfacing.
 """
 
 from __future__ import annotations
@@ -23,7 +26,15 @@ Z_95 = 1.96
 
 
 class UndefinedConditionalError(ValueError):
-    """Conditioning event has zero probability mass / zero counts."""
+    """Conditioning event has zero probability mass / zero counts.
+
+    ``trial`` is the row of a (trials, 2^n) stack that failed first; it is 0
+    for a Distribution.
+    """
+
+    def __init__(self, message: str, trial: int = 0) -> None:
+        super().__init__(message)
+        self.trial = trial
 
 
 @dataclass(frozen=True)
@@ -36,6 +47,8 @@ class Query:
 
 @dataclass(frozen=True)
 class StratumEffect:
+    """One cell of an adjustment; per-row arrays for a stack (``adjusted_effect``)."""
+
     value: int
     weight: float
     effect: float
@@ -78,11 +91,15 @@ class EffectReport:
 def cells(values: np.ndarray, qubits: Mapping[str, int], event) -> np.ndarray:
     """The entries of a 2^n distribution where every ``(name, bit)`` of ``event`` holds.
 
-    The event indexes axis n-1-q of ``values.reshape((2,) * n)`` for qubit q;
-    ``ravel()`` makes the view contiguous in index order, so its sum adds the
-    same floats in the same order as a boolean mask over ``values`` would.
+    ``values`` is one distribution of shape (2^n,) or a stack of shape
+    (trials, 2^n), one distribution per row; the result keeps the leading
+    axis. The event indexes axis n-1-q of a row's ``reshape((2,) * n)`` for
+    qubit q; the final reshape makes each row contiguous in index order, so
+    its sum adds the same floats in the same order as a boolean mask over that
+    row would.
     """
-    n = values.size.bit_length() - 1
+    lead = values.shape[:-1]
+    n = values.shape[-1].bit_length() - 1
     index: list = [slice(None)] * n
     for name, bit in event:
         if name not in qubits:
@@ -94,26 +111,50 @@ def cells(values: np.ndarray, qubits: Mapping[str, int], event) -> np.ndarray:
         axis = n - 1 - qubits[name]
         # An axis asked for both bits keeps no cell.
         index[axis] = int(bit) if index[axis] in (slice(None), bit) else slice(0)
-    return values.reshape((2,) * n)[tuple(index)].ravel()
+    return values.reshape(lead + (2,) * n)[(..., *index)].reshape(*lead, -1)
 
 
-def cond_prob(dist: Distribution, qubits: Mapping[str, int], query: Query) -> float:
-    """P(outcome | condition); for sampled distributions, a ratio of counts."""
-    cond_mass = float(cells(dist.values, qubits, query.condition).sum())
-    if cond_mass <= 0.0:
-        cond = ", ".join(f"{n}={b}" for n, b in query.condition) or "(empty)"
-        raise UndefinedConditionalError(f"undefined conditional: condition [{cond}] has zero mass")
-    return float(cells(dist.values, qubits, (*query.condition, query.outcome)).sum()) / cond_mass
+def _rows(dist: Distribution | np.ndarray) -> np.ndarray:
+    # A Distribution is the one-row stack of its values.
+    return dist.values[None] if isinstance(dist, Distribution) else dist
+
+
+def _mass(values: np.ndarray, qubits: Mapping[str, int], event) -> np.ndarray:
+    return cells(values, qubits, event).sum(axis=-1)
+
+
+def _zero_mass(condition) -> str:
+    cond = ", ".join(f"{n}={b}" for n, b in condition) or "(empty)"
+    return f"undefined conditional: condition [{cond}] has zero mass"
+
+
+def cond_prob(
+    dist: Distribution | np.ndarray, qubits: Mapping[str, int], query: Query
+) -> float | np.ndarray:
+    """P(outcome | condition); for sampled distributions, a ratio of counts.
+
+    A Distribution gives a float. A (trials, 2^n) stack of probability or
+    count rows gives an array with one ratio per row, each computed as the
+    Distribution of that row would be; if any row's condition has zero mass,
+    the error's ``trial`` is the first such row.
+    """
+    values = _rows(dist)
+    cond_mass = _mass(values, qubits, query.condition)
+    empty = cond_mass <= 0
+    if np.count_nonzero(empty):
+        raise UndefinedConditionalError(_zero_mass(query.condition), trial=int(empty.argmax()))
+    p = _mass(values, qubits, (*query.condition, query.outcome)) / cond_mass
+    return float(p[0]) if isinstance(dist, Distribution) else p
 
 
 def adjusted_effect(
-    dist: Distribution,
+    dist: Distribution | np.ndarray,
     qubits: Mapping[str, int],
     treatment: str,
     outcome: str,
     adjust: Sequence[str] = (),
     given: Sequence[tuple[str, int]] = (),
-) -> tuple[float, tuple[StratumEffect, ...]]:
+) -> tuple[float | np.ndarray, tuple[StratumEffect, ...]]:
     """Back-door adjustment of the treatment effect over the cells of ``adjust``.
 
     Returns the sum over cells z of P(z | given) * [P(outcome=1 | treatment=1,
@@ -124,27 +165,62 @@ def adjusted_effect(
     reads the ``adjust`` bits with the first variable most significant. Cells
     with zero mass are skipped; a nonempty cell with an empty treatment arm
     is an error.
+
+    A Distribution gives a float and the ``StratumEffect`` of each nonempty
+    cell. A (trials, 2^n) stack gives one effect per row and, for every cell
+    some row has, a ``StratumEffect`` whose weight and effect are per-row
+    arrays holding NaN in the rows that skip the cell. Each row gets the float
+    operations its own Distribution would, and a failing stack raises the
+    error of its first failing row, whose ``trial`` names that row.
     """
+    values = _rows(dist)
     given = tuple(given)
-    base_mass = float(cells(dist.values, qubits, given).sum())
+    base_mass = _mass(values, qubits, given)
+    rows = base_mass.shape[0]
+    total = np.zeros(rows)
+    seen = np.zeros(rows, dtype=bool)
+    # (row mask, error) in the order each row's checks run; a row's first entry is its error.
+    failed: list[tuple[np.ndarray, str]] = []
     strata = []
-    for value, bits in enumerate(itertools.product((0, 1), repeat=len(adjust))):
-        cell = tuple(zip(adjust, bits))
-        mass = float(cells(dist.values, qubits, given + cell).sum())
-        if adjust and mass <= 0.0:
-            continue
-        try:
-            p1 = cond_prob(dist, qubits, Query((outcome, 1), ((treatment, 1),) + cell + given))
-            p0 = cond_prob(dist, qubits, Query((outcome, 1), ((treatment, 0),) + cell + given))
-        except UndefinedConditionalError as exc:
-            if not adjust:
-                raise
-            where = ", ".join(f"{n}={b}" for n, b in cell)
-            raise UndefinedConditionalError(f"undefined stratum cell ({where}): {exc}") from exc
-        strata.append(StratumEffect(value, mass / base_mass, p1 - p0))
-    if not strata:
-        raise UndefinedConditionalError(f"adjustment set {', '.join(adjust)} has no mass in any cell")
-    return sum(s.weight * s.effect for s in strata), tuple(strata)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows that fail or skip a cell
+        for value, bits in enumerate(itertools.product((0, 1), repeat=len(adjust))):
+            cell = tuple(zip(adjust, bits))
+            mass = _mass(values, qubits, given + cell)
+            live = mass > 0 if adjust else np.ones(rows, dtype=bool)
+            n_live = np.count_nonzero(live)
+            if not n_live:
+                continue
+            arms = []
+            for arm in (1, 0):
+                condition = ((treatment, arm),) + cell + given
+                cond_mass = _mass(values, qubits, condition)
+                empty = live & (cond_mass <= 0)
+                if np.count_nonzero(empty):
+                    reason = _zero_mass(condition)
+                    if adjust:
+                        where = ", ".join(f"{n}={b}" for n, b in cell)
+                        reason = f"undefined stratum cell ({where}): {reason}"
+                    failed.append((empty, reason))
+                arms.append(_mass(values, qubits, (*condition, (outcome, 1))) / cond_mass)
+            weight = mass / base_mass
+            effect = arms[0] - arms[1]
+            if n_live < rows:
+                weight[~live] = effect[~live] = np.nan
+            np.add(total, weight * effect, out=total, where=live)
+            seen |= live
+            strata.append(StratumEffect(value, weight, effect))
+    if np.count_nonzero(~seen):
+        failed.append((~seen, f"adjustment set {', '.join(adjust)} has no mass in any cell"))
+    if failed:
+        first = min(int(mask.argmax()) for mask, _ in failed)
+        raise UndefinedConditionalError(next(err for mask, err in failed if mask[first]), trial=first)
+    if not isinstance(dist, Distribution):
+        return total, tuple(strata)
+    return float(total[0]), tuple(
+        StratumEffect(s.value, float(s.weight[0]), float(s.effect[0]))
+        for s in strata
+        if not np.isnan(s.weight[0])
+    )
 
 
 def observational_effect(

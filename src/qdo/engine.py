@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -295,20 +296,31 @@ def _seed_sequence(seed: int | np.random.SeedSequence, noisy: bool = False) -> n
     return np.random.SeedSequence([int(seed), 0] if noisy else [int(seed)])
 
 
-def draw_shots(dist: Distribution, shots: int, seed: int | np.random.SeedSequence) -> Distribution:
-    """Draw ``shots`` i.i.d. full-register measurements from an exact distribution.
+def draw_counts(
+    dist: Distribution, shots: int, seeds: Sequence[int | np.random.SeedSequence]
+) -> np.ndarray:
+    """Draw ``shots`` i.i.d. full-register measurements from an exact distribution per seed.
 
-    The draw is one multinomial on the generator seeded by ``seed``, so a
-    sampled run can compute ``run_exact`` once and draw every trial from it.
+    Returns a (len(seeds), 2^n) int64 stack whose row i is one multinomial on
+    the generator seeded by ``seeds[i]``; the probabilities are normalized
+    once for all rows. A sampled run computes ``run_exact`` once per circuit
+    and draws every trial's row from it.
     """
     if dist.shots is not None:
-        raise ValueError("draw_shots needs an exact distribution, got a sampled one")
+        raise ValueError("shots can only be drawn from an exact distribution, got a sampled one")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs = dist.values
-    rng = np.random.default_rng(_seed_sequence(seed))
-    counts = rng.multinomial(shots, probs / probs.sum())
-    return Distribution(dist.n_qubits, counts.astype(np.int64), shots=shots)
+    pvals = probs / probs.sum()
+    counts = np.empty((len(seeds), probs.size), dtype=np.int64)
+    for row, seed in zip(counts, seeds):
+        row[:] = np.random.default_rng(_seed_sequence(seed)).multinomial(shots, pvals)
+    return counts
+
+
+def draw_shots(dist: Distribution, shots: int, seed: int | np.random.SeedSequence) -> Distribution:
+    """One ``draw_counts`` row: ``shots`` measurements drawn with the generator seeded by ``seed``."""
+    return Distribution(dist.n_qubits, draw_counts(dist, shots, (seed,))[0], shots=shots)
 
 
 def run_sampled(

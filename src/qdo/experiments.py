@@ -2,13 +2,22 @@
 
 A run evaluates a list of analysis groups against one model. The exact
 backend produces point estimates; the sampled backend runs K independent
-trials and aggregates per-trial estimates into 95% confidence intervals.
+trials and aggregates per-trial estimates into 95% confidence intervals
+(mean +/- 1.96 standard errors).
 
-Seed derivation (documented contract): the run seed feeds a SeedSequence
-whose spawned children, one per trial, each spawn three streams in the fixed
-order (observational, do=1, do=0). Identical configurations therefore yield
-identical reports, and trials could be executed in parallel without changing
-any number.
+Trials are stacked, not looped: each circuit's K trials fill one (K, 2^n)
+array, one row per trial (noiseless rows are drawn from one exact run,
+noisy rows are ``run_sampled`` counts), and every group is estimated once
+over the whole stack by ``analysis``' estimators. The exact backend is the
+one-row stack of its probabilities. A run that hits an empty conditioning
+event raises the error of its first failing trial, then group, then cell.
+
+Seed derivation (documented contract): trial i draws circuit k's shots
+(k = 0, 1, 2 for observational, do=1, do=0) from
+``SeedSequence(seed, spawn_key=(i, k))``, which is the k-th of three
+children spawned by the i-th of the children spawned from
+``SeedSequence(seed)``. Identical configurations therefore yield identical
+reports, and each trial's numbers do not depend on the other trials.
 """
 
 from __future__ import annotations
@@ -23,17 +32,18 @@ from .analysis import (
     EffectReport,
     Query,
     StratumEffect,
+    UndefinedConditionalError,
     adjusted_effect,
     aggregate_trials,
     cond_prob,
 )
 from .circuit import Circuit, compile_model
-from .engine import Distribution, NoiseSpec, check_seed, draw_shots, run_exact, run_sampled
+from .engine import NoiseSpec, check_seed, draw_counts, run_exact, run_sampled
 from .model import CausalModel, Intervention, ModelError, apply_do
 
 DEFAULT_SEED = 1729
 
-# Each trial's streams, in spawn order; also the keys of a run's circuits.
+# The keys of a run's circuits; also each trial's stream index (spawn order).
 OBS, DO1, DO0 = 0, 1, 2
 
 
@@ -104,18 +114,14 @@ class Report:
         raise KeyError(f"no group labeled {label!r}")
 
 
-def _estimate(
-    group: Group,
-    dists: dict[int, Distribution],
-    qubits: dict[str, int],
-    treatment: str,
-    outcome: str,
-) -> tuple[float, tuple[StratumEffect, ...] | None]:
-    if group.do:
-        out1 = Query((outcome, 1))
-        return cond_prob(dists[DO1], qubits, out1) - cond_prob(dists[DO0], qubits, out1), None
-    effect, strata = adjusted_effect(dists[OBS], qubits, treatment, outcome, group.adjust, group.given)
-    return effect, strata if group.adjust else None
+def trial_streams(seed: int, trials: int, stream: int) -> list[np.random.SeedSequence]:
+    """Stream ``stream`` (OBS, DO1 or DO0) of trials 0..trials-1 under the seed contract.
+
+    Trial i's is ``SeedSequence(seed, spawn_key=(i, stream))``: the same
+    sequence as spawning ``trials`` children of ``SeedSequence(seed)`` and
+    three of the i-th, without building that tree.
+    """
+    return [np.random.SeedSequence(seed, spawn_key=(i, stream)) for i in range(trials)]
 
 
 def run_experiment(
@@ -129,9 +135,10 @@ def run_experiment(
 
     Only the circuits the groups need are compiled and run. The exact backend
     makes one pass with ``run_exact`` and reports point estimates; the sampled
-    backend makes one pass per trial and reports trial statistics. A noiseless
-    sampled run computes each circuit's exact distribution once and draws
-    every trial from it; a noisy run evolves fresh trajectories per trial.
+    backend stacks every trial's counts per circuit and reports trial
+    statistics. A noiseless sampled run computes each circuit's exact
+    distribution once and draws every trial from it; a noisy run evolves
+    fresh trajectories per trial.
     """
     if model.is_intervened(treatment):
         raise ModelError(f"treatment {treatment!r} is already intervened on")
@@ -146,28 +153,44 @@ def run_experiment(
     sampled = cfg.backend == "sampled"
     noisy = cfg.noise is not None and cfg.noise.p_depol > 0.0
     exact = {} if noisy else {k: run_exact(c) for k, c in circuits.items()}
-    trial_streams = (
-        [ss.spawn(3) for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
-        if sampled else [None]
-    )
-    per_group: list[list[tuple[float, tuple[StratumEffect, ...] | None]]] = [[] for _ in groups]
-    for streams in trial_streams:
+    stacks: dict[int, np.ndarray] = {}
+    for k, circ in circuits.items():
         if not sampled:
-            dists = exact
-        elif noisy:
-            dists = {k: run_sampled(c, cfg.shots, streams[k], cfg.noise) for k, c in circuits.items()}
+            stacks[k] = exact[k].values[None]
+            continue
+        streams = trial_streams(cfg.seed, cfg.trials, k)
+        if noisy:
+            stacks[k] = np.empty((cfg.trials, 1 << circ.n_qubits), dtype=np.int64)
+            for row, stream in zip(stacks[k], streams):
+                row[:] = run_sampled(circ, cfg.shots, stream, cfg.noise).values
         else:
-            dists = {k: draw_shots(d, cfg.shots, streams[k]) for k, d in exact.items()}
-        for i, g in enumerate(groups):
-            per_group[i].append(_estimate(g, dists, qubits, treatment, outcome))
+            stacks[k] = draw_counts(exact[k], cfg.shots, streams)
+
+    estimates = []
+    failures = []
+    out1 = Query((outcome, 1))
+    for i, g in enumerate(groups):
+        try:
+            if g.do:
+                # Never empty: the condition of P(outcome=1) is the whole row.
+                effect = cond_prob(stacks[DO1], qubits, out1) - cond_prob(stacks[DO0], qubits, out1)
+                estimates.append((effect, None))
+            else:
+                effect, strata = adjusted_effect(
+                    stacks[OBS], qubits, treatment, outcome, g.adjust, g.given
+                )
+                estimates.append((effect, strata if g.adjust else None))
+        except UndefinedConditionalError as exc:
+            failures.append((exc.trial, i, exc))
+    if failures:
+        raise min(failures, key=lambda f: f[:2])[2]
 
     reports = []
-    for g, results in zip(groups, per_group):
+    for g, (effect, strata) in zip(groups, estimates):
         if not sampled:
-            effect, strata = results[0]
-            reports.append(EffectReport(g.label, effect, strata=strata))
+            reports.append(EffectReport(g.label, float(effect[0]), strata=_mean_strata(strata)))
             continue
-        per_trial = tuple(effect for effect, _ in results)
+        per_trial = tuple(effect.tolist())
         stats = aggregate_trials(per_trial)
         reports.append(
             EffectReport(
@@ -179,7 +202,7 @@ def run_experiment(
                 ci_high=stats.ci_high,
                 n_trials=cfg.trials,
                 shots_per_trial=cfg.shots,
-                strata=_mean_strata([strata for _, strata in results if strata is not None]),
+                strata=_mean_strata(strata),
             )
         )
     return Report(model.name, cfg, tuple(reports), tuple(circuits.values()))
@@ -205,20 +228,30 @@ def causal_effect(
     return run_experiment(model, treatment, outcome, [causal_group()], cfg).groups[0]
 
 
-def _mean_strata(trials: list[tuple[StratumEffect, ...]]) -> tuple[StratumEffect, ...] | None:
-    """Per-stratum mean weight and effect across trials."""
-    if not trials:
+def _mean_strata(strata: tuple[StratumEffect, ...] | None) -> tuple[StratumEffect, ...] | None:
+    """Per-stratum mean weight and effect over the trials that have the stratum.
+
+    ``strata`` comes from ``adjusted_effect`` on a stack: per-trial arrays,
+    NaN where a trial skips the stratum. The means add in trial order from
+    0.0, as a running total does (np.sum's pairwise blocks could move the last
+    bit); a one-row stack gives its row back.
+    """
+    if strata is None:
         return None
-    sums: dict[int, list[float]] = {}
-    for strata in trials:
-        for s in strata:
-            acc = sums.setdefault(s.value, [0.0, 0.0, 0.0])
-            acc[0] += s.weight
-            acc[1] += s.effect
-            acc[2] += 1.0
-    return tuple(
-        StratumEffect(value, w / k, e / k) for value, (w, e, k) in sorted(sums.items())
-    )
+    out = []
+    for s in strata:
+        present = ~np.isnan(s.weight)
+        k = int(present.sum())  # >= 1: adjusted_effect keeps only cells some trial has
+        weight, effect = _running_sum(s.weight[present]), _running_sum(s.effect[present])
+        out.append(StratumEffect(s.value, weight / k, effect / k))
+    return tuple(out)
+
+
+def _running_sum(values: np.ndarray) -> float:
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
 
 
 def simpson3_groups(stratifier: str = "G") -> list[Group]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -130,8 +131,12 @@ def validate(model: CausalModel) -> list[str]:
         if isinstance(v.qubit, bool) or not isinstance(v.qubit, int):
             out.append(f"variable {v.name!r}: qubit index must be an integer, got {v.qubit!r}")
             integral = False
-        if v.prep.kind not in ("ground", "uniform", "rotation"):
+        if not isinstance(v.prep, Prep):
+            out.append(f"variable {v.name!r}: prep must be a Prep, got {v.prep!r}")
+        elif v.prep.kind not in ("ground", "uniform", "rotation"):
             out.append(f"variable {v.name!r}: unknown prep kind {v.prep.kind!r}")
+        elif v.prep.kind == "rotation" and not isinstance(v.prep.angle, numbers.Real):
+            out.append(f"variable {v.name!r}: base rotation angle must be a number, got {v.prep.angle!r}")
         elif v.prep.kind == "rotation" and not math.isfinite(v.prep.angle):
             out.append(f"variable {v.name!r}: non-finite base rotation angle")
     if len(known) != len(names):
@@ -152,7 +157,9 @@ def validate(model: CausalModel) -> list[str]:
         for end in (e.parent, e.child):
             if end not in known:
                 out.append(f"edge {e.parent!r}->{e.child!r} references unknown variable {end!r}")
-        if not (math.isfinite(e.angle) and e.angle > 0):
+        if not isinstance(e.angle, numbers.Real):
+            out.append(f"edge {e.parent!r}->{e.child!r}: angle must be a number, got {e.angle!r}")
+        elif not (math.isfinite(e.angle) and e.angle > 0):
             out.append(f"edge {e.parent!r}->{e.child!r}: angle must be finite and > 0")
         if isinstance(e.control_value, bool) or e.control_value not in (0, 1):
             out.append(f"edge {e.parent!r}->{e.child!r}: control_value must be 0 or 1")

@@ -229,6 +229,68 @@ class TestAdjustedEffect:
         assert abs(effect - causal_effect(model, "Treatment", "Outcome").effect) > 0.005
 
 
+def _counts(cells: dict) -> np.ndarray:
+    # Qubits Z = 0, T = 1, O = 2: cell (z, t, o) is entry z + 2 t + 4 o.
+    row = np.zeros(8, dtype=np.int64)
+    for (z, t, o), n in cells.items():
+        row[z + 2 * t + 4 * o] = n
+    return row
+
+
+class TestStacks:
+    """A (trials, 2^n) stack gives each row the result of its own Distribution."""
+
+    QMAP = {"Z": 0, "T": 1, "O": 2}
+    FULL = _counts({(z, t, o): 3 + z + 2 * t + 5 * o for z in (0, 1) for t in (0, 1) for o in (0, 1)})
+    NO_Z1 = _counts({(0, t, o): 4 + t + 3 * o for t in (0, 1) for o in (0, 1)})
+    NO_T1 = _counts({(z, 0, o): 2 + z + o for z in (0, 1) for o in (0, 1)})
+
+    @staticmethod
+    def _dist(row):
+        return Distribution(3, row, shots=int(row.sum()))
+
+    def test_cond_prob_per_row(self):
+        stack = np.stack([self.FULL, self.NO_Z1])
+        query = Query(("O", 1), (("T", 1),))
+        got = cond_prob(stack, self.QMAP, query)
+        assert got.tolist() == [cond_prob(self._dist(row), self.QMAP, query) for row in stack]
+
+    def test_cond_prob_names_the_first_empty_row(self):
+        stack = np.stack([self.FULL, self.NO_T1, self.NO_T1])
+        with pytest.raises(UndefinedConditionalError, match=r"condition \[T=1\] has zero mass") as excinfo:
+            cond_prob(stack, self.QMAP, Query(("O", 1), (("T", 1),)))
+        assert excinfo.value.trial == 1
+
+    def test_skipped_cell_is_nan_in_its_row(self):
+        stack = np.stack([self.FULL, self.NO_Z1])
+        effects, strata = adjusted_effect(stack, self.QMAP, "T", "O", ("Z",))
+        for i, row in enumerate(stack):
+            effect, row_strata = adjusted_effect(self._dist(row), self.QMAP, "T", "O", ("Z",))
+            assert effects[i] == effect
+            assert [(s.value, s.weight[i], s.effect[i]) for s in strata if not np.isnan(s.weight[i])] == [
+                (s.value, s.weight, s.effect) for s in row_strata
+            ]
+        assert [s.value for s in strata] == [0, 1] and np.isnan(strata[1].effect[1])
+
+    def test_first_failing_row_keeps_its_first_cell(self):
+        # NO_T1 empties the T=1 arm of both cells; Z=0 comes first.
+        stack = np.stack([self.FULL, self.NO_Z1, self.NO_T1])
+        with pytest.raises(UndefinedConditionalError) as excinfo:
+            adjusted_effect(stack, self.QMAP, "T", "O", ("Z",))
+        assert str(excinfo.value) == (
+            "undefined stratum cell (Z=0): undefined conditional: condition [T=1, Z=0] has zero mass"
+        )
+        assert excinfo.value.trial == 2
+
+    def test_empty_given_cell_fails_on_the_treated_arm(self):
+        # Both arms of Z=1 are empty in NO_Z1; as for one Distribution, T=1 is named.
+        stack = np.stack([self.FULL, self.NO_Z1])
+        with pytest.raises(UndefinedConditionalError) as excinfo:
+            adjusted_effect(stack, self.QMAP, "T", "O", given=(("Z", 1),))
+        assert str(excinfo.value) == "undefined conditional: condition [T=1, Z=1] has zero mass"
+        assert excinfo.value.trial == 1
+
+
 class TestTemporaries:
     def test_estimators_allocate_at_most_half_a_state(self):
         # v0 is the last axis of the (2,) * n view, so each read of T copies.

@@ -1,21 +1,43 @@
 """Experiment orchestration: configs, trial aggregation, and serialization."""
 
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import make_random_model
 
-from qdo import NoiseSpec, experiments
+from qdo import CausalModel, Edge, NoiseSpec, Prep, Variable, cli, experiments
+from qdo.analysis import (
+    Query,
+    StratumEffect,
+    UndefinedConditionalError,
+    adjusted_effect,
+    aggregate_trials,
+    cond_prob,
+)
+from qdo.circuit import compile_model
+from qdo.engine import draw_shots, run_exact, run_sampled
 from qdo.experiments import (
+    DO0,
+    DO1,
+    OBS,
     Report,
     RunConfig,
+    causal_group,
     healthcare10_groups,
+    observational_group,
     report_csv_text,
     report_json_text,
     report_to_dict,
     run_experiment,
     simpson3_groups,
+    stratified_group,
+    subgroup,
+    trial_streams,
 )
+from qdo.model import Intervention, apply_do, save_model
 
 EXACT_3Q = {
     "Observational, G=0": 0.16686326042747077,
@@ -69,6 +91,20 @@ class TestExactRun:
         by_age = report.group("Stratified by Age")
         assert by_age.strata is not None and len(by_age.strata) == 2
         assert sum(s.weight for s in by_age.strata) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestTrialStreams:
+    """Trial i's stream k is the spawn tree's (i, k) leaf, as README's Determinism says."""
+
+    @pytest.mark.parametrize("trials", [1, 30])
+    @pytest.mark.parametrize("seed", [0, 1729, (1 << 64) - 1])
+    def test_equal_to_the_spawn_tree(self, seed, trials):
+        tree = [child.spawn(3) for child in np.random.SeedSequence(seed).spawn(trials)]
+        for k in (OBS, DO1, DO0):
+            for i, got in enumerate(trial_streams(seed, trials, k)):
+                want = tree[i][k]
+                assert got.entropy == want.entropy and got.spawn_key == want.spawn_key == (i, k)
+                assert np.array_equal(got.generate_state(8), want.generate_state(8))
 
 
 class TestSampledRun:
@@ -170,3 +206,215 @@ class TestSerialization:
         report = run_experiment(simpson3_entry.model, "T", "O", simpson3_groups(), RunConfig())
         for line in report_csv_text(report).splitlines()[1:]:
             assert line.endswith(",,,")
+
+
+# --- the stacked estimator against a per-trial reference loop -----------------
+
+
+def _reference_mean_strata(trials):
+    sums = {}
+    for strata in trials:
+        for st in strata:
+            acc = sums.setdefault(st.value, [0.0, 0.0, 0.0])
+            acc[0] += st.weight
+            acc[1] += st.effect
+            acc[2] += 1.0
+    return tuple(StratumEffect(v, w / k, e / k) for v, (w, e, k) in sorted(sums.items()))
+
+
+def reference_run(model, treatment, outcome, groups, cfg):
+    """One Distribution per trial and circuit, estimated one trial at a time.
+
+    Trial streams come from the spawn tree the seed contract names, and each
+    trial is estimated by the 1-D ``cond_prob`` and ``adjusted_effect``; the
+    first error in (trial, group, cell) order propagates. Returns
+    (label, effect, per_trial, ci, strata) per group.
+    """
+    circuits = {OBS: compile_model(model)}
+    for k, value in ((DO1, 1), (DO0, 0)):
+        circuits[k] = compile_model(apply_do(model, Intervention(treatment, value)))
+    qubits = model.qubit_map()
+    noisy = cfg.noise is not None and cfg.noise.p_depol > 0
+    exact = {k: run_exact(c) for k, c in circuits.items()}
+    sampled = cfg.backend == "sampled"
+    trial_streams = (
+        [ss.spawn(3) for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)] if sampled else [None]
+    )
+    results = [[] for _ in groups]
+    for streams in trial_streams:
+        if not sampled:
+            dists = exact
+        elif noisy:
+            dists = {k: run_sampled(c, cfg.shots, streams[k], cfg.noise) for k, c in circuits.items()}
+        else:
+            dists = {k: draw_shots(d, cfg.shots, streams[k]) for k, d in exact.items()}
+        for i, g in enumerate(groups):
+            if g.do:
+                out1 = Query((outcome, 1))
+                effect = cond_prob(dists[DO1], qubits, out1) - cond_prob(dists[DO0], qubits, out1)
+                results[i].append((effect, None))
+            else:
+                effect, strata = adjusted_effect(dists[OBS], qubits, treatment, outcome, g.adjust, g.given)
+                results[i].append((effect, strata if g.adjust else None))
+    out = []
+    for g, res in zip(groups, results):
+        strata = [st for _, st in res if st is not None]
+        if not sampled:
+            out.append((g.label, res[0][0], (), None, strata[0] if strata else None))
+            continue
+        per_trial = tuple(e for e, _ in res)
+        stats = aggregate_trials(per_trial)
+        ci = None if stats.ci_low is None else (stats.ci_low, stats.ci_high)
+        out.append((g.label, stats.mean, per_trial, ci, _reference_mean_strata(strata) if strata else None))
+    return out
+
+
+def _outcome(run, *args):
+    try:
+        report = run(*args)
+    except UndefinedConditionalError as exc:
+        return ("error", str(exc))
+    if isinstance(report, Report):
+        return [(g.label, g.effect, g.per_trial, g.ci, g.strata) for g in report.groups]
+    return report
+
+
+def _random_case(seed):
+    rng = np.random.default_rng(seed)
+    model = make_random_model(rng, n=int(rng.integers(3, 7)))
+    treatment, outcome, stratifier = (v.name for v in rng.permutation(model.variables)[:3])
+    groups = [
+        observational_group(),
+        subgroup(stratifier, 0),
+        subgroup(stratifier, 1),
+        stratified_group(stratifier),
+        causal_group(),
+    ]
+    return model, treatment, outcome, groups
+
+
+_CONFIGS = {
+    "exact": RunConfig(),
+    "sampled": RunConfig(backend="sampled", shots=300, trials=12, seed=21),
+    "noisy": RunConfig(backend="sampled", shots=300, trials=4, seed=22, noise=NoiseSpec(0.02)),
+}
+
+
+class TestStackedTrials:
+    """Every number of a run is bit-identical to the per-trial reference loop."""
+
+    @pytest.mark.parametrize("config", list(_CONFIGS))
+    def test_catalog_models(self, simpson3_entry, healthcare10_entry, config):
+        cases = [
+            (simpson3_entry.model, "T", "O", simpson3_groups()),
+            (healthcare10_entry.model, "Treatment", "Outcome", healthcare10_groups()),
+        ]
+        cfg = _CONFIGS[config]
+        if config == "sampled":
+            cfg = replace(cfg, shots=4000)  # every healthcare10 (Treatment, Region) cell gets shots
+        for case in cases:
+            want = _outcome(reference_run, *case, cfg)
+            assert want[0] != "error"
+            assert _outcome(run_experiment, *case, cfg) == want
+
+    @pytest.mark.parametrize("config", list(_CONFIGS))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_models(self, config, seed):
+        case = _random_case(seed)
+        want = _outcome(reference_run, *case, _CONFIGS[config])
+        assert _outcome(run_experiment, *case, _CONFIGS[config]) == want
+
+
+# T=1 in about 6% of shots: with 30 shots per trial, seed 18 leaves trials 0
+# and 1 whole, empties the (T=1, Z=1) arm in trial 2, the (T=1, Z=0) arm in
+# trial 3 and every T=1 shot in trials 4 and 5. The first failing trial wins
+# over group order (Observational fails only from trial 4) and cell order.
+RARE = CausalModel(
+    "rare",
+    (Variable("Z", 0, Prep.rotation(1.6)), Variable("T", 1, Prep.rotation(0.5)),
+     Variable("O", 2, Prep.rotation(0.8))),
+    (Edge("Z", "O", 1, 0.9), Edge("T", "O", 1, 0.7)),
+)
+RARE_GROUPS = [observational_group(), stratified_group("Z"), causal_group()]
+RARE_ERROR = "undefined stratum cell (Z=1): undefined conditional: condition [T=1, Z=1] has zero mass"
+
+
+class TestFirstFailingTrial:
+    def test_error_of_the_first_failing_trial(self):
+        cfg = RunConfig(backend="sampled", shots=30, trials=6, seed=18)
+        assert _outcome(reference_run, RARE, "T", "O", RARE_GROUPS, cfg) == ("error", RARE_ERROR)
+        with pytest.raises(UndefinedConditionalError) as excinfo:
+            run_experiment(RARE, "T", "O", RARE_GROUPS, cfg)
+        assert str(excinfo.value) == RARE_ERROR
+        assert excinfo.value.trial == 2
+
+    def test_earlier_trials_alone_succeed(self):
+        cfg = RunConfig(backend="sampled", shots=30, trials=2, seed=18)
+        report = run_experiment(RARE, "T", "O", RARE_GROUPS, cfg)
+        assert all(len(g.per_trial) == 2 for g in report.groups)
+
+    def test_cli_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "rare.json"
+        save_model(RARE, path)
+        argv = ["run", str(path), "--treatment", "T", "--outcome", "O", "--stratify", "Z", "--effect",
+                "--backend", "sampled", "--shots", "30", "--trials", "6", "--seed", "18"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == f"qdo: error: {RARE_ERROR}\n"
+
+
+def t_coverage(k: int, z: float = 1.96, steps: int = 2000) -> float:
+    """P(|t| <= z) for Student's t with k - 1 degrees of freedom (Simpson's rule)."""
+    nu = k - 1
+    c = math.exp(math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2)) / math.sqrt(nu * math.pi)
+    h = 2 * z / steps
+    f = [c * (1 + t * t / nu) ** (-(nu + 1) / 2) for t in (-z + i * h for i in range(steps + 1))]
+    return h / 3 * (f[0] + f[-1] + 4 * sum(f[1:-1:2]) + 2 * sum(f[2:-1:2]))
+
+
+class TestCoverage:
+    """The "95% CI" is mean +/- 1.96 standard errors over K trials.
+
+    Its coverage is P(|t_{K-1}| <= 1.96), not 0.95: 0.9184 at K = 10 and
+    0.9403 at K = 30. Over fixed seeds, the share of simpson3 intervals that
+    cover the exact effect must lie within 4 binomial SDs of it, per group.
+    """
+
+    SEEDS = 200
+
+    def test_expected_coverage(self):
+        assert t_coverage(10) == pytest.approx(0.9184, abs=5e-5)
+        assert t_coverage(30) == pytest.approx(0.9403, abs=5e-5)
+
+    @pytest.mark.parametrize("trials", [10, 30])
+    def test_share_of_covering_intervals(self, simpson3_entry, trials):
+        model, groups = simpson3_entry.model, simpson3_groups()
+        exact = {g.label: g.effect for g in run_experiment(model, "T", "O", groups, RunConfig()).groups}
+        covered = dict.fromkeys(exact, 0)
+        for seed in range(self.SEEDS):
+            cfg = RunConfig(backend="sampled", shots=2000, trials=trials, seed=seed)
+            for g in run_experiment(model, "T", "O", groups, cfg).groups:
+                covered[g.label] += g.ci_low <= exact[g.label] <= g.ci_high
+        p = t_coverage(trials)
+        band = 4 * math.sqrt(p * (1 - p) / self.SEEDS)
+        for label, hits in covered.items():
+            assert abs(hits / self.SEEDS - p) <= band, (label, hits / self.SEEDS, p)
+
+
+# Z=1 in about 10% of shots: with 20 shots per trial, seed 15 leaves trial 0
+# without a Z=1 shot and gives the other three both arms of both strata.
+SPARSE = CausalModel(
+    "sparse",
+    (Variable("Z", 0, Prep.rotation(0.64)), Variable("T", 1, Prep.rotation(1.6)),
+     Variable("O", 2, Prep.rotation(0.8))),
+    (Edge("Z", "O", 1, 0.9), Edge("T", "O", 1, 0.7), Edge("Z", "T", 1, 0.3)),
+)
+
+
+def test_stratum_a_trial_lacks_is_skipped_not_zero():
+    cfg = RunConfig(backend="sampled", shots=20, trials=4, seed=15)
+    groups = [stratified_group("Z")]
+    want = _outcome(reference_run, SPARSE, "T", "O", groups, cfg)
+    assert _outcome(run_experiment, SPARSE, "T", "O", groups, cfg) == want
+    z0, z1 = want[0][4]
+    # Z=0 averages four trials and Z=1 three, so the mean weights do not add to 1.
+    assert z0.weight + z1.weight != pytest.approx(1.0)

@@ -84,6 +84,20 @@ class TestValidate:
         with pytest.raises(ModelError, match="intervention 'B': value must be 0 or 1"):
             apply_do(m, Intervention("B", value))
 
+    # Wrongly typed fields are violations like any other: building the model
+    # raises ModelError, never the AttributeError or TypeError of a check.
+    def test_prep_that_is_not_a_prep(self):
+        with pytest.raises(ModelError, match="variable 'A': prep must be a Prep, got None"):
+            CausalModel("m", (Variable("A", 0, None),), ())
+
+    def test_prep_angle_that_is_not_a_number(self):
+        with pytest.raises(ModelError, match="variable 'A': base rotation angle must be a number, got 'x'"):
+            CausalModel("m", (Variable("A", 0, Prep("rotation", "x")),), ())
+
+    def test_edge_angle_that_is_not_a_number(self):
+        with pytest.raises(ModelError, match="edge 'A'->'B': angle must be a number, got '0.3'"):
+            CausalModel("m", (Variable("A", 0, UNIFORM), Variable("B", 1)), (Edge("A", "B", 1, "0.3"),))
+
     def test_unknown_prep_kind(self):
         with pytest.raises(ModelError, match="variable 'A': unknown prep kind 'excited'"):
             CausalModel("bad", (Variable("A", 0, Prep("excited")),), ())
