@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, overload
 
 import numpy as np
 
@@ -47,11 +47,23 @@ class Query:
 
 @dataclass(frozen=True)
 class StratumEffect:
-    """One cell of an adjustment; per-row arrays for a stack (``adjusted_effect``)."""
+    """One nonempty cell of an adjustment on one distribution: P(z | given) and its effect."""
 
     value: int
     weight: float
     effect: float
+
+
+@dataclass(frozen=True)
+class StratumRows:
+    """Every cell of an adjustment on a (trials, 2^n) stack (``adjusted_effect``).
+
+    ``weight`` and ``effect`` have shape (trials, 2^len(adjust)): entry [i, z]
+    is cell z's ``StratumEffect`` field in row i, NaN where row i skips the cell.
+    """
+
+    weight: np.ndarray
+    effect: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -147,14 +159,29 @@ def cond_prob(
     return float(p[0]) if isinstance(dist, Distribution) else p
 
 
+@overload
 def adjusted_effect(
-    dist: Distribution | np.ndarray,
+    dist: Distribution,
     qubits: Mapping[str, int],
     treatment: str,
     outcome: str,
     adjust: Sequence[str] = (),
     given: Sequence[tuple[str, int]] = (),
-) -> tuple[float | np.ndarray, tuple[StratumEffect, ...]]:
+) -> tuple[float, tuple[StratumEffect, ...]]: ...
+
+
+@overload
+def adjusted_effect(
+    dist: np.ndarray,
+    qubits: Mapping[str, int],
+    treatment: str,
+    outcome: str,
+    adjust: Sequence[str] = (),
+    given: Sequence[tuple[str, int]] = (),
+) -> tuple[np.ndarray, StratumRows]: ...
+
+
+def adjusted_effect(dist, qubits, treatment, outcome, adjust=(), given=()):
     """Back-door adjustment of the treatment effect over the cells of ``adjust``.
 
     Returns the sum over cells z of P(z | given) * [P(outcome=1 | treatment=1,
@@ -167,11 +194,10 @@ def adjusted_effect(
     is an error.
 
     A Distribution gives a float and the ``StratumEffect`` of each nonempty
-    cell. A (trials, 2^n) stack gives one effect per row and, for every cell
-    some row has, a ``StratumEffect`` whose weight and effect are per-row
-    arrays holding NaN in the rows that skip the cell. Each row gets the float
-    operations its own Distribution would, and a failing stack raises the
-    error of its first failing row, whose ``trial`` names that row.
+    cell. A (trials, 2^n) stack gives one effect per row and the
+    ``StratumRows`` of every cell. Each row gets the float operations its own
+    Distribution would, and a failing stack raises the error of its first
+    failing row, whose ``trial`` names that row.
     """
     values = _rows(dist)
     given = tuple(given)
@@ -179,16 +205,16 @@ def adjusted_effect(
     rows = base_mass.shape[0]
     total = np.zeros(rows)
     seen = np.zeros(rows, dtype=bool)
+    weights = np.full((rows, 1 << len(adjust)), np.nan)
+    effects = np.full_like(weights, np.nan)
     # (row mask, error) in the order each row's checks run; a row's first entry is its error.
     failed: list[tuple[np.ndarray, str]] = []
-    strata = []
     with np.errstate(divide="ignore", invalid="ignore"):  # rows that fail or skip a cell
         for value, bits in enumerate(itertools.product((0, 1), repeat=len(adjust))):
             cell = tuple(zip(adjust, bits))
             mass = _mass(values, qubits, given + cell)
             live = mass > 0 if adjust else np.ones(rows, dtype=bool)
-            n_live = np.count_nonzero(live)
-            if not n_live:
+            if not np.count_nonzero(live):
                 continue
             arms = []
             for arm in (1, 0):
@@ -204,22 +230,21 @@ def adjusted_effect(
                 arms.append(_mass(values, qubits, (*condition, (outcome, 1))) / cond_mass)
             weight = mass / base_mass
             effect = arms[0] - arms[1]
-            if n_live < rows:
-                weight[~live] = effect[~live] = np.nan
             np.add(total, weight * effect, out=total, where=live)
             seen |= live
-            strata.append(StratumEffect(value, weight, effect))
+            np.copyto(weights[:, value], weight, where=live)
+            np.copyto(effects[:, value], effect, where=live)
     if np.count_nonzero(~seen):
         failed.append((~seen, f"adjustment set {', '.join(adjust)} has no mass in any cell"))
     if failed:
         first = min(int(mask.argmax()) for mask, _ in failed)
         raise UndefinedConditionalError(next(err for mask, err in failed if mask[first]), trial=first)
     if not isinstance(dist, Distribution):
-        return total, tuple(strata)
+        return total, StratumRows(weights, effects)
     return float(total[0]), tuple(
-        StratumEffect(s.value, float(s.weight[0]), float(s.effect[0]))
-        for s in strata
-        if not np.isnan(s.weight[0])
+        StratumEffect(value, float(w), float(e))
+        for value, (w, e) in enumerate(zip(weights[0].tolist(), effects[0].tolist()))
+        if not math.isnan(w)
     )
 
 

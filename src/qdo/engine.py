@@ -310,6 +310,7 @@ def draw_counts(
         raise ValueError("shots can only be drawn from an exact distribution, got a sampled one")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    check_state_size(dist.n_qubits, len(seeds))
     probs = dist.values
     pvals = probs / probs.sum()
     counts = np.empty((len(seeds), probs.size), dtype=np.int64)

@@ -5,12 +5,15 @@ backend produces point estimates; the sampled backend runs K independent
 trials and aggregates per-trial estimates into 95% confidence intervals
 (mean +/- 1.96 standard errors).
 
-Trials are stacked, not looped: each circuit's K trials fill one (K, 2^n)
+Trials are stacked, not looped: each circuit's trials fill a (trials, 2^n)
 array, one row per trial (noiseless rows are drawn from one exact run,
 noisy rows are ``run_sampled`` counts), and every group is estimated once
-over the whole stack by ``analysis``' estimators. The exact backend is the
-one-row stack of its probabilities. A run that hits an empty conditioning
-event raises the error of its first failing trial, then group, then cell.
+over the stack by ``analysis``' estimators. A stack holds at most
+``_CHUNK_BYTES`` of counts (at least one row); more trials run as several
+chunks in trial order, so a run's memory does not grow with its trial
+count. The exact backend is the one-row stack of its probabilities. A run
+that hits an empty conditioning event raises the error of its first failing
+trial, then group, then cell, and draws no chunk after that trial's.
 
 Seed derivation (documented contract): trial i draws circuit k's shots
 (k = 0, 1, 2 for observational, do=1, do=0) from
@@ -32,6 +35,7 @@ from .analysis import (
     EffectReport,
     Query,
     StratumEffect,
+    StratumRows,
     UndefinedConditionalError,
     adjusted_effect,
     aggregate_trials,
@@ -42,6 +46,12 @@ from .engine import NoiseSpec, check_seed, draw_counts, run_exact, run_sampled
 from .model import CausalModel, Intervention, ModelError, apply_do
 
 DEFAULT_SEED = 1729
+
+# A sampled run estimates its trials in chunks whose per-circuit (chunk, 2^n)
+# int64 count stack holds at most _CHUNK_BYTES (or one row, if a row is
+# larger), so its memory does not grow with the number of trials.
+_CHUNK_BYTES = 1 << 20
+_COUNT_BYTES = np.dtype(np.int64).itemsize
 
 # The keys of a run's circuits; also each trial's stream index (spawn order).
 OBS, DO1, DO0 = 0, 1, 2
@@ -135,8 +145,8 @@ def run_experiment(
 
     Only the circuits the groups need are compiled and run. The exact backend
     makes one pass with ``run_exact`` and reports point estimates; the sampled
-    backend stacks every trial's counts per circuit and reports trial
-    statistics. A noiseless sampled run computes each circuit's exact
+    backend stacks the trials' counts per circuit, chunk by chunk, and
+    reports trial statistics. A noiseless sampled run computes each circuit's exact
     distribution once and draws every trial from it; a noisy run evolves
     fresh trajectories per trial.
     """
@@ -153,37 +163,29 @@ def run_experiment(
     sampled = cfg.backend == "sampled"
     noisy = cfg.noise is not None and cfg.noise.p_depol > 0.0
     exact = {} if noisy else {k: run_exact(c) for k, c in circuits.items()}
-    stacks: dict[int, np.ndarray] = {}
-    for k, circ in circuits.items():
-        if not sampled:
-            stacks[k] = exact[k].values[None]
-            continue
-        streams = trial_streams(cfg.seed, cfg.trials, k)
-        if noisy:
-            stacks[k] = np.empty((cfg.trials, 1 << circ.n_qubits), dtype=np.int64)
-            for row, stream in zip(stacks[k], streams):
-                row[:] = run_sampled(circ, cfg.shots, stream, cfg.noise).values
-        else:
-            stacks[k] = draw_counts(exact[k], cfg.shots, streams)
-
-    estimates = []
-    failures = []
-    out1 = Query((outcome, 1))
-    for i, g in enumerate(groups):
-        try:
-            if g.do:
-                # Never empty: the condition of P(outcome=1) is the whole row.
-                effect = cond_prob(stacks[DO1], qubits, out1) - cond_prob(stacks[DO0], qubits, out1)
-                estimates.append((effect, None))
+    streams = {k: trial_streams(cfg.seed, cfg.trials, k) for k in circuits} if sampled else {}
+    # Every circuit of a model has the same width, so one chunk size serves all.
+    chunk = max(1, _CHUNK_BYTES // (_COUNT_BYTES << model.n_qubits))
+    chunks = []
+    for start in range(0, cfg.trials if sampled else 1, chunk):
+        stacks = {}
+        for k, circ in circuits.items():
+            if not sampled:
+                stacks[k] = exact[k].values[None]
+            elif noisy:
+                rows = streams[k][start : start + chunk]
+                stacks[k] = np.empty((len(rows), 1 << circ.n_qubits), dtype=np.int64)
+                for row, stream in zip(stacks[k], rows):
+                    row[:] = run_sampled(circ, cfg.shots, stream, cfg.noise).values
             else:
-                effect, strata = adjusted_effect(
-                    stacks[OBS], qubits, treatment, outcome, g.adjust, g.given
-                )
-                estimates.append((effect, strata if g.adjust else None))
+                stacks[k] = draw_counts(exact[k], cfg.shots, streams[k][start : start + chunk])
+        try:
+            chunks.append(_estimate(stacks, qubits, treatment, outcome, groups))
         except UndefinedConditionalError as exc:
-            failures.append((exc.trial, i, exc))
-    if failures:
-        raise min(failures, key=lambda f: f[:2])[2]
+            # Earlier chunks had no failure, so this chunk's first is the run's first.
+            exc.trial += start
+            raise
+    estimates = [_join(parts) for parts in zip(*chunks)]
 
     reports = []
     for g, (effect, strata) in zip(groups, estimates):
@@ -228,22 +230,66 @@ def causal_effect(
     return run_experiment(model, treatment, outcome, [causal_group()], cfg).groups[0]
 
 
-def _mean_strata(strata: tuple[StratumEffect, ...] | None) -> tuple[StratumEffect, ...] | None:
+def _estimate(
+    stacks: dict[int, np.ndarray],
+    qubits: dict[str, int],
+    treatment: str,
+    outcome: str,
+    groups: Sequence[Group],
+) -> list[tuple[np.ndarray, StratumRows | None]]:
+    """Each group's per-row effect (and strata, for an adjustment) over one chunk of trials.
+
+    Raises the error of the chunk's first failing row, then group, then cell;
+    its ``trial`` counts from the chunk's first row.
+    """
+    estimates = []
+    failures = []
+    out1 = Query((outcome, 1))
+    for i, g in enumerate(groups):
+        try:
+            if g.do:
+                # Never empty: the condition of P(outcome=1) is the whole row.
+                effect = cond_prob(stacks[DO1], qubits, out1) - cond_prob(stacks[DO0], qubits, out1)
+                estimates.append((effect, None))
+            else:
+                effect, strata = adjusted_effect(
+                    stacks[OBS], qubits, treatment, outcome, g.adjust, g.given
+                )
+                estimates.append((effect, strata if g.adjust else None))
+        except UndefinedConditionalError as exc:
+            failures.append((exc.trial, i, exc))
+    if failures:
+        raise min(failures, key=lambda f: f[:2])[2]
+    return estimates
+
+
+def _join(
+    parts: Sequence[tuple[np.ndarray, StratumRows | None]],
+) -> tuple[np.ndarray, StratumRows | None]:
+    """One group's chunk estimates as one estimate over all trials, in trial order."""
+    effect = np.concatenate([e for e, _ in parts])
+    if parts[0][1] is None:
+        return effect, None
+    weight = np.concatenate([s.weight for _, s in parts])
+    return effect, StratumRows(weight, np.concatenate([s.effect for _, s in parts]))
+
+
+def _mean_strata(strata: StratumRows | None) -> tuple[StratumEffect, ...] | None:
     """Per-stratum mean weight and effect over the trials that have the stratum.
 
-    ``strata`` comes from ``adjusted_effect`` on a stack: per-trial arrays,
-    NaN where a trial skips the stratum. The means add in trial order from
+    A stratum no trial has is left out. The means add in trial order from
     0.0, as a running total does (np.sum's pairwise blocks could move the last
-    bit); a one-row stack gives its row back.
+    bit); one trial gives its own strata back.
     """
     if strata is None:
         return None
     out = []
-    for s in strata:
-        present = ~np.isnan(s.weight)
-        k = int(present.sum())  # >= 1: adjusted_effect keeps only cells some trial has
-        weight, effect = _running_sum(s.weight[present]), _running_sum(s.effect[present])
-        out.append(StratumEffect(s.value, weight / k, effect / k))
+    for value, (weights, effects) in enumerate(zip(strata.weight.T, strata.effect.T)):
+        present = ~np.isnan(weights)
+        k = int(present.sum())
+        if k:
+            weight, effect = _running_sum(weights[present]), _running_sum(effects[present])
+            out.append(StratumEffect(value, weight / k, effect / k))
     return tuple(out)
 
 

@@ -21,6 +21,7 @@ from qdo import (
     ModelError,
     Prep,
     Query,
+    StratumEffect,
     UndefinedConditionalError,
     Variable,
     adjusted_effect,
@@ -264,13 +265,21 @@ class TestStacks:
     def test_skipped_cell_is_nan_in_its_row(self):
         stack = np.stack([self.FULL, self.NO_Z1])
         effects, strata = adjusted_effect(stack, self.QMAP, "T", "O", ("Z",))
+        assert strata.weight.shape == strata.effect.shape == (2, 2)
         for i, row in enumerate(stack):
             effect, row_strata = adjusted_effect(self._dist(row), self.QMAP, "T", "O", ("Z",))
             assert effects[i] == effect
-            assert [(s.value, s.weight[i], s.effect[i]) for s in strata if not np.isnan(s.weight[i])] == [
-                (s.value, s.weight, s.effect) for s in row_strata
-            ]
-        assert [s.value for s in strata] == [0, 1] and np.isnan(strata[1].effect[1])
+            cells = zip(strata.weight[i].tolist(), strata.effect[i].tolist())
+            assert [StratumEffect(z, w, e) for z, (w, e) in enumerate(cells) if not math.isnan(w)] == list(
+                row_strata
+            )
+        assert np.isnan(strata.weight[1, 1]) and np.isnan(strata.effect[1, 1])
+
+    def test_a_cell_no_row_has_is_all_nan(self):
+        stack = np.stack([self.NO_Z1, self.NO_Z1])
+        _, strata = adjusted_effect(stack, self.QMAP, "T", "O", ("Z",))
+        assert not np.isnan(strata.weight[:, 0]).any() and np.isnan(strata.weight[:, 1]).all()
+        assert isinstance(adjusted_effect(self._dist(self.NO_Z1), self.QMAP, "T", "O", ("Z",))[1][0].weight, float)
 
     def test_first_failing_row_keeps_its_first_cell(self):
         # NO_T1 empties the T=1 arm of both cells; Z=0 comes first.

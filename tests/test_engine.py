@@ -30,7 +30,7 @@ from qdo import (
 )
 from qdo.circuit import Circuit, Gate, Tag
 from qdo import engine
-from qdo.engine import MAX_STATE_BYTES, check_state_size, draw_shots, trajectory_batch
+from qdo.engine import MAX_STATE_BYTES, check_state_size, draw_counts, draw_shots, trajectory_batch
 from conftest import chain_model
 
 _T = Tag("prep", "x")
@@ -272,6 +272,13 @@ class TestStateBudget:
         circ = compile_model(chain_model(48))
         with pytest.raises(ValueError, match=rf"48-qubit state needs {8 << 48} bytes"):
             run_sampled(circ, 2, 0, NoiseSpec(0.1))
+
+    def test_draw_counts_refuses_before_allocating(self, monkeypatch, simpson3_entry):
+        exact = run_exact(compile_model(simpson3_entry.model))
+        monkeypatch.setattr(engine, "MAX_STATE_BYTES", 4 * (8 << 3))
+        assert draw_counts(exact, 10, range(4)).shape == (4, 8)
+        with pytest.raises(ValueError, match=r"batch of 5 3-qubit states needs 320 bytes"):
+            draw_counts(exact, 10, range(5))
 
     def test_noisy_batch_shrinks_to_fit_the_budget(self):
         sizes = {n: trajectory_batch(n) for n in (3, 10, 17, 18, 20, 28)}

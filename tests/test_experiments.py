@@ -2,11 +2,12 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import make_random_model
+from conftest import chain_model, make_random_model
 
 from qdo import CausalModel, Edge, NoiseSpec, Prep, Variable, cli, experiments
 from qdo.analysis import (
@@ -300,6 +301,18 @@ _CONFIGS = {
 }
 
 
+@pytest.fixture(params=[None, 0, 128, 384], ids=["one-chunk", "1-row", "128-byte", "384-byte"])
+def chunking(request, monkeypatch):
+    """Trials estimated in one chunk, one per chunk, or in chunks of a few rows.
+
+    A 3-qubit count row is 64 bytes, so 128 bytes is 2 rows of it and 384
+    bytes 6 rows of 3 qubits, 3 of 4 and 1 of 5 or more.
+    """
+    if request.param is not None:
+        monkeypatch.setattr(experiments, "_CHUNK_BYTES", request.param)
+
+
+@pytest.mark.usefixtures("chunking")
 class TestStackedTrials:
     """Every number of a run is bit-identical to the per-trial reference loop."""
 
@@ -339,6 +352,7 @@ RARE_GROUPS = [observational_group(), stratified_group("Z"), causal_group()]
 RARE_ERROR = "undefined stratum cell (Z=1): undefined conditional: condition [T=1, Z=1] has zero mass"
 
 
+@pytest.mark.usefixtures("chunking")
 class TestFirstFailingTrial:
     def test_error_of_the_first_failing_trial(self):
         cfg = RunConfig(backend="sampled", shots=30, trials=6, seed=18)
@@ -410,6 +424,7 @@ SPARSE = CausalModel(
 )
 
 
+@pytest.mark.usefixtures("chunking")
 def test_stratum_a_trial_lacks_is_skipped_not_zero():
     cfg = RunConfig(backend="sampled", shots=20, trials=4, seed=15)
     groups = [stratified_group("Z")]
@@ -418,3 +433,27 @@ def test_stratum_a_trial_lacks_is_skipped_not_zero():
     z0, z1 = want[0][4]
     # Z=0 averages four trials and Z=1 three, so the mean weights do not add to 1.
     assert z0.weight + z1.weight != pytest.approx(1.0)
+
+
+class TestTrialChunks:
+    def test_peak_memory_does_not_grow_with_trials(self):
+        # A 16-qubit count row is 512 KiB: a (40, 2^16) stack per circuit
+        # would add 3 x 20 MiB over the run with 8 trials.
+        model = chain_model(16)
+        groups = [observational_group(), subgroup("v2", 0), causal_group()]
+        peaks = []
+        for trials in (8, 40):
+            cfg = RunConfig(backend="sampled", shots=200, trials=trials, seed=3)
+            tracemalloc.start()
+            try:
+                run_experiment(model, "v0", "v1", groups, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 256 * 1024
+
+    def test_a_chunk_holds_at_least_one_row(self, simpson3_entry, monkeypatch):
+        monkeypatch.setattr(experiments, "_CHUNK_BYTES", 1)
+        cfg = RunConfig(backend="sampled", shots=500, trials=3, seed=5)
+        report = run_experiment(simpson3_entry.model, "T", "O", simpson3_groups(), cfg)
+        assert all(len(g.per_trial) == 3 for g in report.groups)
