@@ -13,15 +13,27 @@ its target), and qubits no gate touches take the positions left over. A qubit
 no gate has touched yet is still |0>, so before a gate that brings the count
 of touched qubits to k the state lives in the first 2^k entries of this
 order, and the gate runs on those 2^k entries alone. The exact and the noisy
-loops share this plan (``_plan``). At the end, one transposed copy returns the
-state, or a noisy batch's live slots before they are squared, to qubit order;
-when the first-touch order is already 0..n-1 (both catalog circuits) there is
-no copy. No output byte moves: a gate's pair partner differs only in a
-touched bit, so every entry inside the register gets the float operations a
-full-width pass gives it, and every entry outside is zero on both paths (at
-most the sign of a zero differs, and squaring removes it). The reordering
-copy is one more state-sized array (batch-sized when noisy), only when the
-orders differ; a gate's temporaries scale with the register's current width.
+loops share this plan (``_plan``). No output byte moves: a gate's pair
+partner differs only in a touched bit, so every entry inside the register
+gets the float operations a full-width pass gives it, and every entry outside
+is zero on both paths (up to its sign).
+
+A gate that places its target (first touches it) puts it on the top bit of
+its width, whose half has never been written and is zero, so the update is
+a1 = m10*a0 then a0 *= m00: two passes and no temporary, where a general gate
+takes six passes and two half-width temporaries. Leaving out the zero terms
+changes no float but the sign of a zero, so the amplitudes ``statevector``
+returns may differ from a full-width pass only in the sign of a zero entry,
+and squaring removes it. A pair update whose halves run in contiguous pieces
+of 2-4 entries (a low control or target under a high one) sweeps one offset
+of the piece at a time, as long strided slices; the floats are the same.
+
+At the end the state returns from register order to qubit order. When the
+first-touch order is already 0..n-1 (both catalog circuits) nothing moves:
+``run_exact`` squares the register in place. Otherwise ``run_exact`` squares
+the transposed register into the one array its Distribution keeps, a noisy
+batch squares its live slots the same way, and ``statevector`` returns a
+transposed copy; each is one more state-sized array (batch-sized when noisy).
 
 The noisy path is a quantum-trajectory unraveling, not a density matrix: each
 shot follows its own pure state and, after every IR gate, each touched qubit
@@ -61,8 +73,8 @@ import numpy as np
 from .circuit import Circuit, Gate
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-_H = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]])
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_H = ((_SQRT1_2, _SQRT1_2), (_SQRT1_2, -_SQRT1_2))
+_X = ((0.0, 1.0), (1.0, 0.0))
 
 # Rows per noisy batch: 2048 (16 MB at 10 qubits) for every n <= 17; wider
 # states run in smaller batches so one batch stays within MAX_STATE_BYTES.
@@ -117,37 +129,59 @@ class Distribution:
         return self.values / self.shots
 
 
-def _ry_matrix(theta: float) -> np.ndarray:
+def _ry_matrix(theta: float) -> tuple[tuple[float, float], tuple[float, float]]:
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]])
+    return ((c, -s), (s, c))
 
 
-def _apply_1q(states: np.ndarray, qubit: int, mat: np.ndarray) -> None:
+# A pair update whose halves have innermost contiguous runs of 2 to
+# _SHORT_RUN entries, in rows of at least _LONG_SLICE such runs, sweeps one
+# run offset at a time: numpy's inner loop over a run of 2-4 entries costs
+# several times as much per entry as one over a long strided slice, and below
+# _LONG_SLICE the extra calls cost more than they save.
+_SHORT_RUN = 4
+_LONG_SLICE = 256
+
+
+def _pair_update(a0: np.ndarray, a1: np.ndarray, mat, fresh: bool) -> None:
+    # (a0, a1) <- mat @ (a0, a1), entry by entry. With ``fresh`` a1 is all
+    # zero, so m10*a0 and m00*a0 are the same floats as the full sums, but for
+    # the sign of a zero.
+    run = a0.shape[-1]
+    if 1 < run <= _SHORT_RUN and a0.shape[-2] >= _LONG_SLICE:
+        for j in range(run):
+            _pair_update(a0[..., j], a1[..., j], mat, fresh)
+        return
+    (m00, m01), (m10, m11) = mat
+    if fresh:
+        np.multiply(a0, m10, out=a1)
+        a0 *= m00
+        return
+    b0 = m10 * a0
+    a0 *= m00
+    a0 += m01 * a1  # m00*a0 + m01*a1
+    a1 *= m11
+    a1 += b0  # m10*a0 + m11*a1
+
+
+def _apply_1q(states: np.ndarray, qubit: int, mat, fresh: bool) -> None:
     # states: (rows, width), each row contiguous, e.g. buf[:live, :width].
     # Splitting the last axis isolates the target bit and stays a view of buf.
     m = states.reshape(states.shape[0], -1, 2, 1 << qubit)
-    a0, a1 = m[:, :, 0, :], m[:, :, 1, :]
-    b0 = mat[1, 0] * a0
-    a0 *= mat[0, 0]
-    a0 += mat[0, 1] * a1  # mat00*a0 + mat01*a1
-    a1 *= mat[1, 1]
-    a1 += b0  # mat10*a0 + mat11*a1
+    _pair_update(m[:, :, 0, :], m[:, :, 1, :], mat, fresh)
 
 
-def _apply_cry(states: np.ndarray, control: int, control_value: int, target: int, theta: float) -> None:
-    # Axes 2 and 4 of the split hold the higher and the lower of the two bits.
+def _apply_cry(states: np.ndarray, control: int, control_value: int, target: int, theta: float,
+               fresh: bool) -> None:
+    # RY(theta) on the slice where the control bit equals control_value. Axes
+    # 2 and 4 of the split hold the higher and the lower of the two bits.
     hi, lo = max(control, target), min(control, target)
     m = states.reshape(states.shape[0], -1, 2, (1 << hi) >> (lo + 1), 2, 1 << lo)
     if control == hi:
         a0, a1 = m[:, :, control_value, :, 0, :], m[:, :, control_value, :, 1, :]
     else:
         a0, a1 = m[:, :, 0, :, control_value, :], m[:, :, 1, :, control_value, :]
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    b0 = s * a0
-    a0 *= c
-    a0 -= s * a1  # c*a0 - s*a1
-    a1 *= c
-    a1 += b0  # s*a0 + c*a1
+    _pair_update(a0, a1, _ry_matrix(theta), fresh)
 
 
 def _apply_pauli_rows(states: np.ndarray, rows: np.ndarray, qubit: int, pauli: int, dest: np.ndarray) -> None:
@@ -201,30 +235,34 @@ def _touched_qubits(gate: Gate) -> tuple[int, ...]:
     return (gate.target,)
 
 
-def _apply_gate(states: np.ndarray, gate: Gate, pos: tuple[int, ...]) -> None:
-    # pos: the register positions of _touched_qubits(gate).
+def _apply_gate(states: np.ndarray, gate: Gate, pos: tuple[int, ...], fresh: bool) -> None:
+    # pos: the register positions of _touched_qubits(gate); fresh: the target
+    # half where its bit is 1 is all zero (see _plan).
     if gate.kind == "h":
-        _apply_1q(states, pos[0], _H)
+        _apply_1q(states, pos[0], _H, fresh)
     elif gate.kind == "x":
-        _apply_1q(states, pos[0], _X)
+        _apply_1q(states, pos[0], _X, fresh)
     elif gate.kind == "ry":
-        _apply_1q(states, pos[0], _ry_matrix(gate.theta))
+        _apply_1q(states, pos[0], _ry_matrix(gate.theta), fresh)
     else:
-        _apply_cry(states, pos[0], gate.control_value, pos[1], gate.theta)
+        _apply_cry(states, pos[0], gate.control_value, pos[1], gate.theta, fresh)
 
 
-def _plan(circ: Circuit) -> tuple[list[tuple[Gate, tuple[int, ...], int]], tuple[int, ...] | None]:
+def _plan(circ: Circuit) -> tuple[list[tuple[Gate, tuple[int, ...], int, bool]], tuple[int, ...] | None]:
     # The first-touch register (module docstring). Returns (gate, its
-    # positions, 2^(qubits touched through it)) per gate, and the transpose
-    # axes that return a (rows, 2, ..., 2) view of register-order states to
-    # qubit order, or None when the two orders agree.
+    # positions, 2^(qubits touched through it), whether it places its target)
+    # per gate, and the transpose axes that return a (rows, 2, ..., 2) view of
+    # register-order states to qubit order, or None when the two orders agree.
+    # A gate that places its target puts it on the top bit of its width, and no
+    # entry past the previous width has been written, so that half is zero.
     position: dict[int, int] = {}
     steps = []
     for gate in circ.gates:
         touched = _touched_qubits(gate)
+        fresh = gate.target not in position
         for q in touched:
             position.setdefault(q, len(position))
-        steps.append((gate, tuple(position[q] for q in touched), 1 << len(position)))
+        steps.append((gate, tuple(position[q] for q in touched), 1 << len(position), fresh))
     n = circ.n_qubits
     for q in range(n):
         position.setdefault(q, len(position))
@@ -235,13 +273,20 @@ def _plan(circ: Circuit) -> tuple[list[tuple[Gate, tuple[int, ...], int]], tuple
     return steps, (0, *(n - position[n - 1 - j] for j in range(n)))
 
 
-def _qubit_order(states: np.ndarray, axes: tuple[int, ...] | None) -> np.ndarray:
-    # states: (rows, 2^n) in register order. A transposed copy in qubit order,
-    # or states itself when the orders agree.
+def _qubit_view(states: np.ndarray, axes: tuple[int, ...] | None) -> np.ndarray:
+    # states: (rows, 2^n) in register order. A (rows, 2, ..., 2) view that
+    # reads them in qubit order, or states itself when the orders agree.
     if axes is None:
         return states
-    rows = states.shape[0]
-    return states.reshape(rows, *(2,) * (len(axes) - 1)).transpose(axes).reshape(rows, -1)
+    return states.reshape(states.shape[0], *(2,) * (len(axes) - 1)).transpose(axes)
+
+
+def _squared_in_qubit_order(states: np.ndarray, axes: tuple[int, ...] | None) -> np.ndarray:
+    # The squares of states, (rows, 2^n) in qubit order: in place when the
+    # orders agree, else written into one new array as the transpose is read.
+    view = _qubit_view(states, axes)
+    out = view if axes is None else np.empty(view.shape)
+    return np.square(view, out=out).reshape(states.shape)
 
 
 def check_state_size(n_qubits: int, rows: int = 1) -> None:
@@ -266,21 +311,38 @@ def trajectory_batch(n_qubits: int) -> int:
     return min(_TRAJECTORY_BATCH, MAX_STATE_BYTES // (_ENTRY_BYTES << n_qubits))
 
 
-def statevector(circ: Circuit) -> np.ndarray:
-    """Final amplitudes (float64) of the circuit applied to the all-zeros state."""
+def _evolve(circ: Circuit) -> tuple[np.ndarray, tuple[int, ...] | None]:
+    # The (1, 2^n) final state in register order, and _plan's transpose axes.
     check_state_size(circ.n_qubits)
     steps, axes = _plan(circ)
     buf = np.zeros((1, 1 << circ.n_qubits))
     buf[0, 0] = 1.0
-    for gate, pos, width in steps:
-        _apply_gate(buf[:, :width], gate, pos)
-    return _qubit_order(buf, axes)[0]
+    for gate, pos, width, fresh in steps:
+        _apply_gate(buf[:, :width], gate, pos, fresh)
+    return buf, axes
+
+
+def _adopt_exact(n_qubits: int, probs: np.ndarray) -> Distribution:
+    # An exact Distribution over probs itself, an array no caller holds: the
+    # constructor's defensive copy would be one more state-sized pass.
+    probs.setflags(write=False)
+    dist = object.__new__(Distribution)
+    object.__setattr__(dist, "n_qubits", n_qubits)
+    object.__setattr__(dist, "values", probs)
+    object.__setattr__(dist, "shots", None)
+    return dist
+
+
+def statevector(circ: Circuit) -> np.ndarray:
+    """Final amplitudes (float64) of the circuit applied to the all-zeros state."""
+    buf, axes = _evolve(circ)
+    return _qubit_view(buf, axes).reshape(-1)
 
 
 def run_exact(circ: Circuit) -> Distribution:
     """Exact output distribution: |amplitude|^2 per bitstring."""
-    amps = statevector(circ)
-    return Distribution(circ.n_qubits, np.square(amps, out=amps))
+    buf, axes = _evolve(circ)
+    return _adopt_exact(circ.n_qubits, _squared_in_qubit_order(buf, axes)[0])
 
 
 def check_seed(seed: int) -> None:
@@ -365,14 +427,13 @@ def _trajectory_counts(circ: Circuit, rows: int, p_depol: float, rng: np.random.
     buf[0, 0] = 1.0
     owner = np.zeros(rows, dtype=np.intp)
     live = 1
-    for gate, pos, width in steps:
-        _apply_gate(buf[:live, :width], gate, pos)
+    for gate, pos, width, fresh in steps:
+        _apply_gate(buf[:live, :width], gate, pos, fresh)
         for q in pos:
             hit = np.nonzero(rng.random(rows) < p_depol)[0]
             if hit.size:
                 live = _fork(buf[:, :width], owner, live, hit, rng.integers(0, 3, size=hit.size), q)
-    cum = _qubit_order(buf[:live], axes)
-    np.square(cum, out=cum)
+    cum = _squared_in_qubit_order(buf[:live], axes)
     cum /= cum.sum(axis=1, keepdims=True)
     np.cumsum(cum, axis=1, out=cum)
     u = rng.random(rows)

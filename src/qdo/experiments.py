@@ -149,7 +149,17 @@ def run_experiment(
     reports trial statistics. A noiseless sampled run computes each circuit's exact
     distribution once and draws every trial from it; a noisy run evolves
     fresh trajectories per trial.
+
+    Raises ValueError, before anything is compiled, when the outcome is the
+    treatment or a group adjusts for or conditions on either of them.
     """
+    if outcome == treatment:
+        raise ValueError(f"outcome {outcome!r} is also the treatment")
+    for g in groups:
+        for name in (*g.adjust, *(name for name, _ in g.given)):
+            if name in (treatment, outcome):
+                role = "treatment" if name == treatment else "outcome"
+                raise ValueError(f"group {g.label!r} stratifies on the {role} {name!r}")
     if model.is_intervened(treatment):
         raise ModelError(f"treatment {treatment!r} is already intervened on")
     qubits = model.qubit_map()

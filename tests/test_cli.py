@@ -84,6 +84,11 @@ class TestHealthcare10Command:
         strat = next(g for g in data["groups"] if g["label"] == "Stratified by Insurance")
         assert len(strat["strata"]) == 2
 
+    def test_stratify_by_treatment_exits_2(self, capsys):
+        assert run_cli("healthcare10", "--stratify", "Treatment") == 2
+        err = capsys.readouterr().err
+        assert err == "qdo: error: group 'Stratified by Treatment' stratifies on the treatment 'Treatment'\n"
+
 
 class TestRunCommand:
     def test_fixture_matches_builtin_experiment(self, tmp_path, capsys):
@@ -173,17 +178,19 @@ class TestRunCommand:
         assert code == 3
         assert "zero mass" in capsys.readouterr().err
 
-    def test_stratify_by_treatment_exits_3(self, capsys):
-        code = run_cli("run", str(MODELS / "simpson3.json"), "--treatment", "T", "--outcome", "O",
-                       "--stratify", "T", "--effect")
-        assert code == 3
-        assert "undefined stratum cell (T=0)" in capsys.readouterr().err
-
-    def test_stratify_by_outcome_prints_zero(self, capsys):
-        assert run_cli("run", str(MODELS / "simpson3.json"), "--treatment", "T", "--outcome", "O",
-                       "--stratify", "O", "--effect") == 0
-        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("Stratified by O"))
-        assert line.split()[3] == "+0.000"
+    @pytest.mark.parametrize("roles, message", [
+        (["--outcome", "T"], "outcome 'T' is also the treatment"),
+        (["--outcome", "O", "--stratify", "T"], "group 'Stratified by T' stratifies on the treatment 'T'"),
+        (["--outcome", "O", "--stratify", "O"], "group 'Stratified by O' stratifies on the outcome 'O'"),
+    ], ids=["outcome-is-treatment", "stratify-by-treatment", "stratify-by-outcome"])
+    def test_meaningless_roles_exit_2(self, tmp_path, capsys, roles, message):
+        out = tmp_path / "report.json"
+        code = run_cli("run", str(MODELS / "simpson3.json"), "--treatment", "T", *roles, "--effect",
+                       "--json", str(out))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"qdo: error: {message}\n" and captured.out == ""
+        assert not out.exists()
 
     def test_noise_with_exact_backend_exits_2(self, capsys):
         assert run_cli("simpson3", "--backend", "exact", "--noise", "0.01") == 2

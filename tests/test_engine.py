@@ -12,6 +12,7 @@ Core claims:
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from qdo import (
 from qdo.circuit import Circuit, Gate, Tag
 from qdo import engine
 from qdo.engine import MAX_STATE_BYTES, check_state_size, draw_counts, draw_shots, trajectory_batch
-from conftest import chain_model
+from conftest import chain_model, make_random_model
 
 _T = Tag("prep", "x")
 
@@ -316,9 +317,9 @@ def gate_shapes(monkeypatch):
     shapes = []
     apply_gate = engine._apply_gate
 
-    def spy(states, gate, pos):
+    def spy(states, gate, pos, fresh):
         shapes.append(states.shape)
-        apply_gate(states, gate, pos)
+        apply_gate(states, gate, pos, fresh)
 
     monkeypatch.setattr(engine, "_apply_gate", spy)
     return shapes
@@ -381,3 +382,38 @@ class TestFirstTouchRegister:
         circ = compile_model(healthcare10_entry.model)
         assert run_sampled(circ, 1024, 2, NoiseSpec(1e-12)).values.sum() == 1024
         assert gate_shapes == [(1, width) for width in self.touched_widths(circ)]
+
+
+def _traced_peak(run, circ) -> int:
+    tracemalloc.start()
+    try:
+        run(circ)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestExactMemory:
+    """An exact run holds at most the register and its result, both one state.
+
+    The un-permuting square reads the register through a transposed view,
+    which numpy may stage through one 64 KiB iterator buffer; 16 KiB more
+    covers the plan and the other small objects of a run.
+    """
+
+    STATE = 8 << 18
+    SMALL = 16 * 1024
+
+    def test_shuffled_qubit_map_peaks_at_two_states(self):
+        circ = compile_model(make_random_model(np.random.default_rng(3), n=18))
+        assert engine._plan(circ)[1] is not None
+        for run in (run_exact, statevector):
+            assert _traced_peak(run, circ) <= 2 * self.STATE + 64 * 1024 + self.SMALL, run.__name__
+
+    def test_identity_first_touch_order_peaks_at_one_state(self):
+        # Every gate of the chain places its target, so no gate allocates a
+        # temporary, and run_exact squares the register in place.
+        circ = compile_model(chain_model(18))
+        assert engine._plan(circ)[1] is None
+        for run in (run_exact, statevector):
+            assert _traced_peak(run, circ) <= self.STATE + self.SMALL, run.__name__

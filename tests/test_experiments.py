@@ -457,3 +457,22 @@ class TestTrialChunks:
         cfg = RunConfig(backend="sampled", shots=500, trials=3, seed=5)
         report = run_experiment(simpson3_entry.model, "T", "O", simpson3_groups(), cfg)
         assert all(len(g.per_trial) == 3 for g in report.groups)
+
+
+class TestRoles:
+    """Roles that make an effect meaningless are refused before anything is compiled."""
+
+    @pytest.mark.parametrize("outcome, groups, message", [
+        ("T", [observational_group(), causal_group()], "outcome 'T' is also the treatment"),
+        ("O", [stratified_group("T")], "group 'Stratified by T' stratifies on the treatment 'T'"),
+        ("O", [causal_group(), stratified_group("O")], "group 'Stratified by O' stratifies on the outcome 'O'"),
+        ("O", [subgroup("T", 1)], "group 'Observational, T=1' stratifies on the treatment 'T'"),
+        ("O", [subgroup("O", 0)], "group 'Observational, O=0' stratifies on the outcome 'O'"),
+    ], ids=["outcome-is-treatment", "adjust-treatment", "adjust-outcome", "given-treatment", "given-outcome"])
+    @pytest.mark.parametrize("backend", ["exact", "sampled"])
+    def test_refused_before_compiling(self, simpson3_entry, monkeypatch, outcome, groups, message, backend):
+        compiled = []
+        monkeypatch.setattr(experiments, "compile_model", compiled.append)
+        with pytest.raises(ValueError) as info:
+            run_experiment(simpson3_entry.model, "T", outcome, groups, RunConfig(backend=backend, trials=3))
+        assert str(info.value) == message and compiled == []

@@ -14,6 +14,10 @@ CRY and X/Y/Z insertions on chosen trajectory rows. Runs are derandomized.
 The engine runs each gate on the first-touch register, the 2^k entries of the
 k qubits touched so far, and returns to qubit order at the end; its bytes must
 equal those of the full-width loop that runs every gate on all 2^n entries.
+A gate that places its target updates it in two passes, on the promise that
+the target's upper half is still zero; a spy checks the promise in exact runs
+and in noisy batches. Pair updates over short contiguous runs sweep one run
+offset at a time, so the first-touch circuits reach widths of 2^12.
 
 The noisy sampler keeps one state per distinct Pauli history, not one per
 shot; its counts must equal, array for array, those of a plain loop that
@@ -35,6 +39,7 @@ from qdo.engine import (
     _apply_cry,
     _apply_gate,
     _apply_pauli_rows,
+    _plan,
     _ry_matrix,
     _touched_qubits,
     trajectory_batch,
@@ -139,7 +144,7 @@ def test_pauli_row_kernel_equals_complex_reference(program):
     ref[:, 0] = 1.0
     for step in steps:
         if isinstance(step, Gate):
-            _apply_gate(states, step, _touched_qubits(step))
+            _apply_gate(states, step, _touched_qubits(step), False)
             for psi in ref:
                 _ref_gate(psi, step)
         else:
@@ -156,7 +161,7 @@ def _full_width_statevector(circ: Circuit) -> np.ndarray:
     states = np.zeros((1, 1 << circ.n_qubits))
     states[0, 0] = 1.0
     for gate in circ.gates:
-        _apply_gate(states, gate, _touched_qubits(gate))
+        _apply_gate(states, gate, _touched_qubits(gate), False)
     return states[0]
 
 
@@ -205,25 +210,119 @@ def test_shuffled_qubits_equal_full_width(circ, data):
     _assert_equals_full_width(Circuit(circ.n_qubits, tuple(_relabelled(g, label) for g in circ.gates)))
 
 
+@st.composite
+def first_touch_circuits(draw) -> Circuit:
+    """Circuits whose qubits are first reached by a CRY, an X, an H or an RY.
+
+    Built in register order, then relabelled by a random permutation: qubit k
+    of the build is the k-th the circuit touches. A CRY may place its target
+    (a ground-prep child), its control (a ground parent) or both. Every CRY
+    control sits at register position 0-3, so wide circuits have pair updates
+    whose contiguous runs are 1-8 entries long.
+    """
+    n = draw(st.one_of(st.integers(2, 8), st.integers(10, 12)))
+    out = []
+
+    def cry(control, target):
+        return _cry(control, draw(st.integers(0, 1)), target, draw(ANGLE))
+
+    def one_qubit(target):
+        kind = draw(st.sampled_from(["x", "h", "ry"]))
+        return Gate(kind, target, _T, theta=draw(ANGLE)) if kind == "ry" else Gate(kind, target, _T)
+
+    def on_touched(k):
+        # The newest qubit, a low one or any: the widest pair updates pair a
+        # high target with a control or target at position 1 or 2.
+        target = draw(st.sampled_from([k - 1, min(k - 1, draw(st.integers(1, 2))), draw(st.integers(0, k - 1))]))
+        controls = [q for q in range(min(k, 4)) if q != target]
+        if controls and draw(st.integers(0, 2)):
+            return cry(draw(st.sampled_from(controls)), target)
+        return one_qubit(target)
+
+    k = 0
+    while k < n:
+        # The last qubit is placed by a CRY, as a wide model places a child.
+        how = "cry" if k == n - 1 else draw(st.sampled_from(["cry", "parent", "both", "x", "h", "ry"]))
+        if k and how == "cry":
+            out.append(cry(draw(st.integers(0, min(k - 1, 3))), k))
+        elif 0 < k <= 3 and how == "parent":
+            out.append(cry(k, draw(st.integers(0, k - 1))))
+        elif k <= 3 and k + 1 < n and how == "both":
+            out.append(cry(k, k + 1))
+            k += 1
+        elif how in ("x", "h", "ry"):
+            out.append(Gate(how, k, _T, theta=draw(ANGLE)) if how == "ry" else Gate(how, k, _T))
+        else:
+            out.append(one_qubit(k))
+        k += 1
+        out += [on_touched(k) for _ in range(draw(st.integers(0, 2)))]
+    if n > 3:
+        # Runs of 2 and 4 entries at the full width.
+        out += [cry(1, n - 1), one_qubit(1), cry(2, n - 1), one_qubit(2)]
+    out += [on_touched(n) for _ in range(draw(st.integers(0, 4)))]
+    label = draw(st.permutations(range(n)))
+    return Circuit(n, tuple(_relabelled(g, label) for g in out))
+
+
+@PROPERTY
+@given(first_touch_circuits())
+def test_first_touch_paths_equal_references(circ):
+    _assert_equals_full_width(circ)
+    psi = np.zeros(1 << circ.n_qubits, dtype=np.complex128)
+    psi[0] = 1.0
+    for gate in circ.gates:
+        _ref_gate(psi, gate)
+    assert np.array_equal(np.abs(statevector(circ)) ** 2, np.abs(psi) ** 2)
+
+
+@PROPERTY
+@given(first_touch_circuits(), st.integers(0, 2**64 - 1))
+def test_a_placed_target_finds_its_upper_half_zero(circ, seed):
+    checked = []
+    apply_gate = engine._apply_gate
+
+    def spy(states, gate, pos, fresh):
+        if fresh:
+            upper = states.reshape(states.shape[0], -1, 2, 1 << pos[-1])[:, :, 1, :]
+            checked.append((states.shape[0], not upper.any()))
+        apply_gate(states, gate, pos, fresh)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_apply_gate", spy)
+        run_exact(circ)
+        run_sampled(circ, 16, seed, NoiseSpec(0.5))
+    assert all(zero for _, zero in checked)
+    # Every qubit the circuit touches is placed once per run, and the noisy
+    # run forks before most placements.
+    assert len(checked) == 2 * sum(fresh for *_, fresh in _plan(circ)[0])
+    if circ.n_qubits > 2:
+        assert max(rows for rows, _ in checked) > 1
+
+
 @pytest.mark.parametrize(
     "apply",
     [
-        lambda s: _apply_1q(s, 1, _ry_matrix(0.9)),
-        lambda s: _apply_cry(s, 2, 0, 0, 0.7),
-        lambda s: _apply_cry(s, 0, 1, 2, -1.3),
+        lambda s: _apply_1q(s, 1, _ry_matrix(0.9), False),
+        lambda s: _apply_cry(s, 2, 0, 0, 0.7, False),
+        lambda s: _apply_cry(s, 0, 1, 2, -1.3, False),
+        lambda s: _apply_1q(s, 2, _ry_matrix(0.9), False),
+        lambda s: _apply_cry(s, 1, 1, 10, 0.7, False),
+        lambda s: _apply_cry(s, 2, 0, 10, 0.7, True),
     ],
-    ids=["1q", "cry-control-high", "cry-control-low"],
+    ids=["1q", "cry-control-high", "cry-control-low", "1q-short-runs", "cry-short-runs", "cry-fresh"],
 )
 def test_kernel_writes_through_a_strided_view(apply):
     # The noisy sampler runs gates on buf[:live, :width]: a reshape that
-    # copied such a view would drop the update without an error.
-    buf = np.random.default_rng(0).standard_normal((5, 16))
+    # copied such a view would drop the update without an error. At width
+    # 2^11 the runs of 2 and 4 entries are swept offset by offset.
+    buf = np.random.default_rng(0).standard_normal((5, 4096))
+    buf[:, 1024:2048] = 0.0  # position 10's upper half, for the fresh gate
     before = buf.copy()
-    want = buf[:3, :8].copy()
+    want = buf[:3, :2048].copy()
     apply(want)
-    apply(buf[:3, :8])
-    assert np.array_equal(buf[:3, :8], want) and not np.array_equal(want, before[:3, :8])
-    assert np.array_equal(buf[:, 8:], before[:, 8:]) and np.array_equal(buf[3:], before[3:])
+    apply(buf[:3, :2048])
+    assert np.array_equal(buf[:3, :2048], want) and not np.array_equal(want, before[:3, :2048])
+    assert np.array_equal(buf[:, 2048:], before[:, 2048:]) and np.array_equal(buf[3:], before[3:])
 
 
 def _one_row_per_shot(circ: Circuit, shots: int, seed: int, p_depol: float) -> np.ndarray:
@@ -238,7 +337,7 @@ def _one_row_per_shot(circ: Circuit, shots: int, seed: int, p_depol: float) -> n
         states = np.zeros((batch, dim))
         states[:, 0] = 1.0
         for gate in circ.gates:
-            _apply_gate(states, gate, _touched_qubits(gate))
+            _apply_gate(states, gate, _touched_qubits(gate), False)
             for q in _touched_qubits(gate):
                 hit = np.nonzero(rng.random(batch) < p_depol)[0]
                 if hit.size == 0:
