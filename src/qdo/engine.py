@@ -43,11 +43,22 @@ batch would exceed ``MAX_STATE_BYTES``; results are deterministic for a fixed
 (circuit, shots, seed, noise). Shots that share a Pauli history share one
 state: a batch starts with one slot, the all-zeros state, and a hit only forks
 a new slot per distinct (old slot, Pauli), so the work scales with the
-distinct histories, not with the shots. Every slot sees exactly the float
-operations of each shot it stands for, so the counts equal those of one row
-per shot. A batch is measured in place: its slots are squared, normalized and
-cumulated in the same array, and each shot's outcome is a binary search of
-its slot, so peak memory stays about one batch.
+distinct histories, not with the shots. A batch is measured in place: its
+slots are squared, normalized and cumulated in the same array, and each
+shot's outcome is a binary search of its slot, so peak memory stays about one
+batch.
+
+A touched qubit is settled after a gate when no later gate targets it (a CRY
+may still use it as a control). On a settled qubit a Z hit forks nothing and
+a Y hit forks under the same key as an X hit; the draws are the same as for
+any other qubit, so the generator's stream does not change. Z can be left
+out: a later gate that does not target q updates pairs inside one half of q
+(a CRY controlled by q too), and a later Pauli commutes with Z_q up to a
+global sign, so both entries of a pair carry Z_q's sign or neither does, and
+IEEE negation passes exactly through * and +. Y is X times Z_q up to phase.
+So each slot equals every shot it stands for up to the sign of some entries:
+it has equal squares, and the normalization, the cumsum and the binary
+search see the same floats, so the counts equal those of one row per shot.
 
 An int seed must lie in [0, 2^64) (``check_seed``). A noisy run draws noise
 and measurements from one generator keyed by the seed and the constant noise
@@ -66,6 +77,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -248,21 +260,36 @@ def _apply_gate(states: np.ndarray, gate: Gate, pos: tuple[int, ...], fresh: boo
         _apply_cry(states, pos[0], gate.control_value, pos[1], gate.theta, fresh)
 
 
-def _plan(circ: Circuit) -> tuple[list[tuple[Gate, tuple[int, ...], int, bool]], tuple[int, ...] | None]:
+def _plan(circ: Circuit) -> tuple[list[tuple[Gate, tuple[int, ...], int, tuple[bool, ...], bool]],
+                                   tuple[int, ...] | None]:
     # The first-touch register (module docstring). Returns (gate, its
-    # positions, 2^(qubits touched through it), whether it places its target)
-    # per gate, and the transpose axes that return a (rows, 2, ..., 2) view of
-    # register-order states to qubit order, or None when the two orders agree.
+    # positions, 2^(qubits touched through it), which of its positions are
+    # settled after it, whether it places its target) per gate, and the
+    # transpose axes that return a (rows, 2, ..., 2) view of register-order
+    # states to qubit order, or None when the two orders agree.
     # A gate that places its target puts it on the top bit of its width, and no
     # entry past the previous width has been written, so that half is zero.
+    # A qubit is settled after gate i when no later gate targets it. The two
+    # gate shapes are spelled out, in _touched_qubits order: every run_exact
+    # plans once, and on small circuits a generic per-gate loop shows.
+    last_target = {gate.target: i for i, gate in enumerate(circ.gates)}
     position: dict[int, int] = {}
     steps = []
-    for gate in circ.gates:
-        touched = _touched_qubits(gate)
-        fresh = gate.target not in position
-        for q in touched:
-            position.setdefault(q, len(position))
-        steps.append((gate, tuple(position[q] for q in touched), 1 << len(position), fresh))
+    for i, gate in enumerate(circ.gates):
+        t = gate.target
+        fresh = t not in position
+        if gate.kind == "cry":
+            c = gate.control
+            if c not in position:
+                position[c] = len(position)
+            if fresh:
+                position[t] = len(position)
+            pos, settled = (position[c], position[t]), (last_target.get(c, -1) < i, last_target[t] == i)
+        else:
+            if fresh:
+                position[t] = len(position)
+            pos, settled = (position[t],), (last_target[t] == i,)
+        steps.append((gate, pos, 1 << len(position), settled, fresh))
     n = circ.n_qubits
     for q in range(n):
         position.setdefault(q, len(position))
@@ -317,7 +344,7 @@ def _evolve(circ: Circuit) -> tuple[np.ndarray, tuple[int, ...] | None]:
     steps, axes = _plan(circ)
     buf = np.zeros((1, 1 << circ.n_qubits))
     buf[0, 0] = 1.0
-    for gate, pos, width, fresh in steps:
+    for gate, pos, width, _, fresh in steps:
         _apply_gate(buf[:, :width], gate, pos, fresh)
     return buf, axes
 
@@ -427,12 +454,19 @@ def _trajectory_counts(circ: Circuit, rows: int, p_depol: float, rng: np.random.
     buf[0, 0] = 1.0
     owner = np.zeros(rows, dtype=np.intp)
     live = 1
-    for gate, pos, width, fresh in steps:
+    for gate, pos, width, settled, fresh in steps:
         _apply_gate(buf[:live, :width], gate, pos, fresh)
-        for q in pos:
+        for q, quiet in zip(pos, settled):
             hit = np.nonzero(rng.random(rows) < p_depol)[0]
+            if not hit.size:
+                continue
+            paulis = rng.integers(0, 3, size=hit.size)
+            if quiet:
+                # Z on a settled qubit changes no square, and Y is X times Z.
+                hit = hit[paulis != 2]
+                paulis = np.zeros_like(hit)
             if hit.size:
-                live = _fork(buf[:, :width], owner, live, hit, rng.integers(0, 3, size=hit.size), q)
+                live = _fork(buf[:, :width], owner, live, hit, paulis, q)
     cum = _squared_in_qubit_order(buf[:live], axes)
     cum /= cum.sum(axis=1, keepdims=True)
     np.cumsum(cum, axis=1, out=cum)
@@ -456,13 +490,17 @@ def marginal(dist: Distribution, qubits) -> Distribution:
     The result is indexed little-endian over the kept qubits in ascending
     order of their original index.
     """
-    kept = sorted(qubits)
-    if not kept:
+    given = list(qubits)  # an iterator can be read only once
+    if not given:
         raise ValueError("marginal requires a non-empty qubit subset")
+    for q in given:
+        if isinstance(q, bool) or not isinstance(q, Integral):
+            raise ValueError(f"qubit indices must be integers, got {q!r} in {given!r}")
+    kept = sorted(given)
     if len(kept) != len(set(kept)):
-        raise ValueError(f"duplicate qubit indices in {list(qubits)!r}")
+        raise ValueError(f"duplicate qubit indices in {given!r}")
     if kept[0] < 0 or kept[-1] >= dist.n_qubits:
-        raise ValueError(f"qubit index out of range in {list(qubits)!r} (n={dist.n_qubits})")
+        raise ValueError(f"qubit index out of range in {given!r} (n={dist.n_qubits})")
 
     n = dist.n_qubits
     arr = dist.values.reshape([2] * n)  # axis j holds the bit of qubit n-1-j

@@ -8,6 +8,9 @@ Core claims:
       the noiseless path
     - 15000-shot frequencies stay within a 4-sigma guard of the exact values
     - depolarizing noise attenuates the causal effect estimate on average
+    - a noisy batch forks one slot per distinct Pauli history, and once no
+      later gate targets a qubit, a Z hit on it forks nothing and a Y hit
+      shares the slot of an X hit
 """
 
 import math
@@ -252,6 +255,27 @@ class TestMarginal:
         with pytest.raises(ValueError):
             marginal(dist, bad)
 
+    def test_errors_name_the_indices_of_an_iterator(self, simpson3_entry):
+        dist = run_exact(compile_model(simpson3_entry.model))
+        with pytest.raises(ValueError, match=re.escape("out of range in [0, 5] (n=3)")):
+            marginal(dist, (q for q in (0, 5)))
+        with pytest.raises(ValueError, match=re.escape("duplicate qubit indices in [1, 1]")):
+            marginal(dist, iter([1, 1]))
+
+    @pytest.mark.parametrize(
+        "bad", [True, np.True_, 1.0, np.float64(1.0), "1", None],
+        ids=["bool", "numpy-bool", "float", "numpy-float", "str", "none"],
+    )
+    def test_non_integer_indices_rejected(self, bad, simpson3_entry):
+        dist = run_exact(compile_model(simpson3_entry.model))
+        with pytest.raises(ValueError, match="qubit indices must be integers"):
+            marginal(dist, [0, bad])
+
+    def test_numpy_integer_indices_accepted(self, simpson3_entry):
+        dist = run_exact(compile_model(simpson3_entry.model))
+        for kept in (np.array([0, 2]), [np.int32(0), np.uint8(2)], range(0, 3, 2)):
+            assert np.array_equal(marginal(dist, kept).values, marginal(dist, [0, 2]).values)
+
 
 class TestStateBudget:
     # 48 qubits: even without the guard, numpy refuses the allocation at once
@@ -325,6 +349,57 @@ def gate_shapes(monkeypatch):
     return shapes
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """(position, hit rows, Paulis, owners before, owners after) of every _fork call."""
+    calls = []
+    fork = engine._fork
+
+    def spy(buf, owner, live, hit, paulis, qubit):
+        before = owner.copy()
+        live = fork(buf, owner, live, hit, paulis, qubit)
+        calls.append((qubit, hit.copy(), paulis.copy(), before, owner.copy()))
+        return live
+
+    monkeypatch.setattr(engine, "_fork", spy)
+    return calls
+
+
+class _ScriptedRng:
+    """Hits every row after every gate, with the Paulis ``kinds`` repeated over the hit rows."""
+
+    def __init__(self, kinds):
+        self.kinds = np.array(kinds)
+
+    def random(self, size):
+        return np.zeros(size)
+
+    def integers(self, low, high, size):
+        return np.resize(self.kinds, size)
+
+
+def _hit_positions(circ):
+    """(register position, settled) of each touched qubit after each gate, in draw order.
+
+    A qubit is settled after gate i when no later gate targets it; positions
+    are taken in first-touch order (control, then target).
+    """
+    position, out = {}, []
+    for i, g in enumerate(circ.gates):
+        touched = (g.control, g.target) if g.kind == "cry" else (g.target,)
+        for q in touched:
+            position.setdefault(q, len(position))
+        out += [(position[q], all(later.target != q for later in circ.gates[i + 1:])) for q in touched]
+    return out
+
+
+@pytest.fixture(params=["simpson3", "healthcare10-reversed"])
+def noisy_circuit(request, simpson3_entry, healthcare10_entry):
+    if request.param == "simpson3":
+        return compile_model(simpson3_entry.model)
+    return compile_model(_reversed_qubits(healthcare10_entry.model))
+
+
 class TestSharedHistories:
     """Shots with the same Pauli history share one state slot in a noisy batch."""
 
@@ -341,10 +416,48 @@ class TestSharedHistories:
             assert run_sampled(circ, 90, 2, NoiseSpec(p)).values.sum() == 90
             gate_rows = [rows for rows, _ in gate_shapes]
             assert gate_rows[0] == 1 and max(gate_rows) <= 40
-        # At p = 1 every shot has its own history (3^45 of them), so the
-        # last gate of each batch of 40, 40 and 10 shots sees one slot per shot.
+        # At p = 1 every shot is hit on every touched qubit after every gate.
+        # Before the last gate that makes 3^16 * 2^27 histories that get
+        # slots: any Pauli forks one of the 16 unsettled hits, while on the 27
+        # settled ones Z forks nothing and X and Y share a slot. So the last
+        # gate of each batch of 40, 40 and 10 shots sees one slot per shot.
         last = [len(circ.gates) * i - 1 for i in (1, 2, 3)]
         assert [gate_rows[i] for i in last] == [40, 40, 10]
+
+    # Once no later gate targets a qubit, a Z hit on it forks nothing and a Y
+    # hit forks as X. simpson3 has a prep target with later incoming CRYs (O)
+    # and a CRY target that the next CRY targets again (T); the reversed
+    # healthcare10 map puts register positions out of qubit order.
+
+    def test_z_hits_on_a_settled_qubit_fork_nothing(self, forks, noisy_circuit):
+        hits = _hit_positions(noisy_circuit)
+        counts = engine._trajectory_counts(noisy_circuit, 6, 1.0, _ScriptedRng([2]))
+        assert counts.sum() == 6
+        assert [pos for pos, *_ in forks] == [pos for pos, settled in hits if not settled]
+        assert 0 < len(forks) < len(hits)
+
+    def test_x_and_y_hits_from_one_slot_share_a_slot(self, forks, noisy_circuit):
+        rows = np.arange(9)
+        engine._trajectory_counts(noisy_circuit, rows.size, 1.0, _ScriptedRng([0, 1, 2]))
+        hits = _hit_positions(noisy_circuit)
+        assert [pos for pos, *_ in forks] == [pos for pos, _ in hits]
+        settled = [call for call, (_, quiet) in zip(forks, hits) if quiet]
+        assert settled
+        for _, hit, paulis, before, after in settled:
+            assert np.array_equal(hit, rows[rows % 3 != 2]) and not paulis.any()
+            for slot in np.unique(before[hit]):
+                assert np.unique(after[hit[before[hit] == slot]]).size == 1
+
+    def test_unsettled_positions_fork_every_pauli(self, forks, noisy_circuit):
+        rows = np.arange(9)
+        engine._trajectory_counts(noisy_circuit, rows.size, 1.0, _ScriptedRng([0, 1, 2]))
+        unsettled = [call for call, (_, quiet) in zip(forks, _hit_positions(noisy_circuit)) if not quiet]
+        assert unsettled
+        for _, hit, paulis, before, after in unsettled:
+            assert np.array_equal(hit, rows) and np.array_equal(paulis, rows % 3)
+            for slot in np.unique(before):
+                mine = before == slot
+                assert np.unique(after[mine]).size == np.unique(paulis[mine]).size
 
 
 def _reversed_qubits(model):
