@@ -241,15 +241,10 @@ def _fork(buf: np.ndarray, owner: np.ndarray, live: int, hit: np.ndarray, paulis
     return live + keys.size - freed.size
 
 
-def _touched_qubits(gate: Gate) -> tuple[int, ...]:
-    if gate.kind == "cry":
-        return (gate.control, gate.target)
-    return (gate.target,)
-
-
 def _apply_gate(states: np.ndarray, gate: Gate, pos: tuple[int, ...], fresh: bool) -> None:
-    # pos: the register positions of _touched_qubits(gate); fresh: the target
-    # half where its bit is 1 is all zero (see _plan).
+    # pos: the register positions of the gate's qubits (a CRY's control, then
+    # its target); fresh: the target half where its bit is 1 is all zero (see
+    # _plan).
     if gate.kind == "h":
         _apply_1q(states, pos[0], _H, fresh)
     elif gate.kind == "x":
@@ -270,8 +265,8 @@ def _plan(circ: Circuit) -> tuple[list[tuple[Gate, tuple[int, ...], int, tuple[b
     # A gate that places its target puts it on the top bit of its width, and no
     # entry past the previous width has been written, so that half is zero.
     # A qubit is settled after gate i when no later gate targets it. The two
-    # gate shapes are spelled out, in _touched_qubits order: every run_exact
-    # plans once, and on small circuits a generic per-gate loop shows.
+    # gate shapes are spelled out: every run_exact plans once, and on small
+    # circuits a generic per-gate loop shows.
     last_target = {gate.target: i for i, gate in enumerate(circ.gates)}
     position: dict[int, int] = {}
     steps = []

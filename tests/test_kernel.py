@@ -41,7 +41,6 @@ from qdo.engine import (
     _apply_pauli_rows,
     _plan,
     _ry_matrix,
-    _touched_qubits,
     trajectory_batch,
 )
 from conftest import chain_model
@@ -60,6 +59,11 @@ _PAULI = (
     np.array([[1, 0], [0, -1]], dtype=np.complex128),
 )
 ANGLE = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+
+
+def _touched_qubits(gate: Gate) -> tuple[int, ...]:
+    """The qubits a gate touches, as the engine orders them: a CRY's control, then its target."""
+    return (gate.control, gate.target) if gate.kind == "cry" else (gate.target,)
 
 
 def _rotation(theta: float) -> np.ndarray:
