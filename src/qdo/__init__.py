@@ -12,7 +12,7 @@ from .analysis import (
     stratified_effect,
 )
 from .catalog import CatalogEntry, healthcare10, simpson3
-from .circuit import Circuit, Gate, Tag, compile_model, format_circuit, surgered_circuit
+from .circuit import Circuit, Gate, compile_model, format_circuit, surgered_circuit
 from .engine import Distribution, NoiseSpec, marginal, run_exact, run_sampled, statevector
 from .experiments import DEFAULT_SEED, Report, RunConfig, causal_effect, run_experiment
 from .model import (
@@ -52,7 +52,6 @@ __all__ = [
     "Report",
     "RunConfig",
     "StratumEffect",
-    "Tag",
     "UNIFORM",
     "UndefinedConditionalError",
     "UnsupportedModelError",

@@ -1,8 +1,11 @@
 """Circuit intermediate representation and the model-to-circuit compiler.
 
-Every gate carries a provenance tag naming the model element it came from,
-which is what makes circuit surgery a pure tag filter: removing an edge's
-gates never requires guessing which rotations belonged to which causal link.
+A compiled circuit names the variable on each qubit (``Circuit.variables``),
+and every gate targets the qubit of the variable whose mechanism it realizes:
+the variable's prep (H or RY), the X of its forced value, or one CRY per
+incoming edge. So a link's child is ``variables[g.target]`` and its parent
+``variables[g.control]``, and circuit surgery on a variable drops exactly the
+gates that target its qubit.
 
 Control-on-zero is a first-class attribute of the CRY gate here; the
 three-gate X-wrapped realization is applied by the engine and by the expanded
@@ -19,19 +22,9 @@ from .model import CausalModel, Intervention, topological_order
 
 
 @dataclass(frozen=True)
-class Tag:
-    """Provenance: "prep"/"force" own a variable, "link" also names the parent."""
-
-    kind: str
-    variable: str
-    parent: str | None = None
-
-
-@dataclass(frozen=True)
 class Gate:
     kind: str  # "h" | "x" | "ry" | "cry"
     target: int
-    tag: Tag
     theta: float = 0.0
     control: int | None = None
     control_value: int | None = None
@@ -39,15 +32,27 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Gates over ``n_qubits``, each checked when the circuit is built (see ``_check_gate``)."""
+    """Gates over ``n_qubits``, each checked when the circuit is built (see ``_check_gate``).
+
+    ``variables[q]`` names the variable on qubit q. A compiled circuit names
+    every qubit; a hand-built one may leave ``variables`` empty, and then no
+    variable of it can be intervened on by circuit surgery.
+    """
 
     n_qubits: int
     gates: tuple[Gate, ...]
+    variables: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        n = self.n_qubits
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 0:
+            raise ValueError(f"n_qubits must be a non-negative integer, got {n!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
+        object.__setattr__(self, "variables", tuple(self.variables))
+        if self.variables and (len(self.variables) != n or len(set(self.variables)) != n):
+            raise ValueError(f"variables must name each of the {n} qubits exactly once, got {self.variables!r}")
         for g in self.gates:
-            _check_gate(g, self.n_qubits)
+            _check_gate(g, n)
 
 
 def _is_index(i, n: int) -> bool:
@@ -75,7 +80,8 @@ def compile_model(model: CausalModel) -> Circuit:
     Per variable: the forced X (intervened to 1) or the prep gate, then one CRY
     per incoming edge ordered by (parent qubit, control value). A negative-sign
     edge becomes a rotation by ``-angle``. Intervening to 0 emits nothing: the
-    qubit is already in the ground state.
+    qubit is already in the ground state. ``variables`` lists the model's
+    variable names in qubit order.
     """
     qubit = model.qubit_map()
     forced = {iv.variable: iv.value for iv in model.interventions}
@@ -84,65 +90,50 @@ def compile_model(model: CausalModel) -> Circuit:
         q = qubit[name]
         if name in forced:
             if forced[name] == 1:
-                gates.append(Gate("x", q, Tag("force", name)))
+                gates.append(Gate("x", q))
         else:
             prep = model.variable(name).prep
             if prep.kind == "uniform":
-                gates.append(Gate("h", q, Tag("prep", name)))
+                gates.append(Gate("h", q))
             elif prep.kind == "rotation":
-                gates.append(Gate("ry", q, Tag("prep", name), theta=prep.angle))
+                gates.append(Gate("ry", q, theta=prep.angle))
         incoming = sorted(model.incoming(name), key=lambda e: (qubit[e.parent], e.control_value))
         for e in incoming:
             gates.append(
-                Gate(
-                    "cry",
-                    q,
-                    Tag("link", name, parent=e.parent),
-                    theta=e.sign * e.angle,
-                    control=qubit[e.parent],
-                    control_value=e.control_value,
-                )
+                Gate("cry", q, theta=e.sign * e.angle, control=qubit[e.parent], control_value=e.control_value)
             )
-    return Circuit(model.n_qubits, tuple(gates))
+    return Circuit(model.n_qubits, tuple(gates), tuple(sorted(qubit, key=qubit.__getitem__)))
 
 
 def surgered_circuit(circ: Circuit, iv: Intervention) -> Circuit:
-    """Circuit-level intervention: drop every gate feeding the variable.
+    """Circuit-level intervention: drop every gate that targets the variable's qubit.
 
-    Removes gates tagged as links into ``iv.variable`` and its prep gate; when
-    the forced value is 1 an X gate is placed where the prep was (or at the
-    start if there was none). Returns a new circuit; the input is unmodified.
+    The qubit is found by name in ``circ.variables``, so do()s on distinct
+    variables chain in any order. When the forced value is 1 an X gate takes
+    the place of the qubit's prep (its one non-CRY gate), or goes first if it
+    had none. A qubit that already carries an X is refused as already forced.
+    Returns a new circuit; the input is unmodified.
     """
-    if iv.value not in (0, 1):
-        raise ValueError(f"intervention value must be 0 or 1, got {iv.value!r}")
-    var = iv.variable
-    target = None
-    for g in circ.gates:
-        t = g.tag
-        if t.variable == var:
-            if t.kind == "force":
-                raise ValueError(f"variable {var!r} is already forced in this circuit")
-            target = g.target
-        elif t.kind == "link" and t.parent == var and target is None:
-            target = g.control
-    if target is None:
-        raise ValueError(f"variable {var!r} does not appear in any circuit tag")
+    var, value = iv.variable, iv.value
+    if isinstance(value, bool) or value not in (0, 1):
+        raise ValueError(f"intervention value must be 0 or 1, got {value!r}")
+    if var not in circ.variables:
+        raise ValueError(f"variable {var!r} is not one of this circuit's variables {circ.variables!r}")
+    q = circ.variables.index(var)
 
     out: list[Gate] = []
-    had_prep = False
+    placed = value == 0  # a value-0 do() places no X
     for g in circ.gates:
-        t = g.tag
-        if t.kind == "link" and t.variable == var:
-            continue
-        if t.kind == "prep" and t.variable == var:
-            if iv.value == 1:
-                out.append(Gate("x", g.target, Tag("force", var)))
-            had_prep = True
-            continue
-        out.append(g)
-    if iv.value == 1 and not had_prep:
-        out.insert(0, Gate("x", target, Tag("force", var)))
-    return Circuit(circ.n_qubits, tuple(out))
+        if g.target != q:
+            out.append(g)
+        elif g.kind == "x":
+            raise ValueError(f"variable {var!r} is already forced in this circuit")
+        elif g.kind != "cry" and not placed:
+            out.append(Gate("x", q))
+            placed = True
+    if not placed:
+        out.insert(0, Gate("x", q))
+    return Circuit(circ.n_qubits, tuple(out), circ.variables)
 
 
 def format_circuit(circ: Circuit, expanded: bool = False) -> str:

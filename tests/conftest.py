@@ -66,16 +66,8 @@ def chain_model(n: int) -> CausalModel:
 
 
 def random_intervention(rng: np.random.Generator, model: CausalModel) -> Intervention:
-    """Random target honoring circuit surgery's precondition.
-
-    A ground-prep variable with no incident edges compiles to no gates and no
-    tags, so circuit-level surgery cannot place the forcing X for it; such
-    variables are only eligible for a value-0 intervention (a no-op circuit
-    edit). Variables with any tag presence are preferred.
-    """
-    touched = {v.name for v in model.variables if v.prep.kind != "ground"}
-    touched |= {e.parent for e in model.edges} | {e.child for e in model.edges}
-    names = sorted(touched)
+    """do() on a uniformly drawn variable of ``model``, to a random value; any variable qualifies."""
+    names = sorted(v.name for v in model.variables)
     name = names[int(rng.integers(0, len(names)))]
     return Intervention(name, int(rng.integers(0, 2)))
 

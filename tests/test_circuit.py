@@ -1,4 +1,4 @@
-"""Compiler output, gate checks, circuit surgery, provenance tags, and the text export."""
+"""Compiler output, circuit checks, circuit surgery, the qubit-to-variable record, and the text export."""
 
 import math
 
@@ -18,46 +18,55 @@ from qdo import (
     run_exact,
     surgered_circuit,
 )
-from qdo.circuit import Circuit, Gate, Tag
-
-
-_T = Tag("prep", "A")
+from qdo.circuit import Circuit, Gate
 
 
 def _cry(control, control_value, target=1, theta=0.5):
-    return Gate("cry", target, _T, theta=theta, control=control, control_value=control_value)
+    return Gate("cry", target, theta=theta, control=control, control_value=control_value)
 
 
 class TestGateChecks:
-    """A circuit checks its gates when built, so no engine call sees a bad one."""
+    """A circuit checks itself when built, so no engine call sees a bad one."""
 
-    @pytest.mark.parametrize("gate, message", [
-        (Gate("z", 0, _T), "unknown gate kind"),
-        (Gate("x", 2, _T), "out of range"),
-        (Gate("x", -1, _T), "out of range"),
-        (Gate("x", True, _T), "out of range"),
-        (_cry(2, 1), "out of range"),
-        (_cry(None, 1), "out of range"),
-        (_cry(False, 1), "out of range"),
-        (_cry(0, 1, target=2), "out of range"),
-        (_cry(1, 1), "control equals target"),
-        (_cry(0, None), "control_value"),
-        (_cry(0, -1), "control_value"),
-        (_cry(0, 2), "control_value"),
-        (_cry(0, True), "control_value"),
-        (Gate("ry", 0, _T, theta=math.nan), "non-finite"),
-        (Gate("ry", 0, _T, theta=math.inf), "non-finite"),
-        (_cry(0, 1, theta=math.nan), "non-finite"),
-        (_cry(0, 1, theta=-math.inf), "non-finite"),
+    @pytest.mark.parametrize("args, message", [
+        ((2, (Gate("z", 0),)), "unknown gate kind"),
+        ((2, (Gate("x", 2),)), "out of range"),
+        ((2, (Gate("x", -1),)), "out of range"),
+        ((2, (Gate("x", True),)), "out of range"),
+        ((2, (_cry(2, 1),)), "out of range"),
+        ((2, (_cry(None, 1),)), "out of range"),
+        ((2, (_cry(False, 1),)), "out of range"),
+        ((2, (_cry(0, 1, target=2),)), "out of range"),
+        ((2, (_cry(1, 1),)), "control equals target"),
+        ((2, (_cry(0, None),)), "control_value"),
+        ((2, (_cry(0, -1),)), "control_value"),
+        ((2, (_cry(0, 2),)), "control_value"),
+        ((2, (_cry(0, True),)), "control_value"),
+        ((2, (Gate("ry", 0, theta=math.nan),)), "non-finite"),
+        ((2, (Gate("ry", 0, theta=math.inf),)), "non-finite"),
+        ((2, (_cry(0, 1, theta=math.nan),)), "non-finite"),
+        ((2, (_cry(0, 1, theta=-math.inf),)), "non-finite"),
+        ((True, ()), "n_qubits"),
+        ((-1, ()), "n_qubits"),
+        ((1.5, ()), "n_qubits"),
+        ((2, (), ("A",)), "exactly once"),
+        ((2, (), ("A", "A")), "exactly once"),
+        ((2, (), ("A", "B", "C")), "exactly once"),
     ], ids=[
         "unknown-kind", "target-high", "target-negative", "target-bool",
         "control-high", "control-none", "control-bool", "cry-target-high", "control-is-target",
         "control-value-none", "control-value-neg", "control-value-2", "control-value-bool",
         "ry-nan", "ry-inf", "cry-nan", "cry-neg-inf",
+        "n-qubits-bool", "n-qubits-negative", "n-qubits-float",
+        "variables-short", "variables-repeated", "variables-long",
     ])
-    def test_malformed_gate_rejected_at_construction(self, gate, message):
+    def test_malformed_gate_rejected_at_construction(self, args, message):
         with pytest.raises(ValueError, match=message):
-            Circuit(2, (gate,))
+            Circuit(*args)
+
+    @pytest.mark.parametrize("n", [0, np.int64(2)])
+    def test_zero_and_numpy_qubit_counts_accepted(self, n):
+        assert Circuit(n, ()).n_qubits == n
 
 
 def _gate_sig(g: Gate):
@@ -76,14 +85,7 @@ class TestCompile:
             ("cry", 2, 0, 1, 1.0),
             ("cry", 2, 1, 1, 0.6),
         ]
-        assert [g.tag for g in circ.gates] == [
-            Tag("prep", "G"),
-            Tag("link", "T", "G"),
-            Tag("link", "T", "G"),
-            Tag("prep", "O"),
-            Tag("link", "O", "G"),
-            Tag("link", "O", "T"),
-        ]
+        assert circ.variables == ("G", "T", "O")
 
     def test_ground_variable_compiles_to_nothing(self):
         m = CausalModel("empty", (Variable("X", 0),), ())
@@ -98,12 +100,13 @@ class TestCompile:
             ("cry", 2, 0, 1, 1.0),
             ("cry", 2, 1, 1, 0.6),
         ]
-        assert circ.gates[1].tag == Tag("force", "T")
-        assert not any(g.tag == Tag("link", "T", "G") for g in circ.gates)
+        assert circ.variables[circ.gates[1].target] == "T"
+        assert not any(g.kind == "cry" and g.target == 1 for g in circ.gates)
 
     def test_intervened_to_zero_emits_nothing(self, simpson3_entry):
         circ = compile_model(apply_do(simpson3_entry.model, Intervention("T", 0)))
-        assert all(g.tag.variable != "T" for g in circ.gates)
+        assert circ.variables[1] == "T"
+        assert all(g.target != 1 for g in circ.gates)
 
     def test_negative_sign_lowers_to_negative_angle(self):
         m = CausalModel(
@@ -133,13 +136,22 @@ class TestCompile:
         assert format_circuit(a) == format_circuit(b)
 
     def test_prep_and_force_tags_exclusive(self, healthcare10_entry):
+        # At most one non-CRY gate (the prep or the forced X) per target qubit.
         for iv in (Intervention("Treatment", 0), Intervention("Treatment", 1)):
             circ = compile_model(apply_do(healthcare10_entry.model, iv))
-            by_var = {}
-            for g in circ.gates:
-                if g.tag.kind in ("prep", "force"):
-                    by_var.setdefault(g.tag.variable, set()).add(g.tag.kind)
-            assert all(len(kinds) == 1 for kinds in by_var.values())
+            targets = [g.target for g in circ.gates if g.kind != "cry"]
+            assert len(targets) == len(set(targets))
+
+    def test_variables_in_qubit_order(self, healthcare10_entry):
+        # healthcare10's names are not in qubit order, so name order would fail.
+        m = healthcare10_entry.model
+        circ = compile_model(m)
+        assert circ.variables != tuple(sorted(circ.variables))
+        assert {name: circ.variables.index(name) for name in circ.variables} == m.qubit_map()
+        for g in circ.gates:
+            if g.kind == "cry":
+                child, parent = circ.variables[g.target], circ.variables[g.control]
+                assert any(e.parent == parent and e.control_value == g.control_value for e in m.incoming(child))
 
 
 class TestSurgery:
@@ -155,17 +167,18 @@ class TestSurgery:
     def test_removes_link_gates_and_inserts_x(self, simpson3_entry):
         circ = compile_model(simpson3_entry.model)
         cut = surgered_circuit(circ, Intervention("T", 1))
-        assert not any(g.tag.kind == "link" and g.tag.variable == "T" for g in cut.gates)
-        forced = [g for g in cut.gates if g.tag == Tag("force", "T")]
-        assert len(forced) == 1 and forced[0].kind == "x" and forced[0].target == 1
+        assert cut.variables == circ.variables and circ.variables[1] == "T"
+        on_t = [g for g in cut.gates if g.target == 1]
+        assert len(on_t) == 1 and on_t[0].kind == "x"
 
     def test_value_zero_inserts_no_x(self, healthcare10_entry):
         circ = compile_model(healthcare10_entry.model)
-        links_in = sum(1 for g in circ.gates if g.tag.kind == "link" and g.tag.variable == "Treatment")
+        q = circ.variables.index("Treatment")
+        links_in = sum(1 for g in circ.gates if g.kind == "cry" and g.target == q)
         assert links_in == 3
         cut = surgered_circuit(circ, Intervention("Treatment", 0))
         assert len(cut.gates) == len(circ.gates) - links_in - 1  # links + the prep RY
-        assert not any(g.tag.variable == "Treatment" and g.tag.kind != "link" for g in cut.gates)
+        assert not any(g.target == q for g in cut.gates)
 
     def test_untouched_variable_surgery_is_identity(self):
         # Ground prep, no incoming links, value 0: nothing to remove or insert.
@@ -176,15 +189,19 @@ class TestSurgery:
     def test_replaces_prep_in_place(self, simpson3_entry):
         circ = compile_model(simpson3_entry.model)
         cut = surgered_circuit(circ, Intervention("O", 1))
-        kinds = [(g.kind, g.tag.kind, g.tag.variable) for g in cut.gates]
         # The X lands where O's prep RY was: after the gates of G and T.
-        assert kinds[-1] == ("x", "force", "O")
-        assert len(cut.gates) == 4
+        assert (cut.gates[-1].kind, cut.variables[cut.gates[-1].target]) == ("x", "O")
+        assert cut.gates[:-1] == circ.gates[:3]
 
     def test_unknown_variable_rejected(self, simpson3_entry):
         circ = compile_model(simpson3_entry.model)
-        with pytest.raises(ValueError, match="does not appear"):
+        with pytest.raises(ValueError, match="'Z' is not one of this circuit's variables"):
             surgered_circuit(circ, Intervention("Z", 1))
+
+    def test_hand_built_circuit_names_no_variable(self):
+        circ = Circuit(1, (Gate("h", 0),))
+        with pytest.raises(ValueError, match="'A' is not one of this circuit's variables"):
+            surgered_circuit(circ, Intervention("A", 1))
 
     def test_double_force_rejected(self, simpson3_entry):
         circ = compile_model(apply_do(simpson3_entry.model, Intervention("T", 1)))

@@ -32,28 +32,26 @@ from qdo import (
     run_sampled,
     statevector,
 )
-from qdo.circuit import Circuit, Gate, Tag
+from qdo.circuit import Circuit, Gate
 from qdo import engine
 from qdo.engine import MAX_STATE_BYTES, check_state_size, draw_counts, draw_shots, trajectory_batch
 from conftest import chain_model, make_random_model
 
-_T = Tag("prep", "x")
-
 
 def _h(q):
-    return Gate("h", q, _T)
+    return Gate("h", q)
 
 
 def _x(q):
-    return Gate("x", q, _T)
+    return Gate("x", q)
 
 
 def _ry(q, theta):
-    return Gate("ry", q, _T, theta=theta)
+    return Gate("ry", q, theta=theta)
 
 
 def _cry(control, control_value, target, theta):
-    return Gate("cry", target, _T, theta=theta, control=control, control_value=control_value)
+    return Gate("cry", target, theta=theta, control=control, control_value=control_value)
 
 
 class TestExactGates:

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 from qdo import Intervention, NoiseSpec, compile_model, run_exact, run_sampled, statevector
 from qdo import engine
-from qdo.circuit import Circuit, Gate, Tag, surgered_circuit
+from qdo.circuit import Circuit, Gate, surgered_circuit
 from qdo.engine import (
     _apply_1q,
     _apply_cry,
@@ -47,7 +47,6 @@ from conftest import chain_model
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
-_T = Tag("prep", "x")
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _FIXED = {
     "h": np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=np.complex128),
@@ -99,11 +98,11 @@ def gates(draw, n: int) -> Gate:
     kind = draw(st.sampled_from(kinds))
     target = draw(st.integers(0, n - 1))
     if kind in _FIXED:
-        return Gate(kind, target, _T)
+        return Gate(kind, target)
     if kind == "ry":
-        return Gate("ry", target, _T, theta=draw(ANGLE))
+        return Gate("ry", target, theta=draw(ANGLE))
     control = draw(st.sampled_from([q for q in range(n) if q != target]))
-    return Gate("cry", target, _T, theta=draw(ANGLE), control=control, control_value=draw(st.integers(0, 1)))
+    return Gate("cry", target, theta=draw(ANGLE), control=control, control_value=draw(st.integers(0, 1)))
 
 
 @st.composite
@@ -176,17 +175,17 @@ def _assert_equals_full_width(circ: Circuit) -> None:
 
 
 def _cry(control: int, control_value: int, target: int, theta: float) -> Gate:
-    return Gate("cry", target, _T, theta=theta, control=control, control_value=control_value)
+    return Gate("cry", target, theta=theta, control=control, control_value=control_value)
 
 
 @pytest.mark.parametrize(
     "circ",
     [
         # q1 and q3 are never touched.
-        Circuit(4, (Gate("h", 2, _T), _cry(2, 1, 0, 1.1), Gate("ry", 0, _T, theta=-0.4))),
+        Circuit(4, (Gate("h", 2), _cry(2, 1, 0, 1.1), Gate("ry", 0, theta=-0.4))),
         # q2 is first touched as the control of a CRY: a ground parent.
-        Circuit(3, (Gate("ry", 0, _T, theta=0.8), _cry(2, 0, 1, 1.3), _cry(1, 1, 0, -2.1))),
-        Circuit(3, (Gate("ry", 0, _T, theta=0.8), _cry(2, 1, 1, 1.3), _cry(1, 1, 0, -2.1))),
+        Circuit(3, (Gate("ry", 0, theta=0.8), _cry(2, 0, 1, 1.3), _cry(1, 1, 0, -2.1))),
+        Circuit(3, (Gate("ry", 0, theta=0.8), _cry(2, 1, 1, 1.3), _cry(1, 1, 0, -2.1))),
         Circuit(3, ()),
     ],
     ids=["untouched-qubits", "ground-parent-on-0", "ground-parent-on-1", "no-gates"],
@@ -204,7 +203,7 @@ def test_surgery_x_at_the_start_equals_full_width():
 
 def _relabelled(gate: Gate, label) -> Gate:
     control = None if gate.control is None else label[gate.control]
-    return Gate(gate.kind, label[gate.target], gate.tag, gate.theta, control, gate.control_value)
+    return Gate(gate.kind, label[gate.target], gate.theta, control, gate.control_value)
 
 
 @PROPERTY
@@ -232,7 +231,7 @@ def first_touch_circuits(draw) -> Circuit:
 
     def one_qubit(target):
         kind = draw(st.sampled_from(["x", "h", "ry"]))
-        return Gate(kind, target, _T, theta=draw(ANGLE)) if kind == "ry" else Gate(kind, target, _T)
+        return Gate(kind, target, theta=draw(ANGLE)) if kind == "ry" else Gate(kind, target)
 
     def on_touched(k):
         # The newest qubit, a low one or any: the widest pair updates pair a
@@ -255,7 +254,7 @@ def first_touch_circuits(draw) -> Circuit:
             out.append(cry(k, k + 1))
             k += 1
         elif how in ("x", "h", "ry"):
-            out.append(Gate(how, k, _T, theta=draw(ANGLE)) if how == "ry" else Gate(how, k, _T))
+            out.append(Gate(how, k, theta=draw(ANGLE)) if how == "ry" else Gate(how, k))
         else:
             out.append(one_qubit(k))
         k += 1

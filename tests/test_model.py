@@ -15,7 +15,9 @@ from qdo import (
     Prep,
     Variable,
     apply_do,
+    compile_model,
     load_model,
+    surgered_circuit,
     topological_order,
     validate,
 )
@@ -83,6 +85,8 @@ class TestValidate:
             CausalModel("m", m.variables, (), (Intervention("B", value),))
         with pytest.raises(ModelError, match="intervention 'B': value must be 0 or 1"):
             apply_do(m, Intervention("B", value))
+        with pytest.raises(ValueError, match="intervention value must be 0 or 1"):
+            surgered_circuit(compile_model(m), Intervention("B", value))
 
     # Wrongly typed fields are violations like any other: building the model
     # raises ModelError, never the AttributeError or TypeError of a check.
