@@ -43,7 +43,10 @@ batch would exceed ``MAX_STATE_BYTES``; results are deterministic for a fixed
 (circuit, shots, seed, noise). Shots that share a Pauli history share one
 state: a batch starts with one slot, the all-zeros state, and a hit only forks
 a new slot per distinct (old slot, Pauli), so the work scales with the
-distinct histories, not with the shots. A batch is measured in place: its
+distinct histories, not with the shots. A fork reads the state of every new
+slot before it writes any, so a slot whose shots were all hit is refilled by
+whichever new slot comes first; a shot's outcome depends on its slot's
+contents, never on the slot's index. A batch is measured in place: its
 slots are squared, normalized and cumulated in the same array, and each
 shot's outcome is a binary search of its slot, so peak memory stays about one
 batch.
@@ -196,47 +199,30 @@ def _apply_cry(states: np.ndarray, control: int, control_value: int, target: int
     _pair_update(a0, a1, _ry_matrix(theta), fresh)
 
 
-def _apply_pauli_rows(states: np.ndarray, rows: np.ndarray, qubit: int, pauli: int, dest: np.ndarray) -> None:
-    # pauli: 0 = X, 1 = Y (up to its global phase i), 2 = Z. Sets states[dest]
-    # to the Pauli times states[rows].
-    sub = states[rows]
-    m = sub.reshape(sub.shape[0], -1, 2, 1 << qubit)
-    if pauli == 2:
-        m[:, :, 1, :] *= -1.0
-    else:
-        a0 = m[:, :, 0, :].copy()
-        m[:, :, 0, :] = m[:, :, 1, :]
-        m[:, :, 1, :] = a0
-        if pauli == 1:
-            m[:, :, 0, :] *= -1.0
-    states[dest] = sub
-
-
 def _fork(buf: np.ndarray, owner: np.ndarray, live: int, hit: np.ndarray, paulis: np.ndarray, qubit: int) -> int:
-    # Move each hit row to a slot holding its old slot's state times its Pauli;
-    # hit rows with the same key (old slot, Pauli) share one slot. A slot that
-    # lost every row is taken over in place by its last key, the other keys
-    # go onto the end, so buf[:live] stays dense. Returns the new live count.
-    key = owner[hit] * 3 + paulis
+    # Move each hit row to a slot holding its old slot's state times its Pauli
+    # (0 = X, 1 = Y up to its global phase i, 2 = Z); hit rows with the same
+    # key (Pauli, old slot) share one slot. Every key's state is read before
+    # any slot is written, so a slot that lost every row can take any key:
+    # the freed slots take the first keys, the rest go onto the end, and
+    # buf[:live] stays dense. Returns the new live count.
+    key = paulis * live + owner[hit]
     per_key = np.bincount(key, minlength=3 * live)
     present = per_key > 0
-    keys = present.nonzero()[0]  # sorted, as np.unique(key) would give
+    keys = present.nonzero()[0]  # sorted, as np.unique(key) would give: X, then Y, then Z
     rank = np.cumsum(present) - 1  # rank[k]: index in keys of the last key <= k
-    lost_all = per_key.reshape(live, 3).sum(axis=1) == np.bincount(owner, minlength=live)
-    freed = lost_all.nonzero()[0]
-    reuse = rank[3 * freed + 2]  # a freed slot had rows, so its last key is its own
-    moved = np.ones(keys.size, dtype=bool)
-    moved[reuse] = False
-    dest = np.cumsum(moved) + (live - 1)
-    dest[reuse] = freed
-    slots, kinds = np.divmod(keys, 3)
-    # Kinds run in ascending order and a slot is rewritten only by its last
-    # key, so every copy of a slot is read before the slot changes.
-    for p in (0, 1, 2):
-        sel = kinds == p
-        rows = slots[sel]
-        if rows.size:
-            _apply_pauli_rows(buf, rows, qubit, p, dest[sel])
+    lost_all = per_key.reshape(3, live).sum(axis=0) == np.bincount(owner, minlength=live)
+    freed = lost_all.nonzero()[0]  # a freed slot had rows, so keys.size >= freed.size
+    dest = np.concatenate((freed, np.arange(live, live + keys.size - freed.size)))
+    kinds, slots = np.divmod(keys, live)
+    y, z = np.searchsorted(kinds, (1, 2))
+    pairs = buf.reshape(len(buf), -1, 2, 1 << qubit)
+    flipped = pairs[slots[:z], :, ::-1]  # X: (a0, a1) -> (a1, a0)
+    flipped[y:, :, 0] *= -1.0  # Y: (a0, a1) -> (-a1, a0)
+    kept = pairs[slots[z:]]
+    kept[:, :, 1] *= -1.0  # Z: (a0, a1) -> (a0, -a1)
+    pairs[dest[:z]] = flipped
+    pairs[dest[z:]] = kept
     owner[hit] = dest[rank[key]]
     return live + keys.size - freed.size
 

@@ -272,11 +272,12 @@ def apply_do(model: CausalModel, iv: Intervention) -> CausalModel:
 # Angles are radians. Unknown fields are rejected.
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+def _require_keys(obj: dict, keys: set[str], where: str) -> None:
+    # Every field is required: unknown fields are reported first, then missing ones.
+    unknown = set(obj) - keys
     if unknown:
         raise ModelError(f"{where}: unknown field(s) {', '.join(sorted(unknown))}")
-    missing = required - set(obj)
+    missing = keys - set(obj)
     if missing:
         raise ModelError(f"{where}: missing field(s) {', '.join(sorted(missing))}")
 
@@ -299,7 +300,7 @@ def _prep_from_json(value, where: str) -> Prep:
     if value == "uniform":
         return UNIFORM
     if isinstance(value, dict):
-        _require_keys(value, {"rotation"}, {"rotation"}, where)
+        _require_keys(value, {"rotation"}, where)
         return Prep.rotation(_as_angle(value["rotation"], f"{where}.rotation"))
     raise ModelError(f'{where}: expected "ground", "uniform" or {{"rotation": angle}}, got {value!r}')
 
@@ -308,7 +309,7 @@ def model_from_dict(data: dict) -> CausalModel:
     """Parse the JSON model format; rejects unknown fields with a field path."""
     if not isinstance(data, dict):
         raise ModelError(f"model: expected an object, got {type(data).__name__}")
-    _require_keys(data, {"name", "variables", "edges"}, {"name", "variables", "edges"}, "model")
+    _require_keys(data, {"name", "variables", "edges"}, "model")
     if not isinstance(data["name"], str):
         raise ModelError("model.name: expected a string")
     if not isinstance(data["variables"], list) or not isinstance(data["edges"], list):
@@ -319,7 +320,7 @@ def model_from_dict(data: dict) -> CausalModel:
         where = f"variables[{i}]"
         if not isinstance(v, dict):
             raise ModelError(f"{where}: expected an object")
-        _require_keys(v, {"name", "qubit", "prep"}, {"name", "qubit", "prep"}, where)
+        _require_keys(v, {"name", "qubit", "prep"}, where)
         if not isinstance(v["name"], str):
             raise ModelError(f"{where}.name: expected a string")
         if isinstance(v["qubit"], bool) or not isinstance(v["qubit"], int) or v["qubit"] < 0:
@@ -333,10 +334,7 @@ def model_from_dict(data: dict) -> CausalModel:
         where = f"edges[{i}]"
         if not isinstance(e, dict):
             raise ModelError(f"{where}: expected an object")
-        _require_keys(
-            e, {"parent", "child", "control_value", "angle", "sign"},
-            {"parent", "child", "control_value", "angle", "sign"}, where,
-        )
+        _require_keys(e, {"parent", "child", "control_value", "angle", "sign"}, where)
         if not isinstance(e["parent"], str) or not isinstance(e["child"], str):
             raise ModelError(f"{where}: parent and child must be strings")
         sign = e["sign"]

@@ -80,15 +80,22 @@ class TestCondProb:
         assert cond_prob(dist, qmap, Query(("T", 1))) == pytest.approx(expected, abs=1e-10)
 
     def test_zero_mass_condition_raises_naming_it(self):
-        m = CausalModel("flat", (Variable("A", 0), Variable("B", 1)), ())
+        m = CausalModel("flat", tuple(Variable(name, q) for q, name in enumerate("ABCD")), ())
         dist = run_exact(compile_model(m))
         with pytest.raises(UndefinedConditionalError, match="A=1"):
             cond_prob(dist, m.qubit_map(), Query(("B", 1), (("A", 1),)))
+        # Given a zero-mass condition, no cell of an adjustment has mass either.
+        with pytest.raises(UndefinedConditionalError, match="^adjustment set D has no mass in any cell$"):
+            adjusted_effect(dist, m.qubit_map(), "B", "C", ("D",), given=(("A", 1),))
 
     def test_unknown_variable_rejected(self, obs3):
         dist, qmap = obs3
         with pytest.raises(ModelError, match="unknown variable"):
             cond_prob(dist, qmap, Query(("Z", 1)))
+        # A known variable with a bit other than 0 or 1 is refused as well.
+        for bit in (2, -1):
+            with pytest.raises(ValueError, match=f"^variable 'G': value must be 0 or 1, got {bit}$"):
+                cond_prob(dist, qmap, Query(("O", 1), (("G", bit),)))
 
     # A variable named twice in one event: the same bit counts once, both bits
     # hold nowhere. A reader where the last bit named wins fails the conflicts.

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdo import save_model
+from qdo import Intervention, apply_do, compile_model, format_circuit, save_model, simpson3
 from qdo.cli import main
 from conftest import chain_model, make_random_model
 
@@ -204,6 +204,19 @@ class TestRunCommand:
         assert run_cli("run", str(MODELS / "simpson3.json"), "--print-circuit", "--expanded") == 0
         out = capsys.readouterr().out
         assert "X q0\nCRY q0=1 q1 2.400000\nX q0" in out
+
+    @pytest.mark.parametrize("expanded", [False, True])
+    def test_print_circuit_on_an_effect_command(self, capsys, expanded):
+        # The observational, do(T=1) and do(T=0) circuits, then the usual table.
+        assert run_cli("simpson3", "--backend", "exact") == 0
+        table = capsys.readouterr().out
+        flags = ("--print-circuit",) + (("--expanded",) if expanded else ())
+        assert run_cli("simpson3", "--backend", "exact", *flags) == 0
+        out = capsys.readouterr().out
+        model = simpson3().model
+        circuits = [compile_model(model)] + [compile_model(apply_do(model, Intervention("T", v))) for v in (1, 0)]
+        assert out == "".join(format_circuit(c, expanded=expanded) + "\n" for c in circuits) + table
+        assert ("X q0\nCRY q0=1 q1 2.400000\nX q0" in out) == expanded
 
 
 class TestValidateCommand:

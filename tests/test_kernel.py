@@ -3,8 +3,8 @@
 The engine stores float64 amplitudes. H, X, RY and CRY are real, and Pauli Y
 is i times a real matrix, so every trajectory row is i^k times a real vector
 and only |amplitude|^2 is observable. The claim pinned here is stronger than
-closeness: |amplitude|^2 from ``statevector`` and from the Pauli-row kernel
-equals, bit for bit, that of a plain complex128 kernel applying the same
+closeness: |amplitude|^2 from ``statevector`` and from the noisy sampler's
+fork equals, bit for bit, that of a plain complex128 kernel applying the same
 per-element operations (a real scalar times a complex number has no cross
 terms, and hypot(x, 0) == |x|).
 
@@ -38,7 +38,7 @@ from qdo.engine import (
     _apply_1q,
     _apply_cry,
     _apply_gate,
-    _apply_pauli_rows,
+    _fork,
     _plan,
     _ry_matrix,
     trajectory_batch,
@@ -113,13 +113,15 @@ def circuits(draw) -> Circuit:
 
 @st.composite
 def noisy_programs(draw):
-    """(n, rows, steps): each step is a gate on every row or a Pauli on some rows."""
+    """(n, rows, steps): each step is a gate on every row or Paulis on some rows.
+
+    A Pauli step is (qubit, {row: Pauli}): 0 = X, 1 = Y, 2 = Z.
+    """
     n = draw(st.integers(1, 8))
     rows = draw(st.integers(1, 4))
     pauli = st.tuples(
         st.integers(0, n - 1),
-        st.integers(0, 2),
-        st.sets(st.integers(0, rows - 1), min_size=1).map(sorted),
+        st.dictionaries(st.integers(0, rows - 1), st.integers(0, 2), min_size=1),
     )
     steps = draw(st.lists(st.one_of(gates(n), pauli), min_size=1, max_size=40))
     return n, rows, steps
@@ -139,10 +141,13 @@ def test_statevector_probabilities_equal_complex_reference(circ):
 
 @PROPERTY
 @given(noisy_programs())
-def test_pauli_row_kernel_equals_complex_reference(program):
+def test_fork_equals_complex_reference(program):
+    # One slot per row: every hit frees its row's slot, and the fork hands the
+    # freed slots to the keys in key order, so rows move between slots.
     n, rows, steps = program
     states = np.zeros((rows, 1 << n))
     states[:, 0] = 1.0
+    owner = np.arange(rows)
     ref = np.zeros((rows, 1 << n), dtype=np.complex128)
     ref[:, 0] = 1.0
     for step in steps:
@@ -151,12 +156,13 @@ def test_pauli_row_kernel_equals_complex_reference(program):
             for psi in ref:
                 _ref_gate(psi, step)
         else:
-            qubit, pauli, hit = step
-            rows = np.array(hit)
-            _apply_pauli_rows(states, rows, qubit, pauli, rows)
+            qubit, paulis = step
+            hit = np.array(sorted(paulis))
+            assert _fork(states, owner, rows, hit, np.array([paulis[r] for r in hit]), qubit) == rows
             for r in hit:
-                _ref_apply(ref[r], _PAULI[pauli], qubit)
-    assert np.array_equal(np.square(states), np.abs(ref) ** 2)
+                _ref_apply(ref[r], _PAULI[paulis[r]], qubit)
+    assert sorted(owner) == list(range(rows))
+    assert np.array_equal(np.square(states[owner]), np.abs(ref) ** 2)
 
 
 def _full_width_statevector(circ: Circuit) -> np.ndarray:
@@ -328,6 +334,15 @@ def test_kernel_writes_through_a_strided_view(apply):
     assert np.array_equal(buf[:, 2048:], before[:, 2048:]) and np.array_equal(buf[3:], before[3:])
 
 
+def _real_paulis(states: np.ndarray, rows: np.ndarray, qubit: int, paulis: np.ndarray) -> None:
+    """states[rows[i]] <- Pauli paulis[i] on ``qubit``: X, Y without its global phase i, or Z."""
+    m = states.reshape(states.shape[0], -1, 2, 1 << qubit)
+    a0, a1 = m[rows, :, 0], m[rows, :, 1]
+    y, z = (paulis[:, None, None] == k for k in (1, 2))
+    m[rows, :, 0] = np.where(z, a0, np.where(y, -a1, a1))
+    m[rows, :, 1] = np.where(z, -a1, a0)
+
+
 def _one_row_per_shot(circ: Circuit, shots: int, seed: int, p_depol: float) -> np.ndarray:
     """Noisy counts with every shot evolved as its own row of the batch."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
@@ -345,11 +360,7 @@ def _one_row_per_shot(circ: Circuit, shots: int, seed: int, p_depol: float) -> n
                 hit = np.nonzero(rng.random(batch) < p_depol)[0]
                 if hit.size == 0:
                     continue
-                paulis = rng.integers(0, 3, size=hit.size)
-                for p in (0, 1, 2):
-                    rows = hit[paulis == p]
-                    if rows.size:
-                        _apply_pauli_rows(states, rows, q, p, rows)
+                _real_paulis(states, hit, q, rng.integers(0, 3, size=hit.size))
         probs = np.square(states)
         probs /= probs.sum(axis=1, keepdims=True)
         np.cumsum(probs, axis=1, out=probs)

@@ -1,7 +1,9 @@
 """Model validation at construction, topological ordering, graph surgery, and the JSON format."""
 
+import functools
 import json
 import math
+import operator
 
 import pytest
 
@@ -279,6 +281,34 @@ class TestJsonFormat:
         data["edges"][0]["control_value"] = True
         with pytest.raises(ModelError, match="control_value"):
             model_from_dict(data)
+
+    @pytest.mark.parametrize("keys, value, message", [
+        ((), [], "model: expected an object, got list"),
+        (("variables", 0), "A", "variables[0]: expected an object"),
+        (("edges", 0), 1, "edges[0]: expected an object"),
+        (("name",), 3, "model.name: expected a string"),
+        (("variables", 0, "name"), None, "variables[0].name: expected a string"),
+        (("edges", 0, "parent"), 0, "edges[0]: parent and child must be strings"),
+        (("edges", 0, "child"), ["B"], "edges[0]: parent and child must be strings"),
+        (("variables",), {}, "model.variables and model.edges: expected arrays"),
+        (("edges",), "A->B", "model.variables and model.edges: expected arrays"),
+        (("edges", 0, "sign"), 2, "edges[0].sign: expected 1 or -1, got 2"),
+        (("edges", 0, "angle"), "0.5", "edges[0].angle: expected a number (radians), got '0.5'"),
+        (None, None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    ], ids=["model", "variable", "edge", "model-name", "variable-name", "parent", "child",
+            "variables", "edges", "sign", "angle", "unreadable"])
+    def test_malformed_file_names_the_field(self, tmp_path, keys, value, message):
+        # keys: where in the tiny model's dict to put value; None writes no file.
+        path = tmp_path / "model.json"
+        if keys is not None:
+            root = {"model": model_to_dict(_tiny())}
+            *outer, last = ("model", *keys)
+            functools.reduce(operator.getitem, outer, root)[last] = value
+            path.write_text(json.dumps(root["model"]), encoding="utf-8")
+        with pytest.raises(ModelError) as err:
+            load_model(path)
+        want = message.format(path=path) if keys is None else f"{path}: {message}"
+        assert str(err.value) == want
 
     def test_intervened_model_not_serializable(self, simpson3_entry):
         surgered = apply_do(simpson3_entry.model, Intervention("T", 1))
