@@ -116,7 +116,7 @@ def cells(values: np.ndarray, qubits: Mapping[str, int], event) -> np.ndarray:
     for name, bit in event:
         if name not in qubits:
             raise ModelError(f"unknown variable {name!r} in query")
-        if bit not in (0, 1):
+        if isinstance(bit, (bool, np.bool_)) or bit not in (0, 1):
             raise ValueError(f"variable {name!r}: value must be 0 or 1, got {bit!r}")
         if not 0 <= qubits[name] < n:
             raise ValueError(f"variable {name!r}: qubit {qubits[name]} outside a {n}-qubit distribution")
@@ -189,9 +189,10 @@ def adjusted_effect(dist, qubits, treatment, outcome, adjust=(), given=()):
     breakdown. With no ``adjust`` set this is the observational effect within
     ``given``; adjusting for a set that blocks every back-door path gives the
     causal effect (Pearl, Causality, 2009, section 3.3). A cell's ``value``
-    reads the ``adjust`` bits with the first variable most significant. Cells
-    with zero mass are skipped; a nonempty cell with an empty treatment arm
-    is an error.
+    reads the ``adjust`` bits with the first variable most significant. A
+    ``given`` condition with zero mass is an error that names it. Cells with
+    zero mass are skipped; a nonempty cell with an empty treatment arm is an
+    error.
 
     A Distribution gives a float and the ``StratumEffect`` of each nonempty
     cell. A (trials, 2^n) stack gives one effect per row and the
@@ -208,7 +209,8 @@ def adjusted_effect(dist, qubits, treatment, outcome, adjust=(), given=()):
     weights = np.full((rows, 1 << len(adjust)), np.nan)
     effects = np.full_like(weights, np.nan)
     # (row mask, error) in the order each row's checks run; a row's first entry is its error.
-    failed: list[tuple[np.ndarray, str]] = []
+    no_mass = base_mass <= 0
+    failed: list[tuple[np.ndarray, str]] = [(no_mass, _zero_mass(given))] if np.count_nonzero(no_mass) else []
     with np.errstate(divide="ignore", invalid="ignore"):  # rows that fail or skip a cell
         for value, bits in enumerate(itertools.product((0, 1), repeat=len(adjust))):
             cell = tuple(zip(adjust, bits))

@@ -9,7 +9,8 @@ value to the circuit compiler.
 
 ``CausalModel`` raises ``ModelError`` with every violation ``validate`` finds
 when it is built, so a model that exists is valid; that includes each result
-of ``apply_do``.
+of ``apply_do``. A model indexes itself once, on first use (``_Index``), so
+name lookups, incoming edges and the topological order cost no scan of it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,6 +81,15 @@ class Intervention:
     value: int
 
 
+class _Index(NamedTuple):
+    """What a model's accessors read, built once per model."""
+
+    variable: dict[str, Variable]
+    qubit: dict[str, int]
+    incoming: dict[str, tuple[Edge, ...]]  # per child, in model edge order
+    order: tuple[str, ...]  # the topological order of validate's peel (``_peel``)
+
+
 @dataclass(frozen=True)
 class CausalModel:
     name: str
@@ -93,21 +105,37 @@ class CausalModel:
         if violations:
             raise ModelError("invalid model: " + "; ".join(violations))
 
+    @cached_property
+    def _index(self) -> _Index:
+        # Not a field, so it takes no part in eq, hash or repr; a model that is
+        # only built (and perhaps saved) never pays for it.
+        incoming: dict[str, list[Edge]] = {v.name: [] for v in self.variables}
+        for e in self.edges:
+            incoming[e.child].append(e)
+        return _Index(
+            {v.name: v for v in self.variables},
+            {v.name: v.qubit for v in self.variables},
+            {name: tuple(edges) for name, edges in incoming.items()},
+            tuple(_peel(self)[0]),
+        )
+
     @property
     def n_qubits(self) -> int:
         return len(self.variables)
 
     def variable(self, name: str) -> Variable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise ModelError(f"unknown variable {name!r} in model {self.name!r}")
+        try:
+            return self._index.variable[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise ModelError(f"unknown variable {name!r} in model {self.name!r}") from None
 
     def qubit_map(self) -> dict[str, int]:
-        return {v.name: v.qubit for v in self.variables}
+        """Name -> qubit, a fresh dict the caller may change."""
+        return dict(self._index.qubit)
 
     def incoming(self, name: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.child == name)
+        """The edges into ``name`` in model order; empty for a name the model lacks."""
+        return self._index.incoming.get(name, ())
 
     def is_intervened(self, name: str) -> bool:
         return any(iv.variable == name for iv in self.interventions)
@@ -221,7 +249,7 @@ def _peel(model: CausalModel) -> tuple[list[str], list[str]]:
     the forward pass leaves from the sink end drops the nodes downstream of a
     cycle, keeping those on one (or between two).
     """
-    qubit = model.qubit_map()
+    qubit = {v.name: v.qubit for v in model.variables}
     children: dict[str, list[str]] = {n: [] for n in qubit}
     parents: dict[str, list[str]] = {n: [] for n in qubit}
     for e in model.edges:
@@ -238,7 +266,7 @@ def topological_order(model: CausalModel) -> list[str]:
 
     Ties are broken by ascending qubit index, so the result is deterministic.
     """
-    return _peel(model)[0]
+    return list(model._index.order)
 
 
 def apply_do(model: CausalModel, iv: Intervention) -> CausalModel:

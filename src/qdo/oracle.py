@@ -8,6 +8,11 @@ of a parent assignment the active rotation angles add, so
     P(v = 1 | parents) = sin^2(theta_eff / 2),
     theta_eff = base angle + sum of sign * angle over active incoming edges.
 
+theta_eff is a plain left-to-right float64 sum: 0.0, then each incoming
+edge's term in model edge order, then the base angle. It never goes through
+Python's ``sum()``, which is compensated from Python 3.12 on, so the tables
+and the joint have the same bits on every Python version.
+
 A Hadamard prep is not a Y-rotation, so the sum rule holds for a uniform-prep
 variable only when nothing else rotates it; models with a uniform-prep
 variable that has incoming edges are rejected (the engine still simulates
@@ -15,7 +20,9 @@ them fine, they are just outside what this oracle can certify).
 
 The joint is built as a dense product of broadcast factors, one per variable
 (see ``enumerate_joint``), so its cost is O(n * 2^n) numpy work with no
-per-assignment Python code.
+per-assignment Python code. Each factor's angles are themselves summed by
+broadcasting, straight in the joint's layout (``_p1``), and
+``conditional_table`` is a dict view of the same array.
 """
 
 from __future__ import annotations
@@ -35,13 +42,30 @@ class UnsupportedModelError(ModelError):
 def conditional_table(model: CausalModel, name: str) -> dict[tuple[int, ...], float]:
     """P(name = 1 | parent assignment) for every assignment of its parents.
 
-    Keys are bit tuples ordered by ascending parent qubit index; a parentless
-    variable yields a single entry keyed by the empty tuple.
+    A dict view of the array ``_factor`` is built from, so both hold the same
+    floats. Keys are bit tuples ordered by ascending parent qubit index; a
+    parentless variable yields a single entry keyed by the empty tuple.
     """
+    # The parents' axes are the size-2 ones, in descending qubit order.
+    p1 = _p1(model, name).squeeze().T
+    return {bits: float(p) for bits, p in np.ndenumerate(p1)}
+
+
+def _p1(model: CausalModel, name: str) -> np.ndarray:
+    """P(name = 1 | parents) as an n-axis array, broadcastable against the joint.
+
+    Axis j holds the bit of qubit n-1-j (the layout of ``engine.marginal``);
+    the array has size 2 on the axes of ``name``'s parents and size 1 on every
+    other axis. theta starts at 0.0 and adds, per incoming edge in model
+    order, ``sign * angle`` where the parent holds the edge's control value
+    and 0.0 where it does not, then the base angle; each entry is then
+    ``math.sin(theta / 2) ** 2``. An intervened variable's array is its value.
+    """
+    n = model.n_qubits
     var = model.variable(name)
     for iv in model.interventions:
         if iv.variable == name:
-            return {(): float(iv.value)}
+            return np.full((1,) * n, float(iv.value))
 
     incoming = model.incoming(name)
     if var.prep.kind == "uniform":
@@ -50,50 +74,25 @@ def conditional_table(model: CausalModel, name: str) -> dict[tuple[int, ...], fl
                 f"oracle-unsupported prep: variable {name!r} has a uniform (H) prep "
                 "and incoming edges; the rotation-sum rule does not apply"
             )
-        return {(): 0.5}
+        return np.full((1,) * n, 0.5)
 
-    parents = _parents(model, name)
-    base = var.prep.angle if var.prep.kind == "rotation" else 0.0
-    table: dict[tuple[int, ...], float] = {}
-    for bits in _assignments(len(parents)):
-        given = dict(zip(parents, bits))
-        theta = base + sum(e.sign * e.angle for e in incoming if given[e.parent] == e.control_value)
-        table[bits] = math.sin(theta / 2.0) ** 2
-    return table
-
-
-def _parents(model: CausalModel, name: str) -> list[str]:
-    """Distinct parents of ``name`` in ascending qubit order (the key order of its table)."""
-    qubit = model.qubit_map()
-    return sorted({e.parent for e in model.incoming(name)}, key=lambda p: qubit[p])
-
-
-def _assignments(n: int):
-    for i in range(1 << n):
-        yield tuple((i >> k) & 1 for k in range(n))
+    theta = np.zeros((1,) * n)
+    for e in incoming:
+        axis = n - 1 - model.variable(e.parent).qubit
+        step = e.sign * e.angle
+        pair = np.array((0.0, step) if e.control_value else (step, 0.0))
+        theta = theta + pair.reshape((1,) * axis + (2,) + (1,) * (n - 1 - axis))
+    theta = theta + (var.prep.angle if var.prep.kind == "rotation" else 0.0)
+    return np.array([math.sin(t / 2.0) ** 2 for t in theta.ravel().tolist()]).reshape(theta.shape)
 
 
 def _factor(model: CausalModel, name: str) -> np.ndarray:
-    """P(name | parents) as an n-axis array, broadcastable against the joint.
+    """P(name | parents) in the layout of ``_p1``, with size 2 on the axis of ``name`` too.
 
-    Axis j holds the bit of qubit n-1-j (the layout of ``engine.marginal``);
-    the factor has size 2 on the axes of ``name`` and its parents and size 1
-    on every other axis. An intervened variable's table is {(): value}, so its
-    factor is one-hot on its own axis.
+    An intervened variable's factor is one-hot on its own axis.
     """
-    n = model.n_qubits
-    qubit = model.qubit_map()
-    table = conditional_table(model, name)
-    parents = _parents(model, name)  # empty for an intervened variable of a valid model
-    p1 = np.empty((2,) * len(parents))
-    for bits, p in table.items():
-        p1[bits] = p
-    factor = np.stack([1.0 - p1, p1])  # axes: name, then parents by ascending qubit
-    axes = [n - 1 - qubit[v] for v in [name, *parents]]
-    shape = [1] * n
-    for a in axes:
-        shape[a] = 2
-    return factor.transpose(np.argsort(axes)).reshape(shape)
+    p1 = _p1(model, name)
+    return np.concatenate((1.0 - p1, p1), axis=model.n_qubits - 1 - model.variable(name).qubit)
 
 
 def enumerate_joint(model: CausalModel) -> Distribution:
@@ -106,9 +105,11 @@ def enumerate_joint(model: CausalModel) -> Distribution:
     variable (see ``_factor``) is multiplied in place in topological order.
 
     Ordering contract: every entry is the product of the same float64 factors,
-    taken from ``conditional_table``, multiplied left to right in
-    ``topological_order``, so the result is bit-for-bit reproducible and does
-    not depend on how the product is vectorized. Every factor is finite and
+    the entries of ``conditional_table``, multiplied left to right in
+    ``topological_order``. Each factor's theta is a left-to-right float64 sum
+    in model edge order (see ``_p1``), not Python's ``sum()``. So the result is
+    bit-for-bit reproducible, does not depend on how the product is vectorized
+    and does not depend on the Python version. Every factor is finite and
     non-negative, so an assignment made impossible by one factor stays exactly
     0.0. Raises ``ValueError`` (via ``engine.check_state_size``) before
     allocating when the joint would not fit the state budget.

@@ -84,16 +84,19 @@ class TestCondProb:
         dist = run_exact(compile_model(m))
         with pytest.raises(UndefinedConditionalError, match="A=1"):
             cond_prob(dist, m.qubit_map(), Query(("B", 1), (("A", 1),)))
-        # Given a zero-mass condition, no cell of an adjustment has mass either.
-        with pytest.raises(UndefinedConditionalError, match="^adjustment set D has no mass in any cell$"):
-            adjusted_effect(dist, m.qubit_map(), "B", "C", ("D",), given=(("A", 1),))
+        # A zero-mass given is named before any cell of an adjustment is looked at.
+        for adjust in (("D",), ()):
+            with pytest.raises(
+                UndefinedConditionalError, match=r"^undefined conditional: condition \[A=1\] has zero mass$"
+            ):
+                adjusted_effect(dist, m.qubit_map(), "B", "C", adjust, given=(("A", 1),))
 
     def test_unknown_variable_rejected(self, obs3):
         dist, qmap = obs3
         with pytest.raises(ModelError, match="unknown variable"):
             cond_prob(dist, qmap, Query(("Z", 1)))
-        # A known variable with a bit other than 0 or 1 is refused as well.
-        for bit in (2, -1):
+        # A known variable with a bit other than 0 or 1 is refused as well, and so is a bool.
+        for bit in (2, -1, True, False):
             with pytest.raises(ValueError, match=f"^variable 'G': value must be 0 or 1, got {bit}$"):
                 cond_prob(dist, qmap, Query(("O", 1), (("G", bit),)))
 
@@ -298,12 +301,21 @@ class TestStacks:
         )
         assert excinfo.value.trial == 2
 
-    def test_empty_given_cell_fails_on_the_treated_arm(self):
-        # Both arms of Z=1 are empty in NO_Z1; as for one Distribution, T=1 is named.
-        stack = np.stack([self.FULL, self.NO_Z1])
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            # NO_Z1 has no mass at Z=1; as for one Distribution, the given is named.
+            (("FULL", "NO_Z1", "NO_T1"), "undefined conditional: condition [Z=1] has zero mass"),
+            # A row before it that fails on a treatment arm still comes first.
+            (("FULL", "NO_T1", "NO_Z1"), "undefined conditional: condition [T=1, Z=1] has zero mass"),
+        ],
+        ids=["given", "earlier-arm"],
+    )
+    def test_empty_given_fails_naming_the_given(self, rows, error):
+        stack = np.stack([getattr(self, row) for row in rows])
         with pytest.raises(UndefinedConditionalError) as excinfo:
             adjusted_effect(stack, self.QMAP, "T", "O", given=(("Z", 1),))
-        assert str(excinfo.value) == "undefined conditional: condition [T=1, Z=1] has zero mass"
+        assert str(excinfo.value) == error
         assert excinfo.value.trial == 1
 
 

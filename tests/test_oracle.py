@@ -1,5 +1,6 @@
 """The enumeration oracle against the statevector engine, and its closed form."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -108,3 +109,27 @@ def test_joint_over_state_budget_refused_before_allocating():
     # 48 qubits: even without the guard, numpy refuses the allocation at once.
     with pytest.raises(ValueError, match=rf"48-qubit state needs {8 << 48} bytes"):
         enumerate_joint(chain_model(48))
+
+
+# sha256 of enumerate_joint(...).values.tobytes(), recorded with the oracle's
+# earlier per-assignment tables. theta is a left-to-right sum in edge order,
+# so these bytes hold on every Python version; a compensated sum (math.fsum,
+# or sum() from Python 3.12 on) moves them.
+JOINT_DIGESTS = {
+    ("simpson3_entry", None): "bd02b6c0e7a5b7c21b542e157125e7169515af3225428aa206f49c4b72d6998a",
+    ("simpson3_entry", 0): "1807264fac881fb5d29ff64f853a15f770312076c3f79d862d4e8a01d14f616d",
+    ("simpson3_entry", 1): "8823825813240759ad2e69f48450965ce59fcd65ca43d724e079f8ff287aa5c7",
+    ("healthcare10_entry", None): "a8ccbd47942ca191bb4c1858cfcf51844531f8e01fdcf1cd0a277abb6b1cfed0",
+    ("healthcare10_entry", 0): "9bde02b9dd320de133ed3b523b09dc67c9aa4b9e8dfc64833eb30c9389baba9b",
+    ("healthcare10_entry", 1): "24d1b6770ce93c0d1222c27f01a371c445b60c34c7229ead25a02ca31d305090",
+}
+
+
+@pytest.mark.parametrize("entry, value", list(JOINT_DIGESTS))
+def test_catalog_joint_bytes_are_pinned(request, entry, value):
+    catalog_entry = request.getfixturevalue(entry)
+    model = catalog_entry.model
+    if value is not None:
+        model = apply_do(model, Intervention(catalog_entry.roles.treatment, value))
+    digest = hashlib.sha256(enumerate_joint(model).values.tobytes()).hexdigest()
+    assert digest == JOINT_DIGESTS[entry, value]
