@@ -36,12 +36,16 @@ class Circuit:
 
     ``variables[q]`` names the variable on qubit q. A compiled circuit names
     every qubit; a hand-built one may leave ``variables`` empty, and then no
-    variable of it can be intervened on by circuit surgery.
+    variable of it can be intervened on by circuit surgery. ``forced`` names
+    the variables a do() has fixed, in the order they were fixed: by the
+    model (``compile_model``) or by circuit surgery. A do(v=0) leaves no gate
+    on v, so only this record tells a second do() on v that v is forced.
     """
 
     n_qubits: int
     gates: tuple[Gate, ...]
     variables: tuple[str, ...] = ()
+    forced: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         n = self.n_qubits
@@ -49,8 +53,11 @@ class Circuit:
             raise ValueError(f"n_qubits must be a non-negative integer, got {n!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
         object.__setattr__(self, "variables", tuple(self.variables))
+        object.__setattr__(self, "forced", tuple(self.forced))
         if self.variables and (len(self.variables) != n or len(set(self.variables)) != n):
             raise ValueError(f"variables must name each of the {n} qubits exactly once, got {self.variables!r}")
+        if self.forced and (len(set(self.forced)) != len(self.forced) or not set(self.forced) <= set(self.variables)):
+            raise ValueError(f"forced must name distinct variables of the circuit, got {self.forced!r}")
         for g in self.gates:
             _check_gate(g, n)
 
@@ -81,7 +88,8 @@ def compile_model(model: CausalModel) -> Circuit:
     per incoming edge ordered by (parent qubit, control value). A negative-sign
     edge becomes a rotation by ``-angle``. Intervening to 0 emits nothing: the
     qubit is already in the ground state. ``variables`` lists the model's
-    variable names in qubit order.
+    variable names in qubit order, and ``forced`` its intervened variables in
+    the order of ``model.interventions``.
     """
     qubit = model.qubit_map()
     forced = {iv.variable: iv.value for iv in model.interventions}
@@ -102,7 +110,7 @@ def compile_model(model: CausalModel) -> Circuit:
             gates.append(
                 Gate("cry", q, theta=e.sign * e.angle, control=qubit[e.parent], control_value=e.control_value)
             )
-    return Circuit(model.n_qubits, tuple(gates), tuple(sorted(qubit, key=qubit.__getitem__)))
+    return Circuit(model.n_qubits, tuple(gates), tuple(sorted(qubit, key=qubit.__getitem__)), tuple(forced))
 
 
 def surgered_circuit(circ: Circuit, iv: Intervention) -> Circuit:
@@ -111,14 +119,17 @@ def surgered_circuit(circ: Circuit, iv: Intervention) -> Circuit:
     The qubit is found by name in ``circ.variables``, so do()s on distinct
     variables chain in any order. When the forced value is 1 an X gate takes
     the place of the qubit's prep (its one non-CRY gate), or goes first if it
-    had none. A qubit that already carries an X is refused as already forced.
-    Returns a new circuit; the input is unmodified.
+    had none. The variable joins ``circ.forced``; one already there, at
+    either value, is refused as already forced. Returns a new circuit; the
+    input is unmodified.
     """
     var, value = iv.variable, iv.value
     if isinstance(value, bool) or value not in (0, 1):
         raise ValueError(f"intervention value must be 0 or 1, got {value!r}")
     if var not in circ.variables:
         raise ValueError(f"variable {var!r} is not one of this circuit's variables {circ.variables!r}")
+    if var in circ.forced:
+        raise ValueError(f"variable {var!r} is already forced in this circuit")
     q = circ.variables.index(var)
 
     out: list[Gate] = []
@@ -126,14 +137,12 @@ def surgered_circuit(circ: Circuit, iv: Intervention) -> Circuit:
     for g in circ.gates:
         if g.target != q:
             out.append(g)
-        elif g.kind == "x":
-            raise ValueError(f"variable {var!r} is already forced in this circuit")
         elif g.kind != "cry" and not placed:
             out.append(Gate("x", q))
             placed = True
     if not placed:
         out.insert(0, Gate("x", q))
-    return Circuit(circ.n_qubits, tuple(out), circ.variables)
+    return Circuit(circ.n_qubits, tuple(out), circ.variables, (*circ.forced, var))
 
 
 def format_circuit(circ: Circuit, expanded: bool = False) -> str:

@@ -18,6 +18,24 @@ partner differs only in a touched bit, so every entry inside the register
 gets the float operations a full-width pass gives it, and every entry outside
 is zero on both paths (up to its sign).
 
+An exact run keeps its basis qubits out of the register (``_fold``). A basis
+qubit is one no H, RY or CRY targets: a do()'d variable (an X at 1, no gate
+at 0) or a ground root. It stays in a basis state, so its value is tracked
+instead: an X on it flips the value and is dropped, and a CRY it controls
+becomes an RY on the target with the same angle when the value is the CRY's
+control value, and is dropped when it is not. A qubit no kept gate touches
+is a basis qubit at 0. The kept gates run on the first-touch register of the
+k other qubits, and the result goes straight into the slice of a zeroed 2^n
+array that the basis values select. So a do() or ground-root qubit costs no
+register width. No output byte moves: the full-width state is zero outside
+that slice, and inside it each entry gets the same products as before (a
+kept CRY's RY applies the same ``_ry_matrix`` to the same pairs). What the
+fold leaves out only copied entries (an X multiplies by 1.0 and 0.0) or
+added zeros, so at most the sign of a zero entry differs, ±0 before and +0
+now, and squaring removes it. The noisy path keeps every touched qubit in its register:
+noise hits each touched qubit after each gate, so folding would change the
+draws and every noisy count.
+
 A gate that places its target (first touches it) puts it on the top bit of
 its width, whose half has never been written and is zero, so the update is
 a1 = m10*a0 then a0 *= m00: two passes and no temporary, where a general gate
@@ -29,11 +47,14 @@ of 2-4 entries (a low control or target under a high one) sweeps one offset
 of the piece at a time, as long strided slices; the floats are the same.
 
 At the end the state returns from register order to qubit order. When the
-first-touch order is already 0..n-1 (both catalog circuits) nothing moves:
-``run_exact`` squares the register in place. Otherwise ``run_exact`` squares
-the transposed register into the one array its Distribution keeps, a noisy
+register holds every qubit and the first-touch order is already 0..n-1 (both
+catalog circuits) nothing moves: ``run_exact`` squares the register in
+place. Otherwise ``run_exact`` squares the transposed register into the one
+array its Distribution keeps (into its slice, with basis qubits), a noisy
 batch squares its live slots the same way, and ``statevector`` returns a
 transposed copy; each is one more state-sized array (batch-sized when noisy).
+With a basis qubit the register is at most half a state, so this step peaks
+at 1.5 states, not 2.
 
 The noisy path is a quantum-trajectory unraveling, not a density matrix: each
 shot follows its own pure state and, after every IR gate, each touched qubit
@@ -241,22 +262,61 @@ def _apply_gate(states: np.ndarray, gate: Gate, pos: tuple[int, ...], fresh: boo
         _apply_cry(states, pos[0], gate.control_value, pos[1], gate.theta, fresh)
 
 
-def _plan(circ: Circuit) -> tuple[list[tuple[Gate, tuple[int, ...], int, tuple[bool, ...], bool]],
-                                   tuple[int, ...] | None]:
-    # The first-touch register (module docstring). Returns (gate, its
-    # positions, 2^(qubits touched through it), which of its positions are
-    # settled after it, whether it places its target) per gate, and the
-    # transpose axes that return a (rows, 2, ..., 2) view of register-order
-    # states to qubit order, or None when the two orders agree.
+_ALL = slice(None)
+
+
+def _fold(circ: Circuit) -> tuple[Sequence[Gate], Sequence[int], tuple | None]:
+    # The exact path's basis qubits (module docstring): the qubits no H, RY or
+    # CRY targets, each tracked through its X gates, plus the qubits no kept
+    # gate touches. Returns the gates left to run, the register's qubits in
+    # qubit order, and the index of a (2,)*n view of the output that selects
+    # the register's slice (each basis qubit's value, ':' for a register
+    # qubit, then '...'), or None when every qubit is in the register.
+    n = circ.n_qubits
+    gates = circ.gates
+    rotated = {g.target for g in gates if g.kind != "x"}
+    if len(rotated) == n:
+        return gates, range(n), None
+    value = {q: 0 for q in range(n) if q not in rotated}
+    kept: list[Gate] = []
+    touched = set()
+    for g in gates:
+        t = g.target
+        if t in value:  # an X: basis qubits are targeted by nothing else
+            value[t] ^= 1
+            continue
+        if g.kind == "cry":
+            c = g.control
+            if c in value:
+                if value[c] != g.control_value:
+                    continue
+                g = Gate("ry", t, g.theta)
+            else:
+                touched.add(c)
+        kept.append(g)
+        touched.add(t)
+    index = [_ALL if q in touched else value.get(q, 0) for q in range(n - 1, -1, -1)]
+    return kept, sorted(touched), (*index, ...)
+
+
+def _plan(gates: Sequence[Gate], qubits: Sequence[int]) -> tuple[
+        list[tuple[Gate, tuple[int, ...], int, tuple[bool, ...], bool]], tuple[int, ...] | None]:
+    # The first-touch register (module docstring) of ``gates`` over
+    # ``qubits``, which lists every qubit they touch, in qubit order. Returns
+    # (gate, its positions, 2^(qubits touched through it), which of its
+    # positions are settled after it, whether it places its target) per gate,
+    # and the transpose axes that return a (rows, 2, ..., 2) view of
+    # register-order states to the order of ``qubits``, or None when the two
+    # orders agree.
     # A gate that places its target puts it on the top bit of its width, and no
     # entry past the previous width has been written, so that half is zero.
     # A qubit is settled after gate i when no later gate targets it. The two
     # gate shapes are spelled out: every run_exact plans once, and on small
     # circuits a generic per-gate loop shows.
-    last_target = {gate.target: i for i, gate in enumerate(circ.gates)}
+    last_target = {gate.target: i for i, gate in enumerate(gates)}
     position: dict[int, int] = {}
     steps = []
-    for i, gate in enumerate(circ.gates):
+    for i, gate in enumerate(gates):
         t = gate.target
         fresh = t not in position
         if gate.kind == "cry":
@@ -271,14 +331,14 @@ def _plan(circ: Circuit) -> tuple[list[tuple[Gate, tuple[int, ...], int, tuple[b
                 position[t] = len(position)
             pos, settled = (position[t],), (last_target[t] == i,)
         steps.append((gate, pos, 1 << len(position), settled, fresh))
-    n = circ.n_qubits
-    for q in range(n):
+    for q in qubits:
         position.setdefault(q, len(position))
-    if all(position[q] == q for q in range(n)):
+    if all(position[q] == i for i, q in enumerate(qubits)):
         return steps, None
-    # Axis 1 + j holds the bit of qubit n-1-j in qubit order, of position
-    # n-1-j in register order.
-    return steps, (0, *(n - position[n - 1 - j] for j in range(n)))
+    # Axis 1 + j holds the bit of qubits[m-1-j] in qubit order, of position
+    # m-1-j in register order.
+    m = len(qubits)
+    return steps, (0, *(m - position[qubits[m - 1 - j]] for j in range(m)))
 
 
 def _qubit_view(states: np.ndarray, axes: tuple[int, ...] | None) -> np.ndarray:
@@ -319,15 +379,32 @@ def trajectory_batch(n_qubits: int) -> int:
     return min(_TRAJECTORY_BATCH, MAX_STATE_BYTES // (_ENTRY_BYTES << n_qubits))
 
 
-def _evolve(circ: Circuit) -> tuple[np.ndarray, tuple[int, ...] | None]:
-    # The (1, 2^n) final state in register order, and _plan's transpose axes.
-    check_state_size(circ.n_qubits)
-    steps, axes = _plan(circ)
-    buf = np.zeros((1, 1 << circ.n_qubits))
+def _final_state(circ: Circuit, square: bool) -> np.ndarray:
+    # The 2^n final amplitudes, or their squares, in qubit order, as an array
+    # no caller holds. The gates _fold keeps run on the register of its
+    # qubits. A register of every qubit is squared (in place when the orders
+    # agree) or copied in qubit order; a smaller one is written straight into
+    # the slice of a zeroed 2^n array that the basis values select.
+    n = circ.n_qubits
+    check_state_size(n)
+    gates, qubits, index = _fold(circ)
+    steps, axes = _plan(gates, qubits)
+    buf = np.zeros((1, 1 << len(qubits)))
     buf[0, 0] = 1.0
     for gate, pos, width, _, fresh in steps:
         _apply_gate(buf[:, :width], gate, pos, fresh)
-    return buf, axes
+    if index is None:
+        if square:
+            return _squared_in_qubit_order(buf, axes)[0]
+        return _qubit_view(buf, axes).reshape(-1)
+    out = np.zeros(1 << n)
+    view = _qubit_view(buf, axes)[0].reshape((2,) * len(qubits))
+    dest = out.reshape((2,) * n)[index]
+    if square:
+        np.square(view, out=dest)
+    else:
+        dest[...] = view
+    return out
 
 
 def _adopt_exact(n_qubits: int, probs: np.ndarray) -> Distribution:
@@ -343,14 +420,12 @@ def _adopt_exact(n_qubits: int, probs: np.ndarray) -> Distribution:
 
 def statevector(circ: Circuit) -> np.ndarray:
     """Final amplitudes (float64) of the circuit applied to the all-zeros state."""
-    buf, axes = _evolve(circ)
-    return _qubit_view(buf, axes).reshape(-1)
+    return _final_state(circ, square=False)
 
 
 def run_exact(circ: Circuit) -> Distribution:
     """Exact output distribution: |amplitude|^2 per bitstring."""
-    buf, axes = _evolve(circ)
-    return _adopt_exact(circ.n_qubits, _squared_in_qubit_order(buf, axes)[0])
+    return _adopt_exact(circ.n_qubits, _final_state(circ, square=True))
 
 
 def check_seed(seed: int) -> None:
@@ -429,7 +504,7 @@ def _trajectory_counts(circ: Circuit, rows: int, p_depol: float, rng: np.random.
     # One noisy batch: ``rows`` shots over at most ``rows`` slots; owner[r] is
     # the slot of row r. Only buf[:live, :width] is ever written, so the pages
     # of the np.zeros buffer past it are never touched.
-    steps, axes = _plan(circ)
+    steps, axes = _plan(circ.gates, range(circ.n_qubits))
     dim = 1 << circ.n_qubits
     buf = np.zeros((rows, dim))
     buf[0, 0] = 1.0

@@ -52,6 +52,9 @@ class TestGateChecks:
         ((2, (), ("A",)), "exactly once"),
         ((2, (), ("A", "A")), "exactly once"),
         ((2, (), ("A", "B", "C")), "exactly once"),
+        ((2, (), ("A", "B"), ("C",)), "forced must name"),
+        ((2, (), ("A", "B"), ("A", "A")), "forced must name"),
+        ((2, (), (), ("A",)), "forced must name"),
     ], ids=[
         "unknown-kind", "target-high", "target-negative", "target-bool",
         "control-high", "control-none", "control-bool", "cry-target-high", "control-is-target",
@@ -59,6 +62,7 @@ class TestGateChecks:
         "ry-nan", "ry-inf", "cry-nan", "cry-neg-inf",
         "n-qubits-bool", "n-qubits-negative", "n-qubits-float",
         "variables-short", "variables-repeated", "variables-long",
+        "forced-unknown", "forced-repeated", "forced-unnamed",
     ])
     def test_malformed_gate_rejected_at_construction(self, args, message):
         with pytest.raises(ValueError, match=message):
@@ -184,7 +188,9 @@ class TestSurgery:
         # Ground prep, no incoming links, value 0: nothing to remove or insert.
         m = CausalModel("pair", (Variable("A", 0), Variable("B", 1)), (Edge("A", "B", 1, 0.7),))
         circ = compile_model(m)
-        assert surgered_circuit(circ, Intervention("A", 0)) == circ
+        cut = surgered_circuit(circ, Intervention("A", 0))
+        assert (cut.n_qubits, cut.gates, cut.variables) == (circ.n_qubits, circ.gates, circ.variables)
+        assert (circ.forced, cut.forced) == ((), ("A",))
 
     def test_replaces_prep_in_place(self, simpson3_entry):
         circ = compile_model(simpson3_entry.model)
@@ -207,6 +213,30 @@ class TestSurgery:
         circ = compile_model(apply_do(simpson3_entry.model, Intervention("T", 1)))
         with pytest.raises(ValueError, match="already forced"):
             surgered_circuit(circ, Intervention("T", 1))
+
+    def test_compiled_circuit_records_the_model_interventions(self, simpson3_entry):
+        m = apply_do(apply_do(simpson3_entry.model, Intervention("T", 0)), Intervention("G", 1))
+        assert compile_model(m).forced == ("T", "G")
+        assert compile_model(simpson3_entry.model).forced == ()
+
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize("second", [0, 1])
+    def test_do_on_a_variable_the_model_forced_rejected(self, simpson3_entry, first, second):
+        # do(T=0) compiles to no gate on T, so only the record can refuse it.
+        circ = compile_model(apply_do(simpson3_entry.model, Intervention("T", first)))
+        with pytest.raises(ValueError, match="'T' is already forced"):
+            surgered_circuit(circ, Intervention("T", second))
+
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize("second", [0, 1])
+    def test_chained_do_on_a_forced_variable_rejected(self, simpson3_entry, first, second):
+        # A do() on another variable in between keeps the record.
+        circ = surgered_circuit(compile_model(simpson3_entry.model), Intervention("T", first))
+        circ = surgered_circuit(circ, Intervention("G", second))
+        assert circ.forced == ("T", "G")
+        for name in ("T", "G"):
+            with pytest.raises(ValueError, match=f"'{name}' is already forced"):
+                surgered_circuit(circ, Intervention(name, second))
 
     def test_input_unmodified(self, simpson3_entry):
         circ = compile_model(simpson3_entry.model)

@@ -24,6 +24,7 @@ import pytest
 from qdo import (
     Intervention,
     NoiseSpec,
+    Prep,
     apply_do,
     causal_effect,
     compile_model,
@@ -32,7 +33,7 @@ from qdo import (
     run_sampled,
     statevector,
 )
-from qdo.circuit import Circuit, Gate
+from qdo.circuit import Circuit, Gate, surgered_circuit
 from qdo import engine
 from qdo.engine import MAX_STATE_BYTES, check_state_size, draw_counts, draw_shots, trajectory_batch
 from conftest import chain_model, make_random_model
@@ -494,6 +495,20 @@ class TestFirstTouchRegister:
         assert run_sampled(circ, 1024, 2, NoiseSpec(1e-12)).values.sum() == 1024
         assert gate_shapes == [(1, width) for width in self.touched_widths(circ)]
 
+    def test_noisy_batch_keeps_an_intervened_qubit_in_the_register(self, forks, simpson3_entry):
+        # The exact path keeps do(T=1)'s qubit out of its register; a noisy
+        # batch keeps it in, so T draws noise and forks as every touched
+        # qubit does, at the position the unfolded plan gives it.
+        circ = surgered_circuit(compile_model(simpson3_entry.model), Intervention("T", 1))
+        t = circ.variables.index("T")
+        assert t not in engine._fold(circ)[1]
+        steps, _ = engine._plan(circ.gates, range(circ.n_qubits))
+        t_pos = next(pos[-1] for gate, pos, *_ in steps if gate.target == t)
+        assert run_sampled(circ, 256, 5, NoiseSpec(1.0)).values.sum() == 256
+        positions = [pos for pos, *_ in forks]
+        assert positions == [pos for pos, _ in _hit_positions(circ)]
+        assert t_pos in positions
+
 
 def _traced_peak(run, circ) -> int:
     tracemalloc.start()
@@ -505,7 +520,10 @@ def _traced_peak(run, circ) -> int:
 
 
 class TestExactMemory:
-    """An exact run holds at most the register and its result, both one state.
+    """An exact run holds at most the register and its result, one state each.
+
+    A circuit with a basis qubit runs a register of at most half a state, so
+    it peaks at one and a half.
 
     The un-permuting square reads the register through a transposed view,
     which numpy may stage through one 64 KiB iterator buffer; 16 KiB more
@@ -517,14 +535,32 @@ class TestExactMemory:
 
     def test_shuffled_qubit_map_peaks_at_two_states(self):
         circ = compile_model(make_random_model(np.random.default_rng(3), n=18))
-        assert engine._plan(circ)[1] is not None
+        assert engine._plan(circ.gates, range(circ.n_qubits))[1] is not None
         for run in (run_exact, statevector):
             assert _traced_peak(run, circ) <= 2 * self.STATE + 64 * 1024 + self.SMALL, run.__name__
+
+    def test_intervened_qubit_peaks_at_one_and_a_half_states(self):
+        # do(v1) on an 18-qubit chain with a rotation prep on every variable
+        # and a shuffled qubit map: v1 is a basis qubit at either value, so
+        # the register holds the other 17 qubits, half a state, and the
+        # result is written into the slice of a zeroed state that v1 selects.
+        model = chain_model(18)
+        qubits = np.random.default_rng(5).permutation(18)
+        model = replace(model, variables=tuple(
+            replace(v, qubit=int(qubits[i]), prep=Prep.rotation(0.3 + 0.1 * i)) for i, v in enumerate(model.variables)))
+        for value in (1, 0):
+            circ = surgered_circuit(compile_model(model), Intervention("v1", value))
+            kept, register, index = engine._fold(circ)
+            assert len(register) == 17 and index is not None
+            assert engine._plan(kept, register)[1] is not None
+            for run in (run_exact, statevector):
+                peak = _traced_peak(run, circ)
+                assert peak <= self.STATE + self.STATE // 2 + 64 * 1024 + self.SMALL, (value, run.__name__)
 
     def test_identity_first_touch_order_peaks_at_one_state(self):
         # Every gate of the chain places its target, so no gate allocates a
         # temporary, and run_exact squares the register in place.
         circ = compile_model(chain_model(18))
-        assert engine._plan(circ)[1] is None
+        assert engine._plan(circ.gates, range(circ.n_qubits))[1] is None
         for run in (run_exact, statevector):
             assert _traced_peak(run, circ) <= self.STATE + self.SMALL, run.__name__

@@ -19,6 +19,13 @@ the target's upper half is still zero; a spy checks the promise in exact runs
 and in noisy batches. Pair updates over short contiguous runs sweep one run
 offset at a time, so the first-touch circuits reach widths of 2^12.
 
+An exact run keeps basis qubits (qubits no H, RY or CRY targets) out of the
+register and writes the register into the slice of the output that their
+values select. Random circuits flip basis qubits before, between and after
+the CRYs they control, use them as ground controls, and may hold no other
+qubit; stacked circuit surgeries on random models make do()'d basis qubits.
+Each must equal the full-width loop bit for bit.
+
 The noisy sampler keeps one state per distinct Pauli history, not one per
 shot; its counts must equal, array for array, those of a plain loop that
 evolves every shot as its own row with the same kernels and the same draws.
@@ -38,12 +45,13 @@ from qdo.engine import (
     _apply_1q,
     _apply_cry,
     _apply_gate,
+    _fold,
     _fork,
     _plan,
     _ry_matrix,
     trajectory_batch,
 )
-from conftest import chain_model
+from conftest import chain_model, make_random_model
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -180,6 +188,15 @@ def _assert_equals_full_width(circ: Circuit) -> None:
     assert run_exact(circ).values.tobytes() == np.square(ref).tobytes()
 
 
+def _assert_equals_references(circ: Circuit) -> None:
+    _assert_equals_full_width(circ)
+    psi = np.zeros(1 << circ.n_qubits, dtype=np.complex128)
+    psi[0] = 1.0
+    for gate in circ.gates:
+        _ref_gate(psi, gate)
+    assert np.array_equal(np.abs(statevector(circ)) ** 2, np.abs(psi) ** 2)
+
+
 def _cry(control: int, control_value: int, target: int, theta: float) -> Gate:
     return Gate("cry", target, theta=theta, control=control, control_value=control_value)
 
@@ -276,12 +293,91 @@ def first_touch_circuits(draw) -> Circuit:
 @PROPERTY
 @given(first_touch_circuits())
 def test_first_touch_paths_equal_references(circ):
-    _assert_equals_full_width(circ)
-    psi = np.zeros(1 << circ.n_qubits, dtype=np.complex128)
-    psi[0] = 1.0
-    for gate in circ.gates:
-        _ref_gate(psi, gate)
-    assert np.array_equal(np.abs(statevector(circ)) ** 2, np.abs(psi) ** 2)
+    _assert_equals_references(circ)
+
+
+@st.composite
+def basis_circuits(draw) -> Circuit:
+    """Circuits with basis qubits: qubits that no H, RY or CRY targets.
+
+    The basis qubits (possibly all of them) take X gates and control CRYs
+    with either control value, and a basis qubit that has controlled a CRY
+    may be flipped again and control more. Some never take an X, so they
+    control as ground qubits. The other qubits take any gate, controlled by
+    any qubit.
+    """
+    n = draw(st.one_of(st.integers(1, 8), st.integers(10, 12)))
+    basis = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    others = [q for q in range(n) if q not in basis]
+
+    def cry_from(control):
+        target = draw(st.sampled_from(others))
+        return _cry(control, draw(st.integers(0, 1)), target, draw(ANGLE))
+
+    def step():
+        b = draw(st.sampled_from(basis))
+        how = draw(st.sampled_from(["x", "flip"] + (["cry", "other", "other"] if others else [])))
+        if how == "x":
+            return [Gate("x", b)]
+        if how == "flip":
+            # Control, flip, control again: the value changes mid-circuit.
+            return [Gate("x", b), *([cry_from(b), Gate("x", b), cry_from(b)] if others else [])]
+        if how == "cry":
+            return [cry_from(b)]
+        target = draw(st.sampled_from(others))
+        kind = draw(st.sampled_from(["h", "x", "ry", "cry"]))
+        if kind == "cry":
+            control = draw(st.sampled_from([q for q in range(n) if q != target]))
+            return [_cry(control, draw(st.integers(0, 1)), target, draw(ANGLE))]
+        return [Gate(kind, target, theta=draw(ANGLE)) if kind == "ry" else Gate(kind, target)]
+
+    out = [g for _ in range(draw(st.integers(0, 12))) for g in step()]
+    return Circuit(n, tuple(out))
+
+
+@PROPERTY
+@given(basis_circuits())
+def test_basis_qubits_equal_references(circ):
+    assert _fold(circ)[2] is not None
+    _assert_equals_references(circ)
+
+
+@pytest.mark.parametrize(
+    "circ, register",
+    [
+        # q0 controls on 1 after one X, then on 1 again after a second X.
+        (Circuit(3, (Gate("x", 0), _cry(0, 1, 1, 1.1), Gate("x", 0), _cry(0, 1, 2, 0.6), Gate("h", 2))), [1, 2]),
+        # The same flips, controls on 0: the first CRY folds away and leaves
+        # q1 untouched, a basis qubit at 0; the second runs as an RY.
+        (Circuit(3, (Gate("x", 0), _cry(0, 0, 1, 1.1), Gate("x", 0), _cry(0, 0, 2, 0.6), Gate("h", 2))), [2]),
+        # A ground control on both values, the matched CRY placing its target.
+        (Circuit(3, (_cry(2, 0, 1, 1.3), _cry(2, 1, 0, -0.7), Gate("ry", 0, theta=0.8))), [0, 1]),
+        # Two basis qubits around the register, q3 at 1 and q0 at 0.
+        (Circuit(4, (Gate("ry", 1, theta=0.4), Gate("x", 3), _cry(3, 1, 1, 2.2), _cry(0, 0, 1, -0.9),
+                     _cry(1, 1, 2, 0.5))), [1, 2]),
+        # Every qubit is a basis qubit: the register is one entry.
+        (Circuit(3, (Gate("x", 2), Gate("x", 0), Gate("x", 2), Gate("x", 2))), []),
+        (Circuit(2, (Gate("x", 0), _cry(0, 0, 1, 1.0))), []),
+    ],
+    ids=["flip-on-1", "flip-on-0", "ground-control", "two-basis-qubits", "all-x", "all-folded"],
+)
+def test_basis_qubit_cases_equal_references(circ, register):
+    _, qubits, index = _fold(circ)
+    assert qubits == register and index is not None
+    _assert_equals_references(circ)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_stacked_surgeries_equal_references(seed, data):
+    # Each do()'d variable is a basis qubit: an X at 1 or no gate at 0.
+    model = make_random_model(np.random.default_rng(seed), max_qubits=8)
+    names = data.draw(st.permutations([v.name for v in model.variables]))
+    circ = compile_model(model)
+    for name in names[:data.draw(st.integers(1, min(3, len(names))))]:
+        circ = surgered_circuit(circ, Intervention(name, data.draw(st.integers(0, 1))))
+        _assert_equals_references(circ)
+        assert _fold(circ)[2] is not None
 
 
 @PROPERTY
@@ -299,11 +395,14 @@ def test_a_placed_target_finds_its_upper_half_zero(circ, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_apply_gate", spy)
         run_exact(circ)
+        exact = len(checked)
         run_sampled(circ, 16, seed, NoiseSpec(0.5))
     assert all(zero for _, zero in checked)
-    # Every qubit the circuit touches is placed once per run, and the noisy
-    # run forks before most placements.
-    assert len(checked) == 2 * sum(fresh for *_, fresh in _plan(circ)[0])
+    # Every register qubit is placed once per run: the exact run places the
+    # qubits of its folded plan, the noisy run every qubit the circuit
+    # touches, and it forks before most placements.
+    assert exact == sum(fresh for *_, fresh in _plan(*_fold(circ)[:2])[0])
+    assert len(checked) - exact == sum(fresh for *_, fresh in _plan(circ.gates, range(circ.n_qubits))[0])
     if circ.n_qubits > 2:
         assert max(rows for rows, _ in checked) > 1
 
