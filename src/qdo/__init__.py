@@ -30,7 +30,7 @@ from .model import (
     topological_order,
     validate,
 )
-from .oracle import UnsupportedModelError, conditional_table, enumerate_joint
+from .oracle import conditional_table, enumerate_joint
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "StratumEffect",
     "UNIFORM",
     "UndefinedConditionalError",
-    "UnsupportedModelError",
     "Variable",
     "adjusted_effect",
     "aggregate_trials",

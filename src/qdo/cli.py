@@ -237,7 +237,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     model = load_model(args.model_path)
-    expected = enumerate_joint(model)  # raises for oracle-unsupported models
+    expected = enumerate_joint(model)
     actual = run_exact(compile_model(model))
     deviation = np.abs(actual.values - expected.values)
     worst = int(np.argmax(deviation))
@@ -269,22 +269,22 @@ def _cmd_chart(args: argparse.Namespace) -> int:
             raise ModelError(f"{path}: 'groups' must be a list")
         for i, g in enumerate(data["groups"]):
             try:
-                ci = g.get("ci")
-                if not isinstance(g["label"], str):
-                    raise TypeError(f"label must be a string, got {g['label']!r}")
-                group = EffectReport(
-                    label=g["label"],
-                    effect=float(g["effect"]),
-                    ci_low=float(ci[0]) if ci else None,
-                    ci_high=float(ci[1]) if ci else None,
-                )
-                bounds = (group.ci_low, group.ci_high) if ci else ()
-                if not all(map(math.isfinite, (group.effect, *bounds))):
+                label, effect, ci = g["label"], g["effect"], g.get("ci")
+                if not isinstance(label, str):
+                    raise TypeError(f"label must be a string, got {label!r}")
+                if ci is not None and not (isinstance(ci, list) and len(ci) == 2):
+                    raise TypeError(f"ci must be a list of two numbers, got {ci!r}")
+                numbers = (effect, *(ci or ()))
+                for x in numbers:
+                    if isinstance(x, bool) or not isinstance(x, (int, float)):
+                        raise TypeError(f"effect and ci bounds must be numbers, got {x!r}")
+                if not all(map(math.isfinite, numbers)):
                     raise ValueError("effect and ci bounds must be finite")
-                groups.append(group)
+                low, high = map(float, ci) if ci else (None, None)
+                groups.append(EffectReport(label, float(effect), ci_low=low, ci_high=high))
             except KeyError as exc:
                 raise ModelError(f"{path}: groups[{i}]: missing field {exc}") from None
-            except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            except (AttributeError, OverflowError, TypeError, ValueError) as exc:
                 raise ModelError(f"{path}: groups[{i}]: malformed group: {exc}") from None
     svg = render_chart(groups, title=args.title, reference=args.reference)
     Path(args.svg_path).write_text(svg, encoding="utf-8")

@@ -265,18 +265,18 @@ def _apply_gate(states: np.ndarray, gate: Gate, pos: tuple[int, ...], fresh: boo
 _ALL = slice(None)
 
 
-def _fold(circ: Circuit) -> tuple[Sequence[Gate], Sequence[int], tuple | None]:
+def _fold(circ: Circuit) -> tuple[Sequence[Gate], Sequence[int], tuple]:
     # The exact path's basis qubits (module docstring): the qubits no H, RY or
     # CRY targets, each tracked through its X gates, plus the qubits no kept
     # gate touches. Returns the gates left to run, the register's qubits in
     # qubit order, and the index of a (2,)*n view of the output that selects
     # the register's slice (each basis qubit's value, ':' for a register
-    # qubit, then '...'), or None when every qubit is in the register.
+    # qubit, then '...'; just '...' when every qubit is in the register).
     n = circ.n_qubits
     gates = circ.gates
     rotated = {g.target for g in gates if g.kind != "x"}
     if len(rotated) == n:
-        return gates, range(n), None
+        return gates, range(n), (...,)
     value = {q: 0 for q in range(n) if q not in rotated}
     kept: list[Gate] = []
     touched = set()
@@ -382,9 +382,10 @@ def trajectory_batch(n_qubits: int) -> int:
 def _final_state(circ: Circuit, square: bool) -> np.ndarray:
     # The 2^n final amplitudes, or their squares, in qubit order, as an array
     # no caller holds. The gates _fold keeps run on the register of its
-    # qubits. A register of every qubit is squared (in place when the orders
-    # agree) or copied in qubit order; a smaller one is written straight into
-    # the slice of a zeroed 2^n array that the basis values select.
+    # qubits. A register that is already the output in qubit order is squared
+    # in place or returned; any other is written straight into the slice of a
+    # zeroed 2^n array that the basis values select (all of it when every
+    # qubit is in the register).
     n = circ.n_qubits
     check_state_size(n)
     gates, qubits, index = _fold(circ)
@@ -393,10 +394,8 @@ def _final_state(circ: Circuit, square: bool) -> np.ndarray:
     buf[0, 0] = 1.0
     for gate, pos, width, _, fresh in steps:
         _apply_gate(buf[:, :width], gate, pos, fresh)
-    if index is None:
-        if square:
-            return _squared_in_qubit_order(buf, axes)[0]
-        return _qubit_view(buf, axes).reshape(-1)
+    if axes is None and len(qubits) == n:
+        return np.square(buf[0], out=buf[0]) if square else buf[0]
     out = np.zeros(1 << n)
     view = _qubit_view(buf, axes)[0].reshape((2,) * len(qubits))
     dest = out.reshape((2,) * n)[index]

@@ -297,7 +297,8 @@ def apply_do(model: CausalModel, iv: Intervention) -> CausalModel:
 #   "edges": [ {"parent": str, "child": str, "control_value": 0|1,
 #               "angle": float, "sign": 1|-1} ] }
 #
-# Angles are radians. Unknown fields are rejected.
+# Angles are radians. Integer fields take no bool and no float, even 1.0.
+# Unknown fields are rejected.
 
 
 def _require_keys(obj: dict, keys: set[str], where: str) -> None:
@@ -311,15 +312,18 @@ def _require_keys(obj: dict, keys: set[str], where: str) -> None:
 
 
 def _as_bit(value, where: str) -> int:
-    if isinstance(value, bool) or value not in (0, 1):
+    if type(value) is not int or value not in (0, 1):
         raise ModelError(f"{where}: expected 0 or 1, got {value!r}")
-    return int(value)
+    return value
 
 
 def _as_angle(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelError(f"{where}: expected a number (radians), got {value!r}")
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:  # an integer past the float range
+            pass
+    raise ModelError(f"{where}: expected a number (radians), got {value!r}")
 
 
 def _prep_from_json(value, where: str) -> Prep:
@@ -351,7 +355,7 @@ def model_from_dict(data: dict) -> CausalModel:
         _require_keys(v, {"name", "qubit", "prep"}, where)
         if not isinstance(v["name"], str):
             raise ModelError(f"{where}.name: expected a string")
-        if isinstance(v["qubit"], bool) or not isinstance(v["qubit"], int) or v["qubit"] < 0:
+        if type(v["qubit"]) is not int or v["qubit"] < 0:
             raise ModelError(f"{where}.qubit: expected a non-negative integer")
         variables.append(
             Variable(v["name"], v["qubit"], _prep_from_json(v["prep"], f"{where}.prep"))
@@ -366,7 +370,7 @@ def model_from_dict(data: dict) -> CausalModel:
         if not isinstance(e["parent"], str) or not isinstance(e["child"], str):
             raise ModelError(f"{where}: parent and child must be strings")
         sign = e["sign"]
-        if isinstance(sign, bool) or sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise ModelError(f"{where}.sign: expected 1 or -1, got {sign!r}")
         edges.append(
             Edge(
@@ -374,7 +378,7 @@ def model_from_dict(data: dict) -> CausalModel:
                 e["child"],
                 _as_bit(e["control_value"], f"{where}.control_value"),
                 _as_angle(e["angle"], f"{where}.angle"),
-                int(sign),
+                sign,
             )
         )
     return CausalModel(data["name"], tuple(variables), tuple(edges))

@@ -13,10 +13,11 @@ edge's term in model edge order, then the base angle. It never goes through
 Python's ``sum()``, which is compensated from Python 3.12 on, so the tables
 and the joint have the same bits on every Python version.
 
-A Hadamard prep is not a Y-rotation, so the sum rule holds for a uniform-prep
-variable only when nothing else rotates it; models with a uniform-prep
-variable that has incoming edges are rejected (the engine still simulates
-them fine, they are just outside what this oracle can certify).
+The rule covers every prep, because each one acts on |0> and is a Y-rotation
+there: a ground prep is RY(0), and H|0> = RY(pi/2)|0>. So a uniform-prep
+variable has P(v = 1 | parents) = sin^2((pi/2 + theta_eff) / 2) =
+(1 + sin theta_eff) / 2, with theta_eff summed over its active edges alone.
+That form gives exactly 0.5 when no edge is active.
 
 The joint is built as a dense product of broadcast factors, one per variable
 (see ``enumerate_joint``), so its cost is O(n * 2^n) numpy work with no
@@ -32,11 +33,7 @@ import math
 import numpy as np
 
 from .engine import Distribution, check_state_size
-from .model import CausalModel, ModelError, topological_order
-
-
-class UnsupportedModelError(ModelError):
-    """Model is outside the class the enumeration oracle can handle."""
+from .model import CausalModel, topological_order
 
 
 def conditional_table(model: CausalModel, name: str) -> dict[tuple[int, ...], float]:
@@ -58,8 +55,9 @@ def _p1(model: CausalModel, name: str) -> np.ndarray:
     the array has size 2 on the axes of ``name``'s parents and size 1 on every
     other axis. theta starts at 0.0 and adds, per incoming edge in model
     order, ``sign * angle`` where the parent holds the edge's control value
-    and 0.0 where it does not, then the base angle; each entry is then
-    ``math.sin(theta / 2) ** 2``. An intervened variable's array is its value.
+    and 0.0 where it does not, then the base angle (0.0 unless a rotation);
+    each entry is then ``math.sin(theta / 2) ** 2``, or ``(1 + math.sin(theta)) / 2``
+    for a uniform prep. An intervened variable's array is its value.
     """
     n = model.n_qubits
     var = model.variable(name)
@@ -67,23 +65,18 @@ def _p1(model: CausalModel, name: str) -> np.ndarray:
         if iv.variable == name:
             return np.full((1,) * n, float(iv.value))
 
-    incoming = model.incoming(name)
-    if var.prep.kind == "uniform":
-        if incoming:
-            raise UnsupportedModelError(
-                f"oracle-unsupported prep: variable {name!r} has a uniform (H) prep "
-                "and incoming edges; the rotation-sum rule does not apply"
-            )
-        return np.full((1,) * n, 0.5)
-
     theta = np.zeros((1,) * n)
-    for e in incoming:
+    for e in model.incoming(name):
         axis = n - 1 - model.variable(e.parent).qubit
         step = e.sign * e.angle
         pair = np.array((0.0, step) if e.control_value else (step, 0.0))
         theta = theta + pair.reshape((1,) * axis + (2,) + (1,) * (n - 1 - axis))
     theta = theta + (var.prep.angle if var.prep.kind == "rotation" else 0.0)
-    return np.array([math.sin(t / 2.0) ** 2 for t in theta.ravel().tolist()]).reshape(theta.shape)
+    if var.prep.kind == "uniform":
+        p1 = [(1.0 + math.sin(t)) / 2.0 for t in theta.ravel().tolist()]
+    else:
+        p1 = [math.sin(t / 2.0) ** 2 for t in theta.ravel().tolist()]
+    return np.array(p1).reshape(theta.shape)
 
 
 def _factor(model: CausalModel, name: str) -> np.ndarray:

@@ -18,7 +18,7 @@ def healthcare10_entry():
 
 
 def make_random_model(rng: np.random.Generator, max_qubits: int = 6, n: int | None = None) -> CausalModel:
-    """A random valid model in the oracle-supported class.
+    """A random valid model.
 
     Ground or base-rotation preps only (no Hadamards), angles in (0.05, pi),
     random control values and signs, edges directed along a random variable

@@ -226,7 +226,7 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "max |P_engine - P_oracle|" in out
 
-    def test_uniform_with_parents_exits_2(self, tmp_path, capsys):
+    def test_uniform_with_parents_validates(self, tmp_path, capsys):
         model = {
             "name": "hplus",
             "variables": [
@@ -239,8 +239,8 @@ class TestValidateCommand:
         }
         path = tmp_path / "hplus.json"
         path.write_text(json.dumps(model), encoding="utf-8")
-        assert run_cli("validate", str(path)) == 2
-        assert "oracle-unsupported prep" in capsys.readouterr().err
+        assert run_cli("validate", str(path)) == 0
+        assert capsys.readouterr().out.endswith("\nok\n")
 
     @pytest.mark.parametrize("edit", [
         lambda m: m["variables"][0].update(qubit=-1),  # shape error
@@ -302,13 +302,19 @@ class TestChartCommand:
             ("int_label", {"groups": [{"label": 5, "effect": 0.1}]}),
             ("null_label", {"groups": [{"label": None, "effect": 0.1}]}),
             ("list_label", {"groups": [{"label": ["a"], "effect": 0.1}]}),
+            ("bool_effect", {"groups": [{"label": "a", "effect": True}]}),
+            ("string_effect", {"groups": [{"label": "a", "effect": "0.5"}]}),
+            ("huge_effect", {"groups": [{"label": "a", "effect": 10**400}]}),
+            ("three_ci", {"groups": [{"label": "a", "effect": 0.1, "ci": [0.0, 0.2, 0.9]}]}),
+            ("int_ci", {"groups": [{"label": "a", "effect": 0.1, "ci": 0}]}),
+            ("dict_ci", {"groups": [{"label": "a", "effect": 0.1, "ci": {}}]}),
         ]
         for name, payload in cases:
             report = tmp_path / f"{name}.json"
             report.write_text(json.dumps(payload), encoding="utf-8")  # NaN/Infinity literals
             capsys.readouterr()
             assert run_cli("chart", str(report), "--svg", str(tmp_path / "x.svg")) == 2
-            assert capsys.readouterr().err.startswith(f"qdo: error: {report}: ")
+            assert capsys.readouterr().err.startswith(f"qdo: error: {report}: "), name
         assert not (tmp_path / "x.svg").exists()
 
     def test_non_finite_reference_exits_2(self, tmp_path, capsys):

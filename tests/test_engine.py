@@ -550,8 +550,8 @@ class TestExactMemory:
             replace(v, qubit=int(qubits[i]), prep=Prep.rotation(0.3 + 0.1 * i)) for i, v in enumerate(model.variables)))
         for value in (1, 0):
             circ = surgered_circuit(compile_model(model), Intervention("v1", value))
-            kept, register, index = engine._fold(circ)
-            assert len(register) == 17 and index is not None
+            kept, register, _ = engine._fold(circ)
+            assert len(register) == 17
             assert engine._plan(kept, register)[1] is not None
             for run in (run_exact, statevector):
                 peak = _traced_peak(run, circ)

@@ -293,10 +293,17 @@ class TestJsonFormat:
         (("variables",), {}, "model.variables and model.edges: expected arrays"),
         (("edges",), "A->B", "model.variables and model.edges: expected arrays"),
         (("edges", 0, "sign"), 2, "edges[0].sign: expected 1 or -1, got 2"),
+        (("edges", 0, "sign"), 1.0, "edges[0].sign: expected 1 or -1, got 1.0"),
+        (("edges", 0, "sign"), -1.0, "edges[0].sign: expected 1 or -1, got -1.0"),
+        (("edges", 0, "control_value"), 1.0, "edges[0].control_value: expected 0 or 1, got 1.0"),
+        (("edges", 0, "control_value"), 0.0, "edges[0].control_value: expected 0 or 1, got 0.0"),
+        (("variables", 0, "qubit"), 0.0, "variables[0].qubit: expected a non-negative integer"),
         (("edges", 0, "angle"), "0.5", "edges[0].angle: expected a number (radians), got '0.5'"),
+        (("edges", 0, "angle"), 10**400, f"edges[0].angle: expected a number (radians), got {10**400}"),
         (None, None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
     ], ids=["model", "variable", "edge", "model-name", "variable-name", "parent", "child",
-            "variables", "edges", "sign", "angle", "unreadable"])
+            "variables", "edges", "sign", "sign-float", "sign-negative-float", "control-value-float",
+            "control-value-zero-float", "qubit-float", "angle", "huge-angle", "unreadable"])
     def test_malformed_file_names_the_field(self, tmp_path, keys, value, message):
         # keys: where in the tiny model's dict to put value; None writes no file.
         path = tmp_path / "model.json"

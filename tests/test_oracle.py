@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from qdo import (
     Edge,
     Intervention,
     Prep,
-    UnsupportedModelError,
     Variable,
     apply_do,
     compile_model,
@@ -21,6 +22,10 @@ from qdo import (
     run_exact,
 )
 from conftest import chain_model, make_random_model, random_intervention
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import gen  # noqa: E402  (perfbench/ is not a package)
 
 
 def _max_dev(model):
@@ -48,6 +53,16 @@ class TestAgainstEngine:
             model = make_random_model(rng)
             assert _max_dev(model) < 1e-10
             assert _max_dev(apply_do(model, random_intervention(rng, model))) < 1e-10
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_general_benchmark_models_observational_and_surgered(self, n):
+        # The benchmark's "general" class gives uniform preps parents.
+        for seed in (0, 1):
+            case = gen.random_model(np.random.default_rng(seed), n, "general", f"general{n}")
+            model = case.model
+            assert any(v.prep.kind == "uniform" and model.incoming(v.name) for v in model.variables)
+            for m in (model, *(apply_do(model, Intervention(case.treatment, t)) for t in (0, 1))):
+                assert _max_dev(m) < 1e-12
 
 
 class TestClosedForm:
@@ -90,16 +105,19 @@ class TestClosedForm:
         surgered = apply_do(simpson3_entry.model, Intervention("T", 1))
         assert conditional_table(surgered, "T") == {(): 1.0}
 
-    def test_uniform_prep_with_parents_rejected(self):
+    def test_uniform_prep_with_parents_is_certified(self):
+        # H|0> = RY(pi/2)|0>, so B's active edge adds to pi/2:
+        # sin^2((pi/2 + 0.5) / 2) = (1 + sin 0.5) / 2.
         m = CausalModel(
             "hplus",
             (Variable("A", 0), Variable("B", 1, UNIFORM)),
             (Edge("A", "B", 1, 0.5),),
         )
-        with pytest.raises(UnsupportedModelError, match="oracle-unsupported prep"):
-            enumerate_joint(m)
-        # The engine itself still handles this model; only the oracle refuses.
-        assert abs(run_exact(compile_model(m)).values.sum() - 1.0) < 1e-10
+        assert conditional_table(m, "B") == {(0,): 0.5, (1,): (1.0 + math.sin(0.5)) / 2.0}
+        assert _max_dev(m) < 1e-12
+        # A rotated root makes the edge's branch carry mass.
+        rotated = CausalModel("hplus-rotated", (Variable("A", 0, Prep.rotation(1.1)), m.variables[1]), m.edges)
+        assert _max_dev(rotated) < 1e-12
 
     def test_joint_sums_to_one(self, healthcare10_entry):
         assert enumerate_joint(healthcare10_entry.model).values.sum() == pytest.approx(1.0, abs=1e-12)

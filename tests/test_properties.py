@@ -1,4 +1,4 @@
-"""Property tests on random oracle-supported DAGs of up to 8 qubits.
+"""Property tests on random DAGs of up to 8 qubits.
 
 Three independent routes must agree on every generated model, with and
 without one do():
@@ -63,7 +63,7 @@ CONTROLS = st.sampled_from([(0,), (1,), (0, 1)])
 
 @st.composite
 def oracle_models(draw, max_qubits: int = 8) -> CausalModel:
-    """Edges run along v0, v1, ... (acyclic); only parentless variables may be uniform."""
+    """Edges run along v0, v1, ... (acyclic); any variable may be uniform."""
     n = draw(st.integers(2, max_qubits))
     qubits = draw(st.permutations(range(n)))
     variables, edges = [], []
@@ -72,8 +72,7 @@ def oracle_models(draw, max_qubits: int = 8) -> CausalModel:
         for i in parents:
             for cv in draw(CONTROLS):
                 edges.append(Edge(f"v{i}", f"v{j}", cv, draw(ANGLE), draw(st.sampled_from((1, -1)))))
-        uniform = [] if parents else [st.just(UNIFORM)]
-        prep = draw(st.one_of(st.just(GROUND), ANGLE.map(Prep.rotation), *uniform))
+        prep = draw(st.one_of(st.just(GROUND), ANGLE.map(Prep.rotation), st.just(UNIFORM)))
         variables.append(Variable(f"v{j}", qubits[j], prep))
     return CausalModel(f"prop{n}", tuple(variables), tuple(edges))
 
@@ -129,12 +128,12 @@ def _reference_p1(model: CausalModel, name: str, bits: dict[str, int]) -> float:
         if iv.variable == name:
             return float(iv.value)
     var = next(v for v in model.variables if v.name == name)
-    if var.prep.kind == "uniform":
-        return 0.5
     t = 0.0
     for e in model.edges:
         if e.child == name and bits[e.parent] == e.control_value:
             t += e.sign * e.angle
+    if var.prep.kind == "uniform":
+        return (1.0 + math.sin(t)) / 2.0
     return math.sin((t + (var.prep.angle if var.prep.kind == "rotation" else 0.0)) / 2.0) ** 2
 
 
@@ -152,17 +151,27 @@ def _reference_joint(model: CausalModel) -> np.ndarray:
     return out
 
 
+# A uniform child of a uniform root, on both control values, one edge suppressing.
+UNIFORM_CHILD = CausalModel(
+    "uniform-child",
+    (Variable("A", 1, UNIFORM), Variable("B", 2, Prep.rotation(0.7)), Variable("C", 0, UNIFORM)),
+    (Edge("A", "C", 1, 0.9), Edge("B", "C", 0, 1.3, sign=-1), Edge("B", "C", 1, 0.4), Edge("A", "B", 0, 1.1)),
+)
+
+
 @PROPERTY
 @given(models_with_optional_do())
 # healthcare10 has sums of three and more terms, where rounding order shows.
 @example(simpson3().model)
 @example(healthcare10().model)
+@example(UNIFORM_CHILD)
 def test_oracle_equals_per_assignment_product(model):
     assert enumerate_joint(model).values.tobytes() == _reference_joint(model).tobytes()
 
 
 @PROPERTY
 @given(models_with_optional_do())
+@example(UNIFORM_CHILD)
 def test_engine_equals_oracle(model):
     engine = run_exact(compile_model(model)).values
     assert float(np.max(np.abs(engine - enumerate_joint(model).values))) < 1e-10
