@@ -263,6 +263,8 @@ def _cmd_chart(args: argparse.Namespace) -> int:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ModelError(f"cannot read report {path}: {exc}") from exc
+        except RecursionError:
+            raise ModelError(f"{path}: JSON nested too deeply to parse") from None
         if not isinstance(data, dict) or "groups" not in data:
             raise ModelError(f"{path}: not a report file (missing 'groups')")
         if not isinstance(data["groups"], list):

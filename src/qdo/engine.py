@@ -8,33 +8,34 @@ A control-on-zero CRY is executed as the equivalent unitary of its X-wrapped
 realization (rotate exactly the branch where the control bit equals 0).
 
 Gates run on the first-touch register, not on all 2^n entries. Each qubit
-takes the next position when a gate first touches it (a CRY's control, then
-its target), and qubits no gate touches take the positions left over. A qubit
-no gate has touched yet is still |0>, so before a gate that brings the count
-of touched qubits to k the state lives in the first 2^k entries of this
-order, and the gate runs on those 2^k entries alone. The exact and the noisy
-loops share this plan (``_plan``). No output byte moves: a gate's pair
-partner differs only in a touched bit, so every entry inside the register
-gets the float operations a full-width pass gives it, and every entry outside
-is zero on both paths (up to its sign).
+takes the next position when a kept step first touches it (a CRY's control,
+then its target). A qubit no gate has touched yet is still |0>, so before a
+step that brings the count of touched qubits to k the state lives in the
+first 2^k entries of this order, and the step runs on those 2^k entries
+alone. One planner (``_plan``) walks the gates once for the exact and the
+noisy loops. No output byte moves: a gate's pair partner differs only in a
+touched bit, so every entry inside the register gets the float operations a
+full-width pass gives it, and every entry outside is zero on both paths (up
+to its sign).
 
-An exact run keeps its basis qubits out of the register (``_fold``). A basis
-qubit is one no H, RY or CRY targets: a do()'d variable (an X at 1, no gate
-at 0) or a ground root. It stays in a basis state, so its value is tracked
-instead: an X on it flips the value and is dropped, and a CRY it controls
-becomes an RY on the target with the same angle when the value is the CRY's
-control value, and is dropped when it is not. A qubit no kept gate touches
-is a basis qubit at 0. The kept gates run on the first-touch register of the
-k other qubits, and the result goes straight into the slice of a zeroed 2^n
-array that the basis values select. So a do() or ground-root qubit costs no
-register width. No output byte moves: the full-width state is zero outside
-that slice, and inside it each entry gets the same products as before (a
-kept CRY's RY applies the same ``_ry_matrix`` to the same pairs). What the
-fold leaves out only copied entries (an X multiplies by 1.0 and 0.0) or
-added zeros, so at most the sign of a zero entry differs, ±0 before and +0
-now, and squaring removes it. The noisy path keeps every touched qubit in its register:
+A qubit no kept step touches is out of the register on both paths: it is
+still in a basis state, and the read-out writes the register into the slice
+of a zeroed 2^n output that the basis values select. An exact run also folds
+its basis qubits (``fold=True``). A basis qubit is one no H, RY or CRY
+targets: a do()'d variable (an X at 1, no gate at 0) or a ground root. It
+stays in a basis state, so its value is tracked instead: an X on it flips the
+value and is dropped, and a CRY it controls becomes an RY step on the target
+with the same angle when the value is the CRY's control value, and is
+dropped when it is not. So a do() or ground-root qubit costs no register
+width. No output byte moves: the full-width state is zero outside that
+slice, and inside it each entry gets the same products as before (a kept
+CRY's RY applies the same ``_ry_matrix`` to the same pairs). What the fold
+leaves out only copied entries (an X multiplies by 1.0 and 0.0) or added
+zeros, so at most the sign of a zero entry differs, ±0 before and +0 now,
+and squaring removes it. The noisy path runs every gate (``fold=False``):
 noise hits each touched qubit after each gate, so folding would change the
-draws and every noisy count.
+draws and every noisy count. A qubit no gate touches draws no noise, so
+leaving it out of a noisy batch changes no draw.
 
 A gate that places its target (first touches it) puts it on the top bit of
 its width, whose half has never been written and is zero, so the update is
@@ -46,15 +47,14 @@ and squaring removes it. A pair update whose halves run in contiguous pieces
 of 2-4 entries (a low control or target under a high one) sweeps one offset
 of the piece at a time, as long strided slices; the floats are the same.
 
-At the end the state returns from register order to qubit order. When the
-register holds every qubit and the first-touch order is already 0..n-1 (both
-catalog circuits) nothing moves: ``run_exact`` squares the register in
-place. Otherwise ``run_exact`` squares the transposed register into the one
-array its Distribution keeps (into its slice, with basis qubits), a noisy
-batch squares its live slots the same way, and ``statevector`` returns a
-transposed copy; each is one more state-sized array (batch-sized when noisy).
-With a basis qubit the register is at most half a state, so this step peaks
-at 1.5 states, not 2.
+At the end the state returns from register order to qubit order
+(``_read_out``). When the register holds every qubit and the first-touch
+order is already 0..n-1 (both catalog circuits) nothing moves: the register
+is squared in place. Otherwise its squares (or, for ``statevector``, its
+amplitudes) are written through the transpose into the slice of a zeroed
+(rows, 2^n) array: one more state-sized array for an exact run, and one per
+live slot for a noisy batch. With a qubit out of the register the register
+is at most half a state, so an exact run peaks at 1.5 states, not 2.
 
 The noisy path is a quantum-trajectory unraveling, not a density matrix: each
 shot follows its own pure state and, after every IR gate, each touched qubit
@@ -84,9 +84,11 @@ So each slot equals every shot it stands for up to the sign of some entries:
 it has equal squares, and the normalization, the cumsum and the binary
 search see the same floats, so the counts equal those of one row per shot.
 
-An int seed must lie in [0, 2^64) (``check_seed``). A noisy run draws noise
-and measurements from one generator keyed by the seed and the constant noise
-key 0: entropy ``[seed, 0]``, or a trailing spawn-key entry 0 on a SeedSequence.
+An int seed must lie in [0, 2^64) (``check_seed``), and a shot count in
+[1, 2^63) (``check_shots``), the range of the int64 counts. A noisy run draws
+noise and measurements from one generator keyed by the seed and the constant
+noise key 0: entropy ``[seed, 0]``, or a trailing spawn-key entry 0 on a
+SeedSequence.
 
 Amplitudes are real (float64). H, X, RY and CRY are real matrices, and Pauli
 Y = i * [[0, -1], [1, 0]], so every trajectory row is i^k times a real vector;
@@ -106,7 +108,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _H = ((_SQRT1_2, _SQRT1_2), (_SQRT1_2, -_SQRT1_2))
@@ -207,17 +209,16 @@ def _apply_1q(states: np.ndarray, qubit: int, mat, fresh: bool) -> None:
     _pair_update(m[:, :, 0, :], m[:, :, 1, :], mat, fresh)
 
 
-def _apply_cry(states: np.ndarray, control: int, control_value: int, target: int, theta: float,
-               fresh: bool) -> None:
-    # RY(theta) on the slice where the control bit equals control_value. Axes
-    # 2 and 4 of the split hold the higher and the lower of the two bits.
+def _apply_cry(states: np.ndarray, control: int, control_value: int, target: int, mat, fresh: bool) -> None:
+    # mat on the slice where the control bit equals control_value. Axes 2 and
+    # 4 of the split hold the higher and the lower of the two bits.
     hi, lo = max(control, target), min(control, target)
     m = states.reshape(states.shape[0], -1, 2, (1 << hi) >> (lo + 1), 2, 1 << lo)
     if control == hi:
         a0, a1 = m[:, :, control_value, :, 0, :], m[:, :, control_value, :, 1, :]
     else:
         a0, a1 = m[:, :, 0, :, control_value, :], m[:, :, 1, :, control_value, :]
-    _pair_update(a0, a1, _ry_matrix(theta), fresh)
+    _pair_update(a0, a1, mat, fresh)
 
 
 def _fork(buf: np.ndarray, owner: np.ndarray, live: int, hit: np.ndarray, paulis: np.ndarray, qubit: int) -> int:
@@ -248,113 +249,93 @@ def _fork(buf: np.ndarray, owner: np.ndarray, live: int, hit: np.ndarray, paulis
     return live + keys.size - freed.size
 
 
-def _apply_gate(states: np.ndarray, gate: Gate, pos: tuple[int, ...], fresh: bool) -> None:
-    # pos: the register positions of the gate's qubits (a CRY's control, then
-    # its target); fresh: the target half where its bit is 1 is all zero (see
-    # _plan).
-    if gate.kind == "h":
-        _apply_1q(states, pos[0], _H, fresh)
-    elif gate.kind == "x":
-        _apply_1q(states, pos[0], _X, fresh)
-    elif gate.kind == "ry":
-        _apply_1q(states, pos[0], _ry_matrix(gate.theta), fresh)
+def _apply_gate(states: np.ndarray, pos: tuple[int, ...], mat, control_value: int | None, fresh: bool) -> None:
+    # pos: the register positions of the step's qubits (a CRY's control, then
+    # its target); control_value: None for a one-qubit step; fresh: the target
+    # half where its bit is 1 is all zero (see _plan).
+    if control_value is None:
+        _apply_1q(states, pos[0], mat, fresh)
     else:
-        _apply_cry(states, pos[0], gate.control_value, pos[1], gate.theta, fresh)
+        _apply_cry(states, pos[0], control_value, pos[1], mat, fresh)
 
 
 _ALL = slice(None)
 
 
-def _fold(circ: Circuit) -> tuple[Sequence[Gate], Sequence[int], tuple]:
-    # The exact path's basis qubits (module docstring): the qubits no H, RY or
-    # CRY targets, each tracked through its X gates, plus the qubits no kept
-    # gate touches. Returns the gates left to run, the register's qubits in
-    # qubit order, and the index of a (2,)*n view of the output that selects
-    # the register's slice (each basis qubit's value, ':' for a register
-    # qubit, then '...'; just '...' when every qubit is in the register).
+def _plan(circ: Circuit, *, fold: bool) -> tuple[list[tuple], tuple[int, ...] | None, int, tuple]:
+    # One walk over the gates (module docstring). Returns the steps, each
+    # (positions, 2x2 matrix, control value or None, 2^(qubits touched
+    # through it), which of its positions are settled after it, whether it
+    # places its target); the transpose axes that return a (rows, 2, ..., 2)
+    # view of register-order states to qubit order, or None when the two
+    # orders agree; the register's qubit count k; and the index of a (2,)*n
+    # view of the output that selects the register's slice (':' for a
+    # register qubit, else the qubit's basis value, highest qubit first).
+    # With ``fold`` the basis qubits are tracked by value: an X on one flips
+    # it, and a CRY it controls becomes an RY step when the value matches and
+    # is dropped when it does not.
+    # A step that places its target puts it on the top bit of its width, and
+    # no entry past the previous width has been written, so that half is
+    # zero. A qubit is settled after gate i when no later gate targets it.
     n = circ.n_qubits
     gates = circ.gates
-    rotated = {g.target for g in gates if g.kind != "x"}
-    if len(rotated) == n:
-        return gates, range(n), (...,)
-    value = {q: 0 for q in range(n) if q not in rotated}
-    kept: list[Gate] = []
-    touched = set()
-    for g in gates:
+    value: dict[int, int] = {}
+    if fold:
+        rotated = {g.target for g in gates if g.kind != "x"}
+        value = {q: 0 for q in range(n) if q not in rotated}
+    last_target = {g.target: i for i, g in enumerate(gates)}
+    position: dict[int, int] = {}
+    steps = []
+    for i, g in enumerate(gates):
         t = g.target
         if t in value:  # an X: basis qubits are targeted by nothing else
             value[t] ^= 1
             continue
-        if g.kind == "cry":
-            c = g.control
-            if c in value:
-                if value[c] != g.control_value:
-                    continue
-                g = Gate("ry", t, g.theta)
-            else:
-                touched.add(c)
-        kept.append(g)
-        touched.add(t)
-    index = [_ALL if q in touched else value.get(q, 0) for q in range(n - 1, -1, -1)]
-    return kept, sorted(touched), (*index, ...)
-
-
-def _plan(gates: Sequence[Gate], qubits: Sequence[int]) -> tuple[
-        list[tuple[Gate, tuple[int, ...], int, tuple[bool, ...], bool]], tuple[int, ...] | None]:
-    # The first-touch register (module docstring) of ``gates`` over
-    # ``qubits``, which lists every qubit they touch, in qubit order. Returns
-    # (gate, its positions, 2^(qubits touched through it), which of its
-    # positions are settled after it, whether it places its target) per gate,
-    # and the transpose axes that return a (rows, 2, ..., 2) view of
-    # register-order states to the order of ``qubits``, or None when the two
-    # orders agree.
-    # A gate that places its target puts it on the top bit of its width, and no
-    # entry past the previous width has been written, so that half is zero.
-    # A qubit is settled after gate i when no later gate targets it. The two
-    # gate shapes are spelled out: every run_exact plans once, and on small
-    # circuits a generic per-gate loop shows.
-    last_target = {gate.target: i for i, gate in enumerate(gates)}
-    position: dict[int, int] = {}
-    steps = []
-    for i, gate in enumerate(gates):
-        t = gate.target
+        c = g.control
+        if c in value:  # a basis control: an RY on t, or nothing
+            if value[c] != g.control_value:
+                continue
+            c = None
+        kind = g.kind
+        mat = _H if kind == "h" else _X if kind == "x" else _ry_matrix(g.theta)
+        if c is not None and c not in position:
+            position[c] = len(position)
         fresh = t not in position
-        if gate.kind == "cry":
-            c = gate.control
-            if c not in position:
-                position[c] = len(position)
-            if fresh:
-                position[t] = len(position)
-            pos, settled = (position[c], position[t]), (last_target.get(c, -1) < i, last_target[t] == i)
+        if fresh:
+            position[t] = len(position)
+        if c is None:
+            steps.append(((position[t],), mat, None, 1 << len(position), (last_target[t] == i,), fresh))
         else:
-            if fresh:
-                position[t] = len(position)
-            pos, settled = (position[t],), (last_target[t] == i,)
-        steps.append((gate, pos, 1 << len(position), settled, fresh))
-    for q in qubits:
-        position.setdefault(q, len(position))
+            steps.append(((position[c], position[t]), mat, g.control_value, 1 << len(position),
+                          (last_target.get(c, -1) < i, last_target[t] == i), fresh))
+    index = tuple(_ALL if q in position else value.get(q, 0) for q in range(n - 1, -1, -1))
+    qubits = sorted(position)
+    k = len(qubits)
     if all(position[q] == i for i, q in enumerate(qubits)):
-        return steps, None
-    # Axis 1 + j holds the bit of qubits[m-1-j] in qubit order, of position
-    # m-1-j in register order.
-    m = len(qubits)
-    return steps, (0, *(m - position[qubits[m - 1 - j]] for j in range(m)))
+        return steps, None, k, index
+    # Axis 1 + j holds the bit of qubits[k-1-j] in qubit order, of position
+    # k-1-j in register order.
+    return steps, (0, *(k - position[qubits[k - 1 - j]] for j in range(k))), k, index
 
 
-def _qubit_view(states: np.ndarray, axes: tuple[int, ...] | None) -> np.ndarray:
-    # states: (rows, 2^n) in register order. A (rows, 2, ..., 2) view that
-    # reads them in qubit order, or states itself when the orders agree.
-    if axes is None:
-        return states
-    return states.reshape(states.shape[0], *(2,) * (len(axes) - 1)).transpose(axes)
-
-
-def _squared_in_qubit_order(states: np.ndarray, axes: tuple[int, ...] | None) -> np.ndarray:
-    # The squares of states, (rows, 2^n) in qubit order: in place when the
-    # orders agree, else written into one new array as the transpose is read.
-    view = _qubit_view(states, axes)
-    out = view if axes is None else np.empty(view.shape)
-    return np.square(view, out=out).reshape(states.shape)
+def _read_out(states: np.ndarray, axes: tuple[int, ...] | None, index: tuple, n: int, square: bool) -> np.ndarray:
+    # states: (rows, 2^k) in register order. Returns them, or their squares,
+    # as (rows, 2^n) in qubit order: states itself, squared in place, when the
+    # register already is the output in qubit order; else a zeroed array with
+    # the register written through ``axes`` into the slice ``index`` selects.
+    rows, width = states.shape
+    if axes is None and width == 1 << n:
+        return np.square(states, out=states) if square else states
+    view = states.reshape(rows, *(2,) * (width.bit_length() - 1))
+    if axes is not None:
+        view = view.transpose(axes)
+    out = np.zeros((rows, 1 << n))
+    dest = out.reshape(rows, *(2,) * n)[(_ALL, *index)]
+    if square:
+        np.square(view, out=dest)
+    else:
+        dest[...] = view
+    return out
 
 
 def check_state_size(n_qubits: int, rows: int = 1) -> None:
@@ -381,29 +362,14 @@ def trajectory_batch(n_qubits: int) -> int:
 
 def _final_state(circ: Circuit, square: bool) -> np.ndarray:
     # The 2^n final amplitudes, or their squares, in qubit order, as an array
-    # no caller holds. The gates _fold keeps run on the register of its
-    # qubits. A register that is already the output in qubit order is squared
-    # in place or returned; any other is written straight into the slice of a
-    # zeroed 2^n array that the basis values select (all of it when every
-    # qubit is in the register).
-    n = circ.n_qubits
-    check_state_size(n)
-    gates, qubits, index = _fold(circ)
-    steps, axes = _plan(gates, qubits)
-    buf = np.zeros((1, 1 << len(qubits)))
+    # no caller holds: the folded steps run on the register, then _read_out.
+    check_state_size(circ.n_qubits)
+    steps, axes, k, index = _plan(circ, fold=True)
+    buf = np.zeros((1, 1 << k))
     buf[0, 0] = 1.0
-    for gate, pos, width, _, fresh in steps:
-        _apply_gate(buf[:, :width], gate, pos, fresh)
-    if axes is None and len(qubits) == n:
-        return np.square(buf[0], out=buf[0]) if square else buf[0]
-    out = np.zeros(1 << n)
-    view = _qubit_view(buf, axes)[0].reshape((2,) * len(qubits))
-    dest = out.reshape((2,) * n)[index]
-    if square:
-        np.square(view, out=dest)
-    else:
-        dest[...] = view
-    return out
+    for pos, mat, control_value, width, _, fresh in steps:
+        _apply_gate(buf[:, :width], pos, mat, control_value, fresh)
+    return _read_out(buf, axes, index, circ.n_qubits, square)[0]
 
 
 def _adopt_exact(n_qubits: int, probs: np.ndarray) -> Distribution:
@@ -433,6 +399,12 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
+def check_shots(shots: int) -> None:
+    """Raise ValueError unless ``shots`` lies in [1, 2^63), the range of numpy's int64 counts."""
+    if not 1 <= shots < 1 << 63:
+        raise ValueError(f"shots must be in [1, 2**63), got {shots}")
+
+
 def _seed_sequence(seed: int | np.random.SeedSequence, noisy: bool = False) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, 0)) if noisy else seed
@@ -452,8 +424,7 @@ def draw_counts(
     """
     if dist.shots is not None:
         raise ValueError("shots can only be drawn from an exact distribution, got a sampled one")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
     check_state_size(dist.n_qubits, len(seeds))
     probs = dist.values
     pvals = probs / probs.sum()
@@ -481,8 +452,7 @@ def run_sampled(
     follows its own trajectory with stochastic Pauli injection and is then
     measured once; shots with the same Pauli history share one state.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
     noisy = noise is not None and noise.p_depol > 0.0
     seed = _seed_sequence(seed, noisy)
     if not noisy:
@@ -503,14 +473,14 @@ def _trajectory_counts(circ: Circuit, rows: int, p_depol: float, rng: np.random.
     # One noisy batch: ``rows`` shots over at most ``rows`` slots; owner[r] is
     # the slot of row r. Only buf[:live, :width] is ever written, so the pages
     # of the np.zeros buffer past it are never touched.
-    steps, axes = _plan(circ.gates, range(circ.n_qubits))
+    steps, axes, k, index = _plan(circ, fold=False)
     dim = 1 << circ.n_qubits
-    buf = np.zeros((rows, dim))
+    buf = np.zeros((rows, 1 << k))
     buf[0, 0] = 1.0
     owner = np.zeros(rows, dtype=np.intp)
     live = 1
-    for gate, pos, width, settled, fresh in steps:
-        _apply_gate(buf[:live, :width], gate, pos, fresh)
+    for pos, mat, control_value, width, settled, fresh in steps:
+        _apply_gate(buf[:live, :width], pos, mat, control_value, fresh)
         for q, quiet in zip(pos, settled):
             hit = np.nonzero(rng.random(rows) < p_depol)[0]
             if not hit.size:
@@ -522,7 +492,7 @@ def _trajectory_counts(circ: Circuit, rows: int, p_depol: float, rng: np.random.
                 paulis = np.zeros_like(hit)
             if hit.size:
                 live = _fork(buf[:, :width], owner, live, hit, paulis, q)
-    cum = _squared_in_qubit_order(buf[:live], axes)
+    cum = _read_out(buf[:live], axes, index, circ.n_qubits, True)
     cum /= cum.sum(axis=1, keepdims=True)
     np.cumsum(cum, axis=1, out=cum)
     u = rng.random(rows)

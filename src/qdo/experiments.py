@@ -42,7 +42,7 @@ from .analysis import (
     cond_prob,
 )
 from .circuit import Circuit, compile_model
-from .engine import NoiseSpec, check_seed, draw_counts, run_exact, run_sampled
+from .engine import NoiseSpec, check_seed, check_shots, draw_counts, run_exact, run_sampled
 from .model import CausalModel, Intervention, ModelError, apply_do
 
 DEFAULT_SEED = 1729
@@ -68,9 +68,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.backend not in ("exact", "sampled"):
             raise ValueError(f"backend must be 'exact' or 'sampled', got {self.backend!r}")
-        if self.backend == "sampled" and self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
         if self.backend == "sampled":
+            check_shots(self.shots)
             check_seed(self.seed)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
@@ -124,14 +123,15 @@ class Report:
         raise KeyError(f"no group labeled {label!r}")
 
 
-def trial_streams(seed: int, trials: int, stream: int) -> list[np.random.SeedSequence]:
-    """Stream ``stream`` (OBS, DO1 or DO0) of trials 0..trials-1 under the seed contract.
+def trial_streams(seed: int, start: int, stop: int, stream: int) -> list[np.random.SeedSequence]:
+    """Stream ``stream`` (OBS, DO1 or DO0) of trials start..stop-1 under the seed contract.
 
     Trial i's is ``SeedSequence(seed, spawn_key=(i, stream))``: the same
-    sequence as spawning ``trials`` children of ``SeedSequence(seed)`` and
-    three of the i-th, without building that tree.
+    sequence as spawning at least i + 1 children of ``SeedSequence(seed)``
+    and three of the i-th, without building that tree, so a chunk of trials
+    needs no stream of any other trial.
     """
-    return [np.random.SeedSequence(seed, spawn_key=(i, stream)) for i in range(trials)]
+    return [np.random.SeedSequence(seed, spawn_key=(i, stream)) for i in range(start, stop)]
 
 
 def run_experiment(
@@ -173,22 +173,22 @@ def run_experiment(
     sampled = cfg.backend == "sampled"
     noisy = cfg.noise is not None and cfg.noise.p_depol > 0.0
     exact = {} if noisy else {k: run_exact(c) for k, c in circuits.items()}
-    streams = {k: trial_streams(cfg.seed, cfg.trials, k) for k in circuits} if sampled else {}
     # Every circuit of a model has the same width, so one chunk size serves all.
     chunk = max(1, _CHUNK_BYTES // (_COUNT_BYTES << model.n_qubits))
     chunks = []
     for start in range(0, cfg.trials if sampled else 1, chunk):
+        stop = min(start + chunk, cfg.trials)
         stacks = {}
         for k, circ in circuits.items():
             if not sampled:
                 stacks[k] = exact[k].values[None]
             elif noisy:
-                rows = streams[k][start : start + chunk]
+                rows = trial_streams(cfg.seed, start, stop, k)
                 stacks[k] = np.empty((len(rows), 1 << circ.n_qubits), dtype=np.int64)
                 for row, stream in zip(stacks[k], rows):
                     row[:] = run_sampled(circ, cfg.shots, stream, cfg.noise).values
             else:
-                stacks[k] = draw_counts(exact[k], cfg.shots, streams[k][start : start + chunk])
+                stacks[k] = draw_counts(exact[k], cfg.shots, trial_streams(cfg.seed, start, stop, k))
         try:
             chunks.append(_estimate(stacks, qubits, treatment, outcome, groups))
         except UndefinedConditionalError as exc:

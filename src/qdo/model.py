@@ -422,6 +422,8 @@ def load_model(path: str | Path) -> CausalModel:
         raise ModelError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ModelError(f"{path}: JSON nested too deeply to parse") from None
     try:
         return model_from_dict(data)
     except ModelError as exc:

@@ -315,6 +315,12 @@ class TestChartCommand:
             capsys.readouterr()
             assert run_cli("chart", str(report), "--svg", str(tmp_path / "x.svg")) == 2
             assert capsys.readouterr().err.startswith(f"qdo: error: {report}: "), name
+        # json.loads raises RecursionError on deep nesting; exit 1 would
+        # report an engine/oracle mismatch.
+        report = tmp_path / "deep.json"
+        report.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        assert run_cli("chart", str(report), "--svg", str(tmp_path / "x.svg")) == 2
+        assert capsys.readouterr().err == f"qdo: error: {report}: JSON nested too deeply to parse\n"
         assert not (tmp_path / "x.svg").exists()
 
     def test_non_finite_reference_exits_2(self, tmp_path, capsys):
@@ -351,6 +357,15 @@ class TestSeedHandling:
         monkeypatch.delenv("QDO_SEED")
         assert run_cli(*argv, "--backend", "sampled", "--shots", "10", "--trials", "2", "--seed", seed) == 2
         assert f"got {seed}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "simpson3", "healthcare10"])
+    @pytest.mark.parametrize("shots", ["0", str(1 << 63)])
+    def test_shots_outside_int64_exits_2(self, capsys, command, shots):
+        # run without --effect is distribution mode. numpy cannot draw 2^63
+        # shots, and exit 1 would report an engine/oracle mismatch.
+        argv = [command, *([str(MODELS / "simpson3.json")] if command == "run" else [])]
+        assert run_cli(*argv, "--backend", "sampled", "--shots", shots, "--trials", "2") == 2
+        assert capsys.readouterr().err == f"qdo: error: shots must be in [1, 2**63), got {shots}\n"
 
 
 class TestParserReuse:

@@ -35,7 +35,7 @@ from qdo import (
 )
 from qdo.circuit import Circuit, Gate, surgered_circuit
 from qdo import engine
-from qdo.engine import MAX_STATE_BYTES, check_state_size, draw_counts, draw_shots, trajectory_batch
+from qdo.engine import MAX_STATE_BYTES, check_shots, check_state_size, draw_counts, draw_shots, trajectory_batch
 from conftest import chain_model, make_random_model
 
 
@@ -137,6 +137,26 @@ class TestSampling:
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError, match="shots"):
             run_sampled(Circuit(1, (_h(0),)), 0, seed=1)
+
+    @pytest.mark.parametrize("shots", [0, -3, 1 << 63, 1 << 70])
+    @pytest.mark.parametrize("call", [
+        lambda c, n: run_sampled(c, n, 1),
+        lambda c, n: run_sampled(c, n, 1, NoiseSpec(0.1)),
+        lambda c, n: draw_counts(run_exact(c), n, (1, 2)),
+    ], ids=["noiseless", "noisy", "draw_counts"])
+    def test_shots_outside_int64_rejected(self, simpson3_entry, call, shots):
+        # Counts are int64, and numpy's multinomial overflows past them.
+        with pytest.raises(ValueError, match=re.escape(f"shots must be in [1, 2**63), got {shots}")):
+            call(compile_model(simpson3_entry.model), shots)
+
+    def test_largest_shot_count_accepted(self, simpson3_entry):
+        # 2^63 - 1 shots pass on every path. A noiseless draw is one
+        # multinomial per row. A noisy run of that many shots is accepted too
+        # and evolves them one batch at a time: it costs time, not memory, so
+        # it is never run here.
+        check_shots((1 << 63) - 1)
+        counts = draw_counts(run_exact(compile_model(simpson3_entry.model)), (1 << 63) - 1, (1, 2))
+        assert counts.sum(axis=1).tolist() == [(1 << 63) - 1] * 2
 
     def test_draw_from_exact_equals_run_sampled(self, simpson3_entry):
         circ = compile_model(simpson3_entry.model)
@@ -340,9 +360,9 @@ def gate_shapes(monkeypatch):
     shapes = []
     apply_gate = engine._apply_gate
 
-    def spy(states, gate, pos, fresh):
+    def spy(states, pos, mat, control_value, fresh):
         shapes.append(states.shape)
-        apply_gate(states, gate, pos, fresh)
+        apply_gate(states, pos, mat, control_value, fresh)
 
     monkeypatch.setattr(engine, "_apply_gate", spy)
     return shapes
@@ -500,10 +520,11 @@ class TestFirstTouchRegister:
         # batch keeps it in, so T draws noise and forks as every touched
         # qubit does, at the position the unfolded plan gives it.
         circ = surgered_circuit(compile_model(simpson3_entry.model), Intervention("T", 1))
-        t = circ.variables.index("T")
-        assert t not in engine._fold(circ)[1]
-        steps, _ = engine._plan(circ.gates, range(circ.n_qubits))
-        t_pos = next(pos[-1] for gate, pos, *_ in steps if gate.target == t)
+        n, t = circ.n_qubits, circ.variables.index("T")
+        assert engine._plan(circ, fold=True)[3][n - 1 - t] == 1  # T's slice of the output, not a register qubit
+        steps, _, k, _ = engine._plan(circ, fold=False)
+        assert len(steps) == len(circ.gates) and k == n
+        t_pos = next(pos[-1] for gate, (pos, *_) in zip(circ.gates, steps) if gate.target == t)
         assert run_sampled(circ, 256, 5, NoiseSpec(1.0)).values.sum() == 256
         positions = [pos for pos, *_ in forks]
         assert positions == [pos for pos, _ in _hit_positions(circ)]
@@ -535,7 +556,7 @@ class TestExactMemory:
 
     def test_shuffled_qubit_map_peaks_at_two_states(self):
         circ = compile_model(make_random_model(np.random.default_rng(3), n=18))
-        assert engine._plan(circ.gates, range(circ.n_qubits))[1] is not None
+        assert engine._plan(circ, fold=True)[1] is not None
         for run in (run_exact, statevector):
             assert _traced_peak(run, circ) <= 2 * self.STATE + 64 * 1024 + self.SMALL, run.__name__
 
@@ -550,9 +571,8 @@ class TestExactMemory:
             replace(v, qubit=int(qubits[i]), prep=Prep.rotation(0.3 + 0.1 * i)) for i, v in enumerate(model.variables)))
         for value in (1, 0):
             circ = surgered_circuit(compile_model(model), Intervention("v1", value))
-            kept, register, _ = engine._fold(circ)
-            assert len(register) == 17
-            assert engine._plan(kept, register)[1] is not None
+            _, axes, k, _ = engine._plan(circ, fold=True)
+            assert k == 17 and axes is not None
             for run in (run_exact, statevector):
                 peak = _traced_peak(run, circ)
                 assert peak <= self.STATE + self.STATE // 2 + 64 * 1024 + self.SMALL, (value, run.__name__)
@@ -561,6 +581,6 @@ class TestExactMemory:
         # Every gate of the chain places its target, so no gate allocates a
         # temporary, and run_exact squares the register in place.
         circ = compile_model(chain_model(18))
-        assert engine._plan(circ.gates, range(circ.n_qubits))[1] is None
+        assert engine._plan(circ, fold=True)[1] is None
         for run in (run_exact, statevector):
             assert _traced_peak(run, circ) <= self.STATE + self.SMALL, run.__name__

@@ -62,6 +62,7 @@ class TestRunConfig:
         [
             {"trials": 0},
             {"backend": "sampled", "shots": 0},
+            {"backend": "sampled", "shots": 1 << 63},
             {"backend": "sampled", "seed": -1},
             {"backend": "sampled", "seed": 1 << 64},
         ],
@@ -102,10 +103,34 @@ class TestTrialStreams:
     def test_equal_to_the_spawn_tree(self, seed, trials):
         tree = [child.spawn(3) for child in np.random.SeedSequence(seed).spawn(trials)]
         for k in (OBS, DO1, DO0):
-            for i, got in enumerate(trial_streams(seed, trials, k)):
+            for i, got in enumerate(trial_streams(seed, 0, trials, k)):
                 want = tree[i][k]
                 assert got.entropy == want.entropy and got.spawn_key == want.spawn_key == (i, k)
                 assert np.array_equal(got.generate_state(8), want.generate_state(8))
+            # A later range starts at its own first trial: no tree is built.
+            part = trial_streams(seed, trials // 2, trials, k)
+            assert [ss.spawn_key for ss in part] == [tree[i][k].spawn_key for i in range(trials // 2, trials)]
+            assert all(np.array_equal(a.generate_state(8), tree[trials // 2 + j][k].generate_state(8))
+                       for j, a in enumerate(part))
+
+    @pytest.mark.parametrize("noise", [None, NoiseSpec(0.05)], ids=["noiseless", "noisy"])
+    def test_a_run_builds_each_chunks_streams_alone(self, simpson3_entry, monkeypatch, noise):
+        # 128 bytes hold 2 count rows of 3 qubits, so 7 trials run as 4
+        # chunks; every streams call covers one chunk, and the report bytes
+        # equal those of the run in one chunk.
+        cfg = RunConfig(backend="sampled", shots=200, trials=7, seed=13, noise=noise)
+        one_chunk = report_json_text(run_experiment(simpson3_entry.model, "T", "O", simpson3_groups(), cfg))
+        calls = []
+
+        def spy(seed, start, stop, stream):
+            calls.append((start, stop, stream))
+            return trial_streams(seed, start, stop, stream)
+
+        monkeypatch.setattr(experiments, "trial_streams", spy)
+        monkeypatch.setattr(experiments, "_CHUNK_BYTES", 128)
+        chunked = report_json_text(run_experiment(simpson3_entry.model, "T", "O", simpson3_groups(), cfg))
+        assert chunked == one_chunk
+        assert calls == [(start, min(start + 2, 7), k) for start in range(0, 7, 2) for k in (OBS, DO1, DO0)]
 
 
 class TestSampledRun:

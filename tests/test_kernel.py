@@ -24,7 +24,8 @@ register and writes the register into the slice of the output that their
 values select. Random circuits flip basis qubits before, between and after
 the CRYs they control, use them as ground controls, and may hold no other
 qubit; stacked circuit surgeries on random models make do()'d basis qubits.
-Each must equal the full-width loop bit for bit.
+Each must equal the full-width loop bit for bit. A noisy batch runs every
+gate but leaves a qubit no gate touches out of its register too.
 
 The noisy sampler keeps one state per distinct Pauli history, not one per
 shot; its counts must equal, array for array, those of a plain loop that
@@ -38,14 +39,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdo import Intervention, NoiseSpec, compile_model, run_exact, run_sampled, statevector
+from qdo import Intervention, NoiseSpec, compile_model, healthcare10, run_exact, run_sampled, simpson3, statevector
 from qdo import engine
 from qdo.circuit import Circuit, Gate, surgered_circuit
 from qdo.engine import (
     _apply_1q,
     _apply_cry,
     _apply_gate,
-    _fold,
     _fork,
     _plan,
     _ry_matrix,
@@ -68,9 +68,25 @@ _PAULI = (
 ANGLE = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 
 
-def _touched_qubits(gate: Gate) -> tuple[int, ...]:
-    """The qubits a gate touches, as the engine orders them: a CRY's control, then its target."""
-    return (gate.control, gate.target) if gate.kind == "cry" else (gate.target,)
+def _full_width_step(gate: Gate) -> tuple[tuple[int, ...], object, int | None]:
+    """(positions, matrix, control value) that make ``_apply_gate`` run ``gate`` at the qubits' own indices.
+
+    The positions are the qubits the gate touches, as the engine orders them:
+    a CRY's control, then its target.
+    """
+    if gate.kind in _FIXED:
+        return (gate.target,), _FIXED[gate.kind].real.tolist(), None
+    if gate.kind == "ry":
+        return (gate.target,), _ry_matrix(gate.theta), None
+    return (gate.control, gate.target), _ry_matrix(gate.theta), gate.control_value
+
+
+def _register(circ: Circuit, fold: bool) -> list[int]:
+    """The qubits in ``_plan``'s register, in qubit order: those its output index leaves open."""
+    _, _, k, index = _plan(circ, fold=fold)
+    register = [q for q in range(circ.n_qubits) if index[circ.n_qubits - 1 - q] == slice(None)]
+    assert len(register) == k
+    return register
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -160,7 +176,7 @@ def test_fork_equals_complex_reference(program):
     ref[:, 0] = 1.0
     for step in steps:
         if isinstance(step, Gate):
-            _apply_gate(states, step, _touched_qubits(step), False)
+            _apply_gate(states, *_full_width_step(step), False)
             for psi in ref:
                 _ref_gate(psi, step)
         else:
@@ -178,7 +194,7 @@ def _full_width_statevector(circ: Circuit) -> np.ndarray:
     states = np.zeros((1, 1 << circ.n_qubits))
     states[0, 0] = 1.0
     for gate in circ.gates:
-        _apply_gate(states, gate, _touched_qubits(gate), False)
+        _apply_gate(states, *_full_width_step(gate), False)
     return states[0]
 
 
@@ -338,7 +354,7 @@ def basis_circuits(draw) -> Circuit:
 @PROPERTY
 @given(basis_circuits())
 def test_basis_qubits_equal_references(circ):
-    assert len(_fold(circ)[1]) < circ.n_qubits
+    assert len(_register(circ, fold=True)) < circ.n_qubits
     _assert_equals_references(circ)
 
 
@@ -362,7 +378,7 @@ def test_basis_qubits_equal_references(circ):
     ids=["flip-on-1", "flip-on-0", "ground-control", "two-basis-qubits", "all-x", "all-folded"],
 )
 def test_basis_qubit_cases_equal_references(circ, register):
-    assert _fold(circ)[1] == register and len(register) < circ.n_qubits
+    assert _register(circ, fold=True) == register and len(register) < circ.n_qubits
     _assert_equals_references(circ)
 
 
@@ -376,7 +392,7 @@ def test_stacked_surgeries_equal_references(seed, data):
     for name in names[:data.draw(st.integers(1, min(3, len(names))))]:
         circ = surgered_circuit(circ, Intervention(name, data.draw(st.integers(0, 1))))
         _assert_equals_references(circ)
-        assert len(_fold(circ)[1]) < circ.n_qubits
+        assert len(_register(circ, fold=True)) < circ.n_qubits
 
 
 @PROPERTY
@@ -385,11 +401,11 @@ def test_a_placed_target_finds_its_upper_half_zero(circ, seed):
     checked = []
     apply_gate = engine._apply_gate
 
-    def spy(states, gate, pos, fresh):
+    def spy(states, pos, mat, control_value, fresh):
         if fresh:
             upper = states.reshape(states.shape[0], -1, 2, 1 << pos[-1])[:, :, 1, :]
             checked.append((states.shape[0], not upper.any()))
-        apply_gate(states, gate, pos, fresh)
+        apply_gate(states, pos, mat, control_value, fresh)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_apply_gate", spy)
@@ -400,8 +416,8 @@ def test_a_placed_target_finds_its_upper_half_zero(circ, seed):
     # Every register qubit is placed once per run: the exact run places the
     # qubits of its folded plan, the noisy run every qubit the circuit
     # touches, and it forks before most placements.
-    assert exact == sum(fresh for *_, fresh in _plan(*_fold(circ)[:2])[0])
-    assert len(checked) - exact == sum(fresh for *_, fresh in _plan(circ.gates, range(circ.n_qubits))[0])
+    assert exact == sum(fresh for *_, fresh in _plan(circ, fold=True)[0])
+    assert len(checked) - exact == sum(fresh for *_, fresh in _plan(circ, fold=False)[0])
     if circ.n_qubits > 2:
         assert max(rows for rows, _ in checked) > 1
 
@@ -410,11 +426,11 @@ def test_a_placed_target_finds_its_upper_half_zero(circ, seed):
     "apply",
     [
         lambda s: _apply_1q(s, 1, _ry_matrix(0.9), False),
-        lambda s: _apply_cry(s, 2, 0, 0, 0.7, False),
-        lambda s: _apply_cry(s, 0, 1, 2, -1.3, False),
+        lambda s: _apply_cry(s, 2, 0, 0, _ry_matrix(0.7), False),
+        lambda s: _apply_cry(s, 0, 1, 2, _ry_matrix(-1.3), False),
         lambda s: _apply_1q(s, 2, _ry_matrix(0.9), False),
-        lambda s: _apply_cry(s, 1, 1, 10, 0.7, False),
-        lambda s: _apply_cry(s, 2, 0, 10, 0.7, True),
+        lambda s: _apply_cry(s, 1, 1, 10, _ry_matrix(0.7), False),
+        lambda s: _apply_cry(s, 2, 0, 10, _ry_matrix(0.7), True),
     ],
     ids=["1q", "cry-control-high", "cry-control-low", "1q-short-runs", "cry-short-runs", "cry-fresh"],
 )
@@ -453,8 +469,9 @@ def _one_row_per_shot(circ: Circuit, shots: int, seed: int, p_depol: float) -> n
         states = np.zeros((batch, dim))
         states[:, 0] = 1.0
         for gate in circ.gates:
-            _apply_gate(states, gate, _touched_qubits(gate), False)
-            for q in _touched_qubits(gate):
+            pos, mat, control_value = _full_width_step(gate)
+            _apply_gate(states, pos, mat, control_value, False)
+            for q in pos:
                 hit = np.nonzero(rng.random(batch) < p_depol)[0]
                 if hit.size == 0:
                     continue
@@ -477,3 +494,37 @@ def test_shared_histories_count_like_one_row_per_shot(circ, batch_rows, shots, s
         for p in (0.003, 0.05, 0.4, 1.0):
             got = run_sampled(circ, shots, seed, NoiseSpec(p)).values
             assert np.array_equal(got, _one_row_per_shot(circ, shots, seed, p)), p
+
+
+@pytest.mark.parametrize(
+    "circ",
+    [
+        # do(O=0) leaves no gate on O, the top qubit: the register is q0 q1
+        # in qubit order, one qubit short of the output.
+        surgered_circuit(compile_model(simpson3().model), Intervention("O", 0)),
+        surgered_circuit(compile_model(healthcare10().model), Intervention("Satisfaction", 0)),
+        # q0 is never touched and the register holds q2 below q1.
+        Circuit(3, (Gate("h", 2), _cry(2, 1, 1, 0.9), Gate("ry", 2, theta=-0.5))),
+        Circuit(2, ()),
+    ],
+    ids=["simpson3-do-O0", "healthcare10-do-Satisfaction0", "untouched-q0-shuffled", "no-gates"],
+)
+def test_noisy_batch_leaves_an_untouched_qubit_out_of_its_register(circ):
+    # The reference evolves every shot at the full width; the batch runs on
+    # the touched qubits alone and writes its squares into the output's slice.
+    n = circ.n_qubits
+    assert len(_register(circ, fold=False)) < n
+    widths = []
+    apply_gate = engine._apply_gate
+
+    def spy(states, pos, mat, control_value, fresh):
+        widths.append(states.shape[1])
+        apply_gate(states, pos, mat, control_value, fresh)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_apply_gate", spy)
+        for p in (0.05, 0.5, 1.0):
+            got = run_sampled(circ, 300, 9, NoiseSpec(p)).values
+            assert np.array_equal(got, _one_row_per_shot(circ, 300, 9, p)), p
+    assert len(widths) == 3 * len(circ.gates)
+    assert all(width <= 1 << (n - 1) for width in widths)

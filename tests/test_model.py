@@ -301,13 +301,17 @@ class TestJsonFormat:
         (("edges", 0, "angle"), "0.5", "edges[0].angle: expected a number (radians), got '0.5'"),
         (("edges", 0, "angle"), 10**400, f"edges[0].angle: expected a number (radians), got {10**400}"),
         (None, None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+        (None, "[" * 100000 + "]" * 100000, "{path}: JSON nested too deeply to parse"),
     ], ids=["model", "variable", "edge", "model-name", "variable-name", "parent", "child",
             "variables", "edges", "sign", "sign-float", "sign-negative-float", "control-value-float",
-            "control-value-zero-float", "qubit-float", "angle", "huge-angle", "unreadable"])
+            "control-value-zero-float", "qubit-float", "angle", "huge-angle", "unreadable", "deep-nesting"])
     def test_malformed_file_names_the_field(self, tmp_path, keys, value, message):
-        # keys: where in the tiny model's dict to put value; None writes no file.
+        # keys: where in the tiny model's dict to put value; None writes value
+        # as the file's text, or no file when value is None too.
         path = tmp_path / "model.json"
-        if keys is not None:
+        if keys is None and value is not None:
+            path.write_text(value, encoding="utf-8")
+        elif keys is not None:
             root = {"model": model_to_dict(_tiny())}
             *outer, last = ("model", *keys)
             functools.reduce(operator.getitem, outer, root)[last] = value
