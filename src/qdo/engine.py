@@ -59,18 +59,32 @@ is at most half a state, so an exact run peaks at 1.5 states, not 2.
 The noisy path is a quantum-trajectory unraveling, not a density matrix: each
 shot follows its own pure state and, after every IR gate, each touched qubit
 is hit by a uniformly random Pauli (X, Y or Z) with probability ``p_depol``.
-Shots run in batches of up to ``_TRAJECTORY_BATCH`` rows, fewer when a full
-batch would exceed ``MAX_STATE_BYTES``; results are deterministic for a fixed
-(circuit, shots, seed, noise). Shots that share a Pauli history share one
-state: a batch starts with one slot, the all-zeros state, and a hit only forks
-a new slot per distinct (old slot, Pauli), so the work scales with the
-distinct histories, not with the shots. A fork reads the state of every new
-slot before it writes any, so a slot whose shots were all hit is refilled by
-whichever new slot comes first; a shot's outcome depends on its slot's
-contents, never on the slot's index. A batch is measured in place: its
-slots are squared, normalized and cumulated in the same array, and each
-shot's outcome is a binary search of its slot, so peak memory stays about one
-batch.
+Each seed's shots run in batches of up to ``trajectory_batch(n)`` rows
+(``_TRAJECTORY_BATCH``, fewer when a full batch would exceed
+``MAX_STATE_BYTES``); results are deterministic for a fixed (circuit, shots,
+seed, noise). Shots that share a Pauli history share one state: a batch
+starts with one slot, the all-zeros state, and a hit only forks a new slot
+per distinct (old slot, Pauli), so the work scales with the distinct
+histories, not with the shots. The fork keeps each slot's row count, so it
+finds the slots a hit emptied without a pass over every row. A fork reads
+the state of every new slot before it writes any, so a slot whose shots were
+all hit is refilled by whichever new slot comes first; a shot's outcome
+depends on its slot's contents and its own draws, never on the slot's index.
+So the trials of a stack (``noisy_counts``) share batches: the last (or
+only) batches of as many seeds as fit in ``trajectory_batch(n)`` rows run in
+one buffer, each seed's rows drawing from its own generator in the order a
+batch of its own would (per step and touched qubit ``random(rows)``, then
+``integers`` on a hit; at the end ``u``), and the counts equal those of
+one-seed runs. The plan is made once per stack.
+
+The batch buffer is allocated uninitialized and only its live slots are
+touched: before a step that widens the register the live slots' new entries
+are zeroed, the half a placed target (or a newly placed control) relies on
+being zero, and a forked slot is written over the whole width. A batch is
+measured in place: its slots are squared, normalized and cumulated in the
+same array, and each shot's outcome is a binary search of its slot, so peak
+memory stays about one batch, and the pages it touches follow the live
+slots.
 
 A touched qubit is settled after a gate when no later gate targets it (a CRY
 may still use it as a control). On a settled qubit a Z hit forks nothing and
@@ -221,32 +235,40 @@ def _apply_cry(states: np.ndarray, control: int, control_value: int, target: int
     _pair_update(a0, a1, mat, fresh)
 
 
-def _fork(buf: np.ndarray, owner: np.ndarray, live: int, hit: np.ndarray, paulis: np.ndarray, qubit: int) -> int:
+def _fork(
+    buf: np.ndarray, owner: np.ndarray, held: np.ndarray, live: int, hit: np.ndarray, paulis: np.ndarray | None,
+    qubit: int,
+) -> int:
     # Move each hit row to a slot holding its old slot's state times its Pauli
-    # (0 = X, 1 = Y up to its global phase i, 2 = Z); hit rows with the same
-    # key (Pauli, old slot) share one slot. Every key's state is read before
-    # any slot is written, so a slot that lost every row can take any key:
-    # the freed slots take the first keys, the rest go onto the end, and
-    # buf[:live] stays dense. Returns the new live count.
-    key = paulis * live + owner[hit]
+    # (0 = X, 1 = Y up to its global phase i, 2 = Z; None: every hit is an X);
+    # hit rows with the same key (Pauli, old slot) share one slot. held[s]
+    # counts the rows of slot s. Every key's state is read before any slot is
+    # written, so a slot that lost every row can take any key: the freed
+    # slots take the first keys, the rest go onto the end, and buf[:live]
+    # stays dense. Returns the new live count.
+    old = owner[hit]
+    key = old if paulis is None else paulis * live + old
     per_key = np.bincount(key, minlength=3 * live)
-    present = per_key > 0
-    keys = present.nonzero()[0]  # sorted, as np.unique(key) would give: X, then Y, then Z
-    rank = np.cumsum(present) - 1  # rank[k]: index in keys of the last key <= k
-    lost_all = per_key.reshape(3, live).sum(axis=0) == np.bincount(owner, minlength=live)
-    freed = lost_all.nonzero()[0]  # a freed slot had rows, so keys.size >= freed.size
-    dest = np.concatenate((freed, np.arange(live, live + keys.size - freed.size)))
-    kinds, slots = np.divmod(keys, live)
-    y, z = np.searchsorted(kinds, (1, 2))
+    keys = per_key.nonzero()[0]  # sorted, as np.unique(key) would give: X, then Y, then Z
+    held[:live] -= per_key[:live] if paulis is None else np.bincount(old, minlength=live)
+    freed = (held[:live] == 0).nonzero()[0]  # a freed slot had rows, so keys.size >= freed.size
+    grown = live + keys.size - freed.size
+    dest = np.concatenate((freed, np.arange(live, grown))) if freed.size else np.arange(live, grown)
+    y, z = keys.searchsorted((live, 2 * live))
+    slots = keys % live
+    held[dest] = per_key[keys]
+    per_key[keys] = dest  # now a table from key to slot
+    owner[hit] = per_key[key]
     pairs = buf.reshape(len(buf), -1, 2, 1 << qubit)
     flipped = pairs[slots[:z], :, ::-1]  # X: (a0, a1) -> (a1, a0)
-    flipped[y:, :, 0] *= -1.0  # Y: (a0, a1) -> (-a1, a0)
-    kept = pairs[slots[z:]]
-    kept[:, :, 1] *= -1.0  # Z: (a0, a1) -> (a0, -a1)
+    if y < z:
+        flipped[y:, :, 0] *= -1.0  # Y: (a0, a1) -> (-a1, a0)
+    if z < keys.size:
+        kept = pairs[slots[z:]]
+        kept[:, :, 1] *= -1.0  # Z: (a0, a1) -> (a0, -a1)
+        pairs[dest[z:]] = kept
     pairs[dest[:z]] = flipped
-    pairs[dest[z:]] = kept
-    owner[hit] = dest[rank[key]]
-    return live + keys.size - freed.size
+    return grown
 
 
 def _apply_gate(states: np.ndarray, pos: tuple[int, ...], mat, control_value: int | None, fresh: bool) -> None:
@@ -450,52 +472,99 @@ def run_sampled(
     Without noise (or with p_depol = 0) the exact distribution is computed once
     and shots are drawn i.i.d. from it (``draw_shots``). With noise, every shot
     follows its own trajectory with stochastic Pauli injection and is then
-    measured once; shots with the same Pauli history share one state.
+    measured once; shots with the same Pauli history share one state. A noisy
+    run is the one-seed ``noisy_counts``.
     """
     check_shots(shots)
-    noisy = noise is not None and noise.p_depol > 0.0
-    seed = _seed_sequence(seed, noisy)
-    if not noisy:
-        return draw_shots(run_exact(circ), shots, seed)
-
-    rng = np.random.default_rng(seed)
-    max_batch = trajectory_batch(circ.n_qubits)
-    counts = np.zeros(1 << circ.n_qubits, dtype=np.int64)
-    done = 0
-    while done < shots:
-        batch = min(max_batch, shots - done)
-        counts += _trajectory_counts(circ, batch, noise.p_depol, rng)
-        done += batch
-    return Distribution(circ.n_qubits, counts, shots=shots)
+    if noise is None or not noise.p_depol > 0.0:
+        return draw_shots(run_exact(circ), shots, _seed_sequence(seed))
+    return Distribution(circ.n_qubits, noisy_counts(circ, shots, (seed,), noise)[0], shots=shots)
 
 
-def _trajectory_counts(circ: Circuit, rows: int, p_depol: float, rng: np.random.Generator) -> np.ndarray:
-    # One noisy batch: ``rows`` shots over at most ``rows`` slots; owner[r] is
-    # the slot of row r. Only buf[:live, :width] is ever written, so the pages
-    # of the np.zeros buffer past it are never touched.
-    steps, axes, k, index = _plan(circ, fold=False)
-    dim = 1 << circ.n_qubits
-    buf = np.zeros((rows, 1 << k))
+def noisy_counts(
+    circ: Circuit, shots: int, seeds: Sequence[int | np.random.SeedSequence], noise: NoiseSpec
+) -> np.ndarray:
+    """Noisy counts of ``shots`` trajectories per seed, as a (len(seeds), 2^n) int64 stack.
+
+    Row i equals ``run_sampled(circ, shots, seeds[i], noise).values``: each
+    seed's shots run in batches of up to ``trajectory_batch(n)`` rows, drawn
+    from that seed's generator in the same order. The trials' last (or only)
+    batches share one buffer, as many as fit in ``trajectory_batch(n)`` rows,
+    so trials with the same Pauli history share a slot; a full batch runs
+    alone. The circuit is planned once for all batches.
+    """
+    if not noise.p_depol > 0.0:
+        raise ValueError("noisy_counts needs p_depol > 0; draw noiseless counts with draw_counts")
+    check_shots(shots)
+    rngs = [np.random.default_rng(_seed_sequence(seed, noisy=True)) for seed in seeds]
+    n = circ.n_qubits
+    max_batch = trajectory_batch(n)
+    check_state_size(n, len(rngs))
+    plan = _plan(circ, fold=False)
+    counts = np.zeros((len(rngs), 1 << n), dtype=np.int64)
+    full, tail = divmod(shots, max_batch)
+    for _ in range(full):
+        for row, rng in zip(counts, rngs):
+            row += _trajectory_counts(plan, max_batch, noise.p_depol, [rng])[0]
+    if tail:
+        merged = max_batch // tail
+        for first in range(0, len(rngs), merged):
+            group = slice(first, first + merged)
+            counts[group] += _trajectory_counts(plan, tail, noise.p_depol, rngs[group])
+    return counts
+
+
+def _draw_hits(rngs: Sequence[np.random.Generator], rows: int, p_depol: float) -> tuple[np.ndarray, np.ndarray] | None:
+    # The rows a Pauli hits and each hit's Pauli, drawn trial by trial, trial
+    # t's rows offset by t * rows; None when nothing is hit.
+    hits, paulis = [], []
+    for t, rng in enumerate(rngs):
+        hit = (rng.random(rows) < p_depol).nonzero()[0]
+        if hit.size:
+            hits.append(hit + t * rows)
+            paulis.append(rng.integers(0, 3, size=hit.size))
+    if len(hits) > 1:
+        return np.concatenate(hits), np.concatenate(paulis)
+    return (hits[0], paulis[0]) if hits else None
+
+
+def _trajectory_counts(plan: tuple, rows: int, p_depol: float, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    # One noisy batch of ``rows`` shots per trial, trial t on rows
+    # [t*rows, (t+1)*rows) with generator rngs[t], over the steps of
+    # _plan(circ, fold=False). owner[r] is the slot of row r and held[s] the
+    # number of rows slot s holds. buf is uninitialized: every entry of
+    # buf[:live, :filled] is zeroed or written by a fork before it is read.
+    # Returns the (len(rngs), 2^n) counts.
+    steps, axes, k, index = plan
+    n = len(index)
+    dim = 1 << n
+    total = rows * len(rngs)
+    buf = np.empty((total, 1 << k))
     buf[0, 0] = 1.0
-    owner = np.zeros(rows, dtype=np.intp)
-    live = 1
+    owner = np.zeros(total, dtype=np.intp)
+    held = np.zeros(total, dtype=np.intp)
+    held[0] = total
+    live = filled = 1
     for pos, mat, control_value, width, settled, fresh in steps:
+        if width > filled:
+            buf[:live, filled:width] = 0.0
+            filled = width
         _apply_gate(buf[:live, :width], pos, mat, control_value, fresh)
         for q, quiet in zip(pos, settled):
-            hit = np.nonzero(rng.random(rows) < p_depol)[0]
-            if not hit.size:
+            drawn = _draw_hits(rngs, rows, p_depol)
+            if drawn is None:
                 continue
-            paulis = rng.integers(0, 3, size=hit.size)
+            hit, paulis = drawn
             if quiet:
                 # Z on a settled qubit changes no square, and Y is X times Z.
                 hit = hit[paulis != 2]
-                paulis = np.zeros_like(hit)
+                paulis = None
             if hit.size:
-                live = _fork(buf[:, :width], owner, live, hit, paulis, q)
-    cum = _read_out(buf[:live], axes, index, circ.n_qubits, True)
+                live = _fork(buf[:, :width], owner, held, live, hit, paulis, q)
+    cum = _read_out(buf[:live], axes, index, n, True)
     cum /= cum.sum(axis=1, keepdims=True)
     np.cumsum(cum, axis=1, out=cum)
-    u = rng.random(rows)
+    u = np.concatenate([rng.random(rows) for rng in rngs])
     # A row's outcome is the number of its slot's cumulative probabilities
     # below u, capped at dim - 1 (the cumsum never decreases): a binary search
     # on flat indices, one bit per step, that gathers one entry per row.
@@ -506,7 +575,8 @@ def _trajectory_counts(circ: Circuit, rows: int, p_depol: float, rng: np.random.
     while step:
         idx += step * (flat[idx + (step - 1)] < u)
         step >>= 1
-    return np.bincount(idx - start, minlength=dim)
+    idx += np.arange(total) // rows * dim - start  # trial t's outcomes count in row t
+    return np.bincount(idx, minlength=len(rngs) * dim).reshape(len(rngs), dim)
 
 
 def marginal(dist: Distribution, qubits) -> Distribution:

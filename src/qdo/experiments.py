@@ -7,7 +7,8 @@ trials and aggregates per-trial estimates into 95% confidence intervals
 
 Trials are stacked, not looped: each circuit's trials fill a (trials, 2^n)
 array, one row per trial (noiseless rows are drawn from one exact run,
-noisy rows are ``run_sampled`` counts), and every group is estimated once
+noisy rows come from one ``noisy_counts`` call, whose trials share
+trajectory batches), and every group is estimated once
 over the stack by ``analysis``' estimators. A stack holds at most
 ``_CHUNK_BYTES`` of counts (at least one row); more trials run as several
 chunks in trial order, so a run's memory does not grow with its trial
@@ -42,7 +43,7 @@ from .analysis import (
     cond_prob,
 )
 from .circuit import Circuit, compile_model
-from .engine import NoiseSpec, check_seed, check_shots, draw_counts, run_exact, run_sampled
+from .engine import NoiseSpec, check_seed, check_shots, draw_counts, noisy_counts, run_exact
 from .model import CausalModel, Intervention, ModelError, apply_do
 
 DEFAULT_SEED = 1729
@@ -147,8 +148,9 @@ def run_experiment(
     makes one pass with ``run_exact`` and reports point estimates; the sampled
     backend stacks the trials' counts per circuit, chunk by chunk, and
     reports trial statistics. A noiseless sampled run computes each circuit's exact
-    distribution once and draws every trial from it; a noisy run evolves
-    fresh trajectories per trial.
+    distribution once and draws every trial from it; a noisy run evolves a
+    chunk's trials together with ``noisy_counts``, each from its own stream,
+    so trials with the same Pauli history share a state.
 
     Raises ValueError, before anything is compiled, when the outcome is the
     treatment or a group adjusts for or conditions on either of them.
@@ -183,10 +185,7 @@ def run_experiment(
             if not sampled:
                 stacks[k] = exact[k].values[None]
             elif noisy:
-                rows = trial_streams(cfg.seed, start, stop, k)
-                stacks[k] = np.empty((len(rows), 1 << circ.n_qubits), dtype=np.int64)
-                for row, stream in zip(stacks[k], rows):
-                    row[:] = run_sampled(circ, cfg.shots, stream, cfg.noise).values
+                stacks[k] = noisy_counts(circ, cfg.shots, trial_streams(cfg.seed, start, stop, k), cfg.noise)
             else:
                 stacks[k] = draw_counts(exact[k], cfg.shots, trial_streams(cfg.seed, start, stop, k))
         try:

@@ -10,7 +10,8 @@ Core claims:
     - depolarizing noise attenuates the causal effect estimate on average
     - a noisy batch forks one slot per distinct Pauli history, and once no
       later gate targets a qubit, a Z hit on it forks nothing and a Y hit
-      shares the slot of an X hit
+      shares the slot of an X hit; each slot's row count stays equal to the
+      rows it owns
 """
 
 import math
@@ -370,14 +371,20 @@ def gate_shapes(monkeypatch):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """(position, hit rows, Paulis, owners before, owners after) of every _fork call."""
+    """(position, hit rows, Paulis, owners before, owners after, rows held) of every _fork call.
+
+    A fork given no Paulis hits every row with X (0). After every fork each
+    slot's held count equals the rows it owns.
+    """
     calls = []
     fork = engine._fork
 
-    def spy(buf, owner, live, hit, paulis, qubit):
+    def spy(buf, owner, held, live, hit, paulis, qubit):
         before = owner.copy()
-        live = fork(buf, owner, live, hit, paulis, qubit)
-        calls.append((qubit, hit.copy(), paulis.copy(), before, owner.copy()))
+        live = fork(buf, owner, held, live, hit, paulis, qubit)
+        assert np.array_equal(held, np.bincount(owner, minlength=held.size))
+        paulis = np.zeros_like(hit) if paulis is None else paulis.copy()
+        calls.append((qubit, hit.copy(), paulis, before, owner.copy(), held.copy()))
         return live
 
     monkeypatch.setattr(engine, "_fork", spy)
@@ -450,29 +457,29 @@ class TestSharedHistories:
 
     def test_z_hits_on_a_settled_qubit_fork_nothing(self, forks, noisy_circuit):
         hits = _hit_positions(noisy_circuit)
-        counts = engine._trajectory_counts(noisy_circuit, 6, 1.0, _ScriptedRng([2]))
+        counts = engine._trajectory_counts(engine._plan(noisy_circuit, fold=False), 6, 1.0, [_ScriptedRng([2])])[0]
         assert counts.sum() == 6
         assert [pos for pos, *_ in forks] == [pos for pos, settled in hits if not settled]
         assert 0 < len(forks) < len(hits)
 
     def test_x_and_y_hits_from_one_slot_share_a_slot(self, forks, noisy_circuit):
         rows = np.arange(9)
-        engine._trajectory_counts(noisy_circuit, rows.size, 1.0, _ScriptedRng([0, 1, 2]))
+        engine._trajectory_counts(engine._plan(noisy_circuit, fold=False), rows.size, 1.0, [_ScriptedRng([0, 1, 2])])
         hits = _hit_positions(noisy_circuit)
         assert [pos for pos, *_ in forks] == [pos for pos, _ in hits]
         settled = [call for call, (_, quiet) in zip(forks, hits) if quiet]
         assert settled
-        for _, hit, paulis, before, after in settled:
+        for _, hit, paulis, before, after, _ in settled:
             assert np.array_equal(hit, rows[rows % 3 != 2]) and not paulis.any()
             for slot in np.unique(before[hit]):
                 assert np.unique(after[hit[before[hit] == slot]]).size == 1
 
     def test_unsettled_positions_fork_every_pauli(self, forks, noisy_circuit):
         rows = np.arange(9)
-        engine._trajectory_counts(noisy_circuit, rows.size, 1.0, _ScriptedRng([0, 1, 2]))
+        engine._trajectory_counts(engine._plan(noisy_circuit, fold=False), rows.size, 1.0, [_ScriptedRng([0, 1, 2])])
         unsettled = [call for call, (_, quiet) in zip(forks, _hit_positions(noisy_circuit)) if not quiet]
         assert unsettled
-        for _, hit, paulis, before, after in unsettled:
+        for _, hit, paulis, before, after, _ in unsettled:
             assert np.array_equal(hit, rows) and np.array_equal(paulis, rows % 3)
             for slot in np.unique(before):
                 mine = before == slot

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import chain_model, make_random_model
 
-from qdo import CausalModel, Edge, NoiseSpec, Prep, Variable, cli, experiments
+from qdo import CausalModel, Edge, NoiseSpec, Prep, Variable, cli, engine, experiments
 from qdo.analysis import (
     Query,
     StratumEffect,
@@ -482,6 +482,58 @@ class TestTrialChunks:
         cfg = RunConfig(backend="sampled", shots=500, trials=3, seed=5)
         report = run_experiment(simpson3_entry.model, "T", "O", simpson3_groups(), cfg)
         assert all(len(g.per_trial) == 3 for g in report.groups)
+
+
+class TestNoisyBatches:
+    """A noisy run's trials share trajectory batches, and no batch outgrows ``trajectory_batch(n)`` rows."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """(rows per trial, trials) of every trajectory batch; each is checked against the bound."""
+        sizes = []
+        trajectory_counts = engine._trajectory_counts
+
+        def spy(plan, rows, p_depol, rngs):
+            n_qubits = len(plan[3])
+            assert rows * len(rngs) <= engine.trajectory_batch(n_qubits)
+            sizes.append((rows, len(rngs)))
+            return trajectory_counts(plan, rows, p_depol, rngs)
+
+        monkeypatch.setattr(engine, "_trajectory_counts", spy)
+        return sizes
+
+    @pytest.mark.parametrize("shots, trials, rows, per_circuit", [
+        (1024, 8, None, [(1024, 2)] * 4),
+        (2500, 3, None, [(2048, 1)] * 3 + [(452, 3)]),
+        (700, 4, None, [(700, 2)] * 2),
+        (250, 5, 100, [(100, 1)] * 10 + [(50, 2), (50, 2), (50, 1)]),
+        (90, 3, 100, [(90, 1)] * 3),
+    ], ids=["1024x8", "2500x3", "700x4", "250x5-small-budget", "90x3-small-budget"])
+    def test_merging_never_makes_a_bigger_batch(self, batches, monkeypatch, simpson3_entry, shots, trials, rows,
+                                                per_circuit):
+        # Full batches run alone, each trial's in turn; the last batches of
+        # as many trials as fit in one batch share it.
+        if rows is not None:
+            monkeypatch.setattr(engine, "MAX_STATE_BYTES", rows * (8 << simpson3_entry.model.n_qubits))
+        cfg = RunConfig(backend="sampled", shots=shots, trials=trials, seed=4, noise=NoiseSpec(0.1))
+        run_experiment(simpson3_entry.model, "T", "O", simpson3_groups(), cfg)
+        assert batches == per_circuit * 3
+
+    def test_merged_trials_peak_like_one_full_batch(self, healthcare10_entry):
+        # Eight 1024-shot trials run as four 2048-row batches per circuit, as
+        # big as a 2048-shot trial's one. Gate temporaries and the read-out
+        # grow with the live slots, and the eight trials take the largest of
+        # four batches' live counts, so they may peak a few percent higher.
+        peaks = {}
+        for shots, trials in ((1024, 8), (2048, 1)):
+            cfg = RunConfig(backend="sampled", shots=shots, trials=trials, seed=3, noise=NoiseSpec(0.02))
+            tracemalloc.start()
+            try:
+                run_experiment(healthcare10_entry.model, "Treatment", "Outcome", healthcare10_groups(("Age",)), cfg)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] <= 1.1 * peaks[1]
 
 
 class TestRoles:

@@ -10,6 +10,8 @@ fails here, not only in the benchmark.
 ``refs.json`` holds every digest the benchmark checks, and every one is
 checked here. It covers only the stdout of the distribution mode of ``qdo run``
 (the P(v=1) lines), not its ``--json`` payload, so those digests are kept below.
+So are those of two noisy reports whose trials share trajectory batches,
+recorded while every trial still ran its own batches.
 """
 
 import hashlib
@@ -74,6 +76,23 @@ DISTRIBUTIONS = {
 }
 
 
+# qdo argv: sha256 of stdout and of the --json report. Noisy runs whose
+# trials share trajectory batches: healthcare10's 2500 shots cross a batch
+# boundary and the three trials' 452-shot tails share one batch; simpson3's
+# four 700-shot trials run as two batches of two.
+NOISY_REPORTS = {
+    ("healthcare10", "--backend", "sampled", "--noise", "0.05", "--shots", "2500", "--trials", "3",
+     "--stratify", "Age", "--seed", "3"): (
+        "0201fbf21ccd34a9e90a804f8acbf1d1248a18ef173687540e74db531918e73d",
+        "bb2e3f305cfd0daf673bbdd16c3c0f0499968ff5672605968b3e7b5df0b13a6b",
+    ),
+    ("simpson3", "--backend", "sampled", "--noise", "0.3", "--shots", "700", "--trials", "4", "--seed", "3"): (
+        "460a1fa89d453669f01d0a4651c8ca4e870d8d59afc8659aadecb3ababa96c33",
+        "ccbc3c84b985e18a93d29b78fc2abec961d158b056d07f10e7f6fa2fbaeeeb03",
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def commands(tmp_path_factory):
     out = {}
@@ -114,3 +133,13 @@ def test_distribution_mode_bytes(model, extra, tmp_path, capsys, monkeypatch):
     stdout = capsys.readouterr().out.encode("utf-8")
     got = (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(payload.read_bytes()).hexdigest())
     assert got == DISTRIBUTIONS[model, extra]
+
+
+@pytest.mark.parametrize("argv", NOISY_REPORTS, ids=[" ".join(a[:1] + a[3:5]) for a in NOISY_REPORTS])
+def test_merged_noisy_report_bytes(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QDO_SEED", raising=False)
+    report = tmp_path / "report.json"
+    assert cli.main([*argv, "--json", str(report)]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    got = (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(report.read_bytes()).hexdigest())
+    assert got == NOISY_REPORTS[argv]

@@ -30,6 +30,9 @@ gate but leaves a qubit no gate touches out of its register too.
 The noisy sampler keeps one state per distinct Pauli history, not one per
 shot; its counts must equal, array for array, those of a plain loop that
 evolves every shot as its own row with the same kernels and the same draws.
+Trials that share batches must count as they do run one seed at a time, with
+the uninitialized batch buffer filled with NaN so that no entry is read
+before it is written.
 """
 
 import math
@@ -172,6 +175,7 @@ def test_fork_equals_complex_reference(program):
     states = np.zeros((rows, 1 << n))
     states[:, 0] = 1.0
     owner = np.arange(rows)
+    held = np.ones(rows, dtype=np.intp)
     ref = np.zeros((rows, 1 << n), dtype=np.complex128)
     ref[:, 0] = 1.0
     for step in steps:
@@ -182,7 +186,8 @@ def test_fork_equals_complex_reference(program):
         else:
             qubit, paulis = step
             hit = np.array(sorted(paulis))
-            assert _fork(states, owner, rows, hit, np.array([paulis[r] for r in hit]), qubit) == rows
+            assert _fork(states, owner, held, rows, hit, np.array([paulis[r] for r in hit]), qubit) == rows
+            assert np.array_equal(held, np.ones(rows))
             for r in hit:
                 _ref_apply(ref[r], _PAULI[paulis[r]], qubit)
     assert sorted(owner) == list(range(rows))
@@ -494,6 +499,39 @@ def test_shared_histories_count_like_one_row_per_shot(circ, batch_rows, shots, s
         for p in (0.003, 0.05, 0.4, 1.0):
             got = run_sampled(circ, shots, seed, NoiseSpec(p)).values
             assert np.array_equal(got, _one_row_per_shot(circ, shots, seed, p)), p
+
+
+def _nan_filled(empty):
+    """np.empty whose float arrays hold NaN, so an entry read before it is written shows."""
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    return poisoned
+
+
+@settings(PROPERTY, max_examples=30)
+@given(circuits(), st.integers(1, 5), st.integers(1, 40), st.integers(1, 120), st.integers(0, 2**64 - 6))
+def test_stacked_trials_count_like_one_seed_runs(circ, trials, batch_rows, shots, seed):
+    # The budget holds batch_rows states, so shots cross batch boundaries, and
+    # the trials' last batches share a buffer as long as they fit in
+    # batch_rows rows; the count stack is held to the same budget. The buffer
+    # is never initialized: with NaN in it, an entry read before it is
+    # written or zeroed spoils the counts. The first trial is also checked
+    # against every shot evolved as its own row.
+    seeds = [seed + t for t in range(min(trials, batch_rows))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "MAX_STATE_BYTES", batch_rows * (8 << circ.n_qubits))
+        mp.setattr(engine.np, "empty", _nan_filled(np.empty))
+        for p in (0.02, 0.3, 1.0):
+            stack = engine.noisy_counts(circ, shots, seeds, NoiseSpec(p))
+            assert stack.shape == (len(seeds), 1 << circ.n_qubits) and stack.dtype == np.int64
+            for row, s in zip(stack, seeds):
+                assert np.array_equal(row, run_sampled(circ, shots, s, NoiseSpec(p)).values), p
+            assert np.array_equal(stack[0], _one_row_per_shot(circ, shots, seed, p)), p
 
 
 @pytest.mark.parametrize(
