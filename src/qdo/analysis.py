@@ -65,6 +65,24 @@ class StratumRows:
     weight: np.ndarray
     effect: np.ndarray
 
+    def means(self) -> tuple[StratumEffect, ...]:
+        """Each cell's mean weight and effect over the rows that have it.
+
+        A cell no row has is left out. The sums add in row order from 0.0, as
+        a running total does (np.sum's pairwise blocks could move the last
+        bit), so one row gives its own cells back.
+        """
+        out = []
+        for value, (weights, effects) in enumerate(zip(self.weight.T.tolist(), self.effect.T.tolist())):
+            present = [(w, e) for w, e in zip(weights, effects) if not math.isnan(w)]
+            if present:
+                weight = effect = 0.0
+                for w, e in present:
+                    weight += w
+                    effect += e
+                out.append(StratumEffect(value, weight / len(present), effect / len(present)))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class TrialStats:
@@ -194,11 +212,12 @@ def adjusted_effect(dist, qubits, treatment, outcome, adjust=(), given=()):
     zero mass are skipped; a nonempty cell with an empty treatment arm is an
     error.
 
-    A Distribution gives a float and the ``StratumEffect`` of each nonempty
-    cell. A (trials, 2^n) stack gives one effect per row and the
-    ``StratumRows`` of every cell. Each row gets the float operations its own
-    Distribution would, and a failing stack raises the error of its first
-    failing row, whose ``trial`` names that row.
+    A (trials, 2^n) stack gives one effect per row and the ``StratumRows``
+    of every cell. A Distribution gives a float and the ``StratumEffect`` of
+    each nonempty cell: the ``StratumRows.means()`` of its one row. Each row
+    gets the float operations its own Distribution would, and a failing stack
+    raises the error of its first failing row, whose ``trial`` names that
+    row.
     """
     values = _rows(dist)
     given = tuple(given)
@@ -241,13 +260,10 @@ def adjusted_effect(dist, qubits, treatment, outcome, adjust=(), given=()):
     if failed:
         first = min(int(mask.argmax()) for mask, _ in failed)
         raise UndefinedConditionalError(next(err for mask, err in failed if mask[first]), trial=first)
+    strata = StratumRows(weights, effects)
     if not isinstance(dist, Distribution):
-        return total, StratumRows(weights, effects)
-    return float(total[0]), tuple(
-        StratumEffect(value, float(w), float(e))
-        for value, (w, e) in enumerate(zip(weights[0].tolist(), effects[0].tolist()))
-        if not math.isnan(w)
-    )
+        return total, strata
+    return float(total[0]), strata.means()
 
 
 def observational_effect(

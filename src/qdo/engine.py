@@ -70,12 +70,12 @@ finds the slots a hit emptied without a pass over every row. A fork reads
 the state of every new slot before it writes any, so a slot whose shots were
 all hit is refilled by whichever new slot comes first; a shot's outcome
 depends on its slot's contents and its own draws, never on the slot's index.
-So the trials of a stack (``noisy_counts``) share batches: the last (or
-only) batches of as many seeds as fit in ``trajectory_batch(n)`` rows run in
-one buffer, each seed's rows drawing from its own generator in the order a
-batch of its own would (per step and touched qubit ``random(rows)``, then
-``integers`` on a hit; at the end ``u``), and the counts equal those of
-one-seed runs. The plan is made once per stack.
+So the trials of a stack (``noisy_counts``) share batches: batch b of as
+many seeds as fit in ``trajectory_batch(n)`` rows runs in one buffer (a full
+batch holds one seed), each seed's rows drawing from its own generator in
+the order a batch of its own would (per step and touched qubit
+``random(rows)``, then ``integers`` on a hit; at the end ``u``), and the
+counts equal those of one-seed runs. The plan is made once per stack.
 
 The batch buffer is allocated uninitialized and only its live slots are
 touched: before a step that widens the register the live slots' new entries
@@ -456,11 +456,6 @@ def draw_counts(
     return counts
 
 
-def draw_shots(dist: Distribution, shots: int, seed: int | np.random.SeedSequence) -> Distribution:
-    """One ``draw_counts`` row: ``shots`` measurements drawn with the generator seeded by ``seed``."""
-    return Distribution(dist.n_qubits, draw_counts(dist, shots, (seed,))[0], shots=shots)
-
-
 def run_sampled(
     circ: Circuit,
     shots: int,
@@ -469,16 +464,20 @@ def run_sampled(
 ) -> Distribution:
     """Draw ``shots`` full-register measurements with a seeded generator.
 
-    Without noise (or with p_depol = 0) the exact distribution is computed once
-    and shots are drawn i.i.d. from it (``draw_shots``). With noise, every shot
-    follows its own trajectory with stochastic Pauli injection and is then
-    measured once; shots with the same Pauli history share one state. A noisy
-    run is the one-seed ``noisy_counts``.
+    The result is the one-seed row of a count stack. Without noise (or with
+    p_depol = 0) it is ``draw_counts`` over the exact distribution, computed
+    once, with shots drawn i.i.d. from it. With noise it is ``noisy_counts``:
+    every shot follows its own trajectory with stochastic Pauli injection and
+    is then measured once; shots with the same Pauli history share one state.
+    A bad seed or shot count is refused before the circuit runs.
     """
     check_shots(shots)
     if noise is None or not noise.p_depol > 0.0:
-        return draw_shots(run_exact(circ), shots, _seed_sequence(seed))
-    return Distribution(circ.n_qubits, noisy_counts(circ, shots, (seed,), noise)[0], shots=shots)
+        seeds = (_seed_sequence(seed),)  # checks the seed before run_exact
+        counts = draw_counts(run_exact(circ), shots, seeds)
+    else:
+        counts = noisy_counts(circ, shots, (seed,), noise)
+    return Distribution(circ.n_qubits, counts[0], shots=shots)
 
 
 def noisy_counts(
@@ -488,10 +487,11 @@ def noisy_counts(
 
     Row i equals ``run_sampled(circ, shots, seeds[i], noise).values``: each
     seed's shots run in batches of up to ``trajectory_batch(n)`` rows, drawn
-    from that seed's generator in the same order. The trials' last (or only)
-    batches share one buffer, as many as fit in ``trajectory_batch(n)`` rows,
-    so trials with the same Pauli history share a slot; a full batch runs
-    alone. The circuit is planned once for all batches.
+    from that seed's generator in the same order. Batch b of every seed has
+    the same row count, and as many seeds' batches b as fit in
+    ``trajectory_batch(n)`` rows share one buffer, so trials with the same
+    Pauli history share a slot; a full batch is a group of one trial. The
+    circuit is planned once for all batches.
     """
     if not noise.p_depol > 0.0:
         raise ValueError("noisy_counts needs p_depol > 0; draw noiseless counts with draw_counts")
@@ -502,15 +502,12 @@ def noisy_counts(
     check_state_size(n, len(rngs))
     plan = _plan(circ, fold=False)
     counts = np.zeros((len(rngs), 1 << n), dtype=np.int64)
-    full, tail = divmod(shots, max_batch)
-    for _ in range(full):
-        for row, rng in zip(counts, rngs):
-            row += _trajectory_counts(plan, max_batch, noise.p_depol, [rng])[0]
-    if tail:
-        merged = max_batch // tail
+    for done in range(0, shots, max_batch):
+        rows = min(max_batch, shots - done)
+        merged = max_batch // rows
         for first in range(0, len(rngs), merged):
             group = slice(first, first + merged)
-            counts[group] += _trajectory_counts(plan, tail, noise.p_depol, rngs[group])
+            counts[group] += _trajectory_counts(plan, rows, noise.p_depol, rngs[group])
     return counts
 
 

@@ -35,7 +35,6 @@ import numpy as np
 from .analysis import (
     EffectReport,
     Query,
-    StratumEffect,
     StratumRows,
     UndefinedConditionalError,
     adjusted_effect,
@@ -198,8 +197,9 @@ def run_experiment(
 
     reports = []
     for g, (effect, strata) in zip(groups, estimates):
+        means = None if strata is None else strata.means()
         if not sampled:
-            reports.append(EffectReport(g.label, float(effect[0]), strata=_mean_strata(strata)))
+            reports.append(EffectReport(g.label, float(effect[0]), strata=means))
             continue
         per_trial = tuple(effect.tolist())
         stats = aggregate_trials(per_trial)
@@ -213,7 +213,7 @@ def run_experiment(
                 ci_high=stats.ci_high,
                 n_trials=cfg.trials,
                 shots_per_trial=cfg.shots,
-                strata=_mean_strata(strata),
+                strata=means,
             )
         )
     return Report(model.name, cfg, tuple(reports), tuple(circuits.values()))
@@ -281,32 +281,6 @@ def _join(
         return effect, None
     weight = np.concatenate([s.weight for _, s in parts])
     return effect, StratumRows(weight, np.concatenate([s.effect for _, s in parts]))
-
-
-def _mean_strata(strata: StratumRows | None) -> tuple[StratumEffect, ...] | None:
-    """Per-stratum mean weight and effect over the trials that have the stratum.
-
-    A stratum no trial has is left out. The means add in trial order from
-    0.0, as a running total does (np.sum's pairwise blocks could move the last
-    bit); one trial gives its own strata back.
-    """
-    if strata is None:
-        return None
-    out = []
-    for value, (weights, effects) in enumerate(zip(strata.weight.T, strata.effect.T)):
-        present = ~np.isnan(weights)
-        k = int(present.sum())
-        if k:
-            weight, effect = _running_sum(weights[present]), _running_sum(effects[present])
-            out.append(StratumEffect(value, weight / k, effect / k))
-    return tuple(out)
-
-
-def _running_sum(values: np.ndarray) -> float:
-    total = 0.0
-    for v in values.tolist():
-        total += v
-    return total
 
 
 def simpson3_groups(stratifier: str = "G") -> list[Group]:

@@ -35,6 +35,7 @@ from qdo import (
     run_sampled,
     stratified_effect,
 )
+from qdo.analysis import StratumRows
 from qdo.experiments import RunConfig, causal_group, run_experiment
 
 S2 = lambda x: math.sin(x / 2.0) ** 2
@@ -290,6 +291,15 @@ class TestStacks:
         _, strata = adjusted_effect(stack, self.QMAP, "T", "O", ("Z",))
         assert not np.isnan(strata.weight[:, 0]).any() and np.isnan(strata.weight[:, 1]).all()
         assert isinstance(adjusted_effect(self._dist(self.NO_Z1), self.QMAP, "T", "O", ("Z",))[1][0].weight, float)
+
+    def test_means_average_the_rows_that_have_a_cell(self):
+        # Cell 0 is in both rows, cell 1 only in row 1, cell 2 in none.
+        nan = math.nan
+        weight = np.array([[0.25, nan, nan], [0.5, 0.5, nan]])
+        strata = StratumRows(weight, np.array([[0.1, nan, nan], [0.3, -0.2, nan]]))
+        assert strata.means() == (StratumEffect(0, (0.25 + 0.5) / 2, (0.1 + 0.3) / 2), StratumEffect(1, 0.5, -0.2))
+        row = StratumRows(strata.weight[:1], strata.effect[:1])
+        assert row.means() == (StratumEffect(0, 0.25, 0.1),)
 
     def test_first_failing_row_keeps_its_first_cell(self):
         # NO_T1 empties the T=1 arm of both cells; Z=0 comes first.

@@ -47,6 +47,16 @@ class TestRenderChart:
         assert "a&lt;b&amp;c" in svg
         assert "a<b" not in svg
 
+    def test_long_label_without_a_break_stays_on_one_line(self):
+        # Over 14 characters with no comma or space: one label line, not split.
+        svg = render_chart([_group("Counterfactual_effect", 0.2)])
+        labels = [line for line in svg.splitlines() if line.endswith("_effect</text>")]
+        assert labels == [
+            '<text x="110.000000" y="290" text-anchor="middle" font-family="sans-serif" '
+            'font-size="10">Counterfactual_effect</text>'
+        ]
+        assert svg.count("<text") == 7  # five axis values, the bar's value, one label line
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             render_chart([])

@@ -294,6 +294,8 @@ class TestChartCommand:
     def test_missing_report_exits_2(self, tmp_path, capsys):
         assert run_cli("chart", str(tmp_path / "none.json"), "--svg", str(tmp_path / "x.svg")) == 2
         cases = [
+            ("no_groups", {"model": "x"}),
+            ("not_object", [1, 2]),
             ("no_effect", {"groups": [{"label": "a"}]}),
             ("not_list", {"groups": 5}),
             ("nan_effect", {"groups": [{"label": "a", "effect": math.nan}, {"label": "b", "effect": 0.2}]}),

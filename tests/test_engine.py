@@ -36,7 +36,7 @@ from qdo import (
 )
 from qdo.circuit import Circuit, Gate, surgered_circuit
 from qdo import engine
-from qdo.engine import MAX_STATE_BYTES, check_shots, check_state_size, draw_counts, draw_shots, trajectory_batch
+from qdo.engine import MAX_STATE_BYTES, check_shots, check_state_size, draw_counts, trajectory_batch
 from conftest import chain_model, make_random_model
 
 
@@ -159,17 +159,22 @@ class TestSampling:
         counts = draw_counts(run_exact(compile_model(simpson3_entry.model)), (1 << 63) - 1, (1, 2))
         assert counts.sum(axis=1).tolist() == [(1 << 63) - 1] * 2
 
+    @pytest.mark.parametrize("shape", [(3,), (8,), (1, 4)])
+    def test_values_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"expected 4 entries, got shape {shape}")):
+            engine.Distribution(2, np.zeros(shape))
+
     def test_draw_from_exact_equals_run_sampled(self, simpson3_entry):
         circ = compile_model(simpson3_entry.model)
         exact = run_exact(circ)
         for seed in (9, np.random.SeedSequence(9).spawn(2)[1]):
-            drawn = draw_shots(exact, 2000, seed)
+            drawn = run_sampled(circ, 2000, seed)
             assert drawn.shots == 2000
-            assert np.array_equal(drawn.values, run_sampled(circ, 2000, seed).values)
+            assert np.array_equal(draw_counts(exact, 2000, (seed,))[0], drawn.values)
         with pytest.raises(ValueError, match="exact distribution"):
-            draw_shots(drawn, 10, 1)
+            draw_counts(drawn, 10, (1,))
         with pytest.raises(ValueError, match="shots"):
-            draw_shots(exact, 0, 1)
+            draw_counts(exact, 0, (1,))
 
     def test_treatment_marginal_within_three_sigma(self, simpson3_entry):
         circ = compile_model(simpson3_entry.model)
@@ -193,18 +198,36 @@ class TestSeedRange:
     @pytest.mark.parametrize("call, seed", [
         (lambda c, s: run_sampled(c, 100, s), -1),
         (lambda c, s: run_sampled(c, 100, s, NoiseSpec(0.1)), 1 << 64),
-        (lambda c, s: draw_shots(run_exact(c), 100, s), -5),
-    ], ids=["noiseless", "noisy", "draw_shots"])
+        (lambda c, s: draw_counts(run_exact(c), 100, (s,)), -5),
+    ], ids=["noiseless", "noisy", "draw_counts"])
     def test_seed_outside_64_bits_rejected(self, simpson3_entry, call, seed):
         with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2**64), got {seed}")):
             call(compile_model(simpson3_entry.model), seed)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_refused_before_the_circuit_runs(self, monkeypatch, healthcare10_entry, seed):
+        # A noiseless run checks the seed before its exact run, a noisy run
+        # before it plans the circuit.
+        circ = compile_model(healthcare10_entry.model)
+        calls = []
+
+        def spy(name):
+            real = getattr(engine, name)
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        for name in ("run_exact", "_plan"):
+            monkeypatch.setattr(engine, name, spy(name))
+        for noise in (None, NoiseSpec(0.1)):
+            with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2**64), got {seed}")):
+                run_sampled(circ, 10, seed, noise)
+        assert calls == []
 
     @pytest.mark.parametrize("noise", [None, NoiseSpec(0.1)], ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
     def test_seed_range_edges_accepted(self, simpson3_entry, seed, noise):
         circ = compile_model(simpson3_entry.model)
         assert run_sampled(circ, 100, seed, noise).values.sum() == 100
-        assert draw_shots(run_exact(circ), 100, seed).values.sum() == 100
+        assert draw_counts(run_exact(circ), 100, (seed,)).sum() == 100
 
 
 class TestNoise:
@@ -213,6 +236,10 @@ class TestNoise:
         a = run_sampled(circ, 3000, seed=11, noise=NoiseSpec(0.02))
         b = run_sampled(circ, 3000, seed=11, noise=NoiseSpec(0.02))
         assert np.array_equal(a.values, b.values)
+
+    def test_noisy_counts_refuses_zero_noise(self, simpson3_entry):
+        with pytest.raises(ValueError, match=re.escape("noisy_counts needs p_depol > 0")):
+            engine.noisy_counts(compile_model(simpson3_entry.model), 10, (1,), NoiseSpec(0.0))
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError, match="p_depol"):

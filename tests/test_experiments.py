@@ -19,7 +19,7 @@ from qdo.analysis import (
     cond_prob,
 )
 from qdo.circuit import compile_model
-from qdo.engine import draw_shots, run_exact, run_sampled
+from qdo.engine import run_exact, run_sampled
 from qdo.experiments import (
     DO0,
     DO1,
@@ -85,6 +85,11 @@ class TestExactRun:
         for g in report.groups:
             assert g.effect == pytest.approx(EXACT_3Q[g.label], abs=1e-10)
             assert g.ci is None and g.per_trial == ()
+
+    def test_unknown_group_label_raises_key_error(self, simpson3_entry):
+        report = run_experiment(simpson3_entry.model, "T", "O", simpson3_groups(), RunConfig())
+        with pytest.raises(KeyError, match="no group labeled 'Causal'"):
+            report.group("Causal")
 
     def test_healthcare10_includes_strata(self, healthcare10_entry):
         report = run_experiment(
@@ -260,8 +265,6 @@ def reference_run(model, treatment, outcome, groups, cfg):
     for k, value in ((DO1, 1), (DO0, 0)):
         circuits[k] = compile_model(apply_do(model, Intervention(treatment, value)))
     qubits = model.qubit_map()
-    noisy = cfg.noise is not None and cfg.noise.p_depol > 0
-    exact = {k: run_exact(c) for k, c in circuits.items()}
     sampled = cfg.backend == "sampled"
     trial_streams = (
         [ss.spawn(3) for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)] if sampled else [None]
@@ -269,11 +272,9 @@ def reference_run(model, treatment, outcome, groups, cfg):
     results = [[] for _ in groups]
     for streams in trial_streams:
         if not sampled:
-            dists = exact
-        elif noisy:
-            dists = {k: run_sampled(c, cfg.shots, streams[k], cfg.noise) for k, c in circuits.items()}
+            dists = {k: run_exact(c) for k, c in circuits.items()}
         else:
-            dists = {k: draw_shots(d, cfg.shots, streams[k]) for k, d in exact.items()}
+            dists = {k: run_sampled(c, cfg.shots, streams[k], cfg.noise) for k, c in circuits.items()}
         for i, g in enumerate(groups):
             if g.do:
                 out1 = Query((outcome, 1))
@@ -476,6 +477,25 @@ class TestTrialChunks:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 256 * 1024
+
+    def test_noiseless_sampled_peak_does_not_grow_with_trials(self, healthcare10_entry):
+        # A 10-qubit count row is 8 KiB, so a chunk is 128 trials and one 1 MiB
+        # stack per circuit; 1280 trials run as ten chunks, where one stack
+        # for all of them would hold 10 MiB per circuit. A one-trial run first
+        # makes the allocations that happen once per process.
+        model = healthcare10_entry.model
+        groups = healthcare10_groups(("Age",))
+        run_experiment(model, "Treatment", "Outcome", groups, RunConfig(backend="sampled", trials=1, seed=3))
+        peaks = {}
+        for trials in (128, 1280):
+            cfg = RunConfig(backend="sampled", shots=15000, trials=trials, seed=3)
+            tracemalloc.start()
+            try:
+                run_experiment(model, "Treatment", "Outcome", groups, cfg)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1280] <= 1.1 * peaks[128]
 
     def test_a_chunk_holds_at_least_one_row(self, simpson3_entry, monkeypatch):
         monkeypatch.setattr(experiments, "_CHUNK_BYTES", 1)

@@ -11,7 +11,9 @@ fails here, not only in the benchmark.
 checked here. It covers only the stdout of the distribution mode of ``qdo run``
 (the P(v=1) lines), not its ``--json`` payload, so those digests are kept below.
 So are those of two noisy reports whose trials share trajectory batches,
-recorded while every trial still ran its own batches.
+recorded while every trial still ran its own batches, and of two noisy
+distribution-mode runs that cross a batch boundary, recorded while full
+batches still ran in a loop of their own.
 """
 
 import hashlib
@@ -72,6 +74,17 @@ DISTRIBUTIONS = {
     ("healthcare10", ("--backend", "sampled", "--noise", "0.1", "--seed", "3", "--shots", "10")): (
         "d977eb8d9c1502e80fb89c85d8a35ade13b09375e4fe4c6367413dd9fd7f999d",
         "0b1f89e0f95b7da2dd9c43a6ce442e331638cc706c0ee2d6f2ab3d5599113871",
+    ),
+    # One noisy run whose shots cross a batch boundary: a full 2048-row batch
+    # and a 452-row one.
+    ("healthcare10", ("--do", "Age=1", "--backend", "sampled", "--noise", "0.05", "--shots", "2500", "--seed", "3")): (
+        "deba969d3b97c9105bfee7914d89de9112a8ca237e3d0b23e83d83222e799a73",
+        "afef649f07145440359945d3e71fe6e1b05b220a66bfb3b9479d3c33a208f845",
+    ),
+    # Two full batches and a 4-row tail.
+    ("simpson3", ("--backend", "sampled", "--noise", "0.3", "--shots", "4100", "--seed", "3")): (
+        "c078265bf85c174d9644c67b4804ec027bd55f0afcd4d05b3b9f02bb126802c7",
+        "33ae33207cc73a2c843e71457b47ed392426f8b1951d03592ca0a59d9ca05396",
     ),
 }
 
