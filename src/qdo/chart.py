@@ -4,6 +4,10 @@ One bar per analysis group, whiskers where a 95% CI is present, a solid zero
 line, and an optional dashed horizontal reference line (used for the true
 causal effect). Output is a deterministic standalone SVG string: all floats
 are formatted with fixed precision so identical inputs give identical bytes.
+Every ``<line>`` is written by ``_line`` and every ``<text>`` by ``_text``,
+which escapes its body, so each element's attributes are spelled once. Both
+take coordinates as they print: an int layout value, or a float already
+passed through ``_fmt`` (a value used twice is formatted once).
 """
 
 from __future__ import annotations
@@ -30,6 +34,23 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
+def _line(x1: int | str, y1: int | str, x2: int | str, y2: int | str, stroke: str, width: float,
+          dash: str | None = None, cls: str | None = None) -> str:
+    """The one writer of ``<line>``: coordinates, stroke, then dash and class if given."""
+    extra = (f' stroke-dasharray="{dash}"' if dash else "") + (f' class="{cls}"' if cls else "")
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}" stroke-width="{width}"{extra}/>')
+
+
+def _text(x: int | str, y: int | str, body: str, anchor: str, size: int = 10,
+          baseline: str | None = None, fill: str | None = None) -> str:
+    """The one writer of ``<text>``; ``body`` is escaped here."""
+    base = f' dominant-baseline="{baseline}"' if baseline else ""
+    color = f' fill="{fill}"' if fill else ""
+    return (f'<text x="{x}" y="{y}" text-anchor="{anchor}"{base} '
+            f'font-family="sans-serif" font-size="{size}"{color}>{_escape(body)}</text>')
+
+
 def render_chart(
     groups: Sequence[EffectReport],
     title: str = "",
@@ -53,6 +74,7 @@ def render_chart(
     width = _MARGIN_L + _SLOT_W * len(groups) + _MARGIN_R
     height = _TOP + _PLOT_H + _LABEL_H
     y_base = _TOP + _PLOT_H
+    right = width - _MARGIN_R
 
     def y(v: float) -> float:
         return y_base - (v - lo) / (hi - lo) * _PLOT_H
@@ -63,33 +85,21 @@ def render_chart(
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
-        )
+        parts.append(_text(_fmt(width / 2), 20, title, "middle", size=14))
 
     # Horizontal grid with axis labels at five evenly spaced values.
     for i in range(5):
         v = lo + (hi - lo) * i / 4
         yy = _fmt(y(v))
-        parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{yy}" x2="{width - _MARGIN_R}" y2="{yy}" '
-            f'stroke="{_GRID}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 6}" y="{yy}" text-anchor="end" dominant-baseline="middle" '
-            f'font-family="sans-serif" font-size="10">{v:+.2f}</text>'
-        )
+        parts.append(_line(_MARGIN_L, yy, right, yy, _GRID, 1))
+        parts.append(_text(_MARGIN_L - 6, yy, f"{v:+.2f}", "end", baseline="middle"))
 
-    # Zero line.
     y0 = _fmt(y(0.0))
-    parts.append(
-        f'<line x1="{_MARGIN_L}" y1="{y0}" x2="{width - _MARGIN_R}" y2="{y0}" '
-        f'stroke="{_AXIS}" stroke-width="1.5"/>'
-    )
+    parts.append(_line(_MARGIN_L, y0, right, y0, _AXIS, 1.5))  # zero line
 
     for i, g in enumerate(groups):
         cx = _MARGIN_L + _SLOT_W * i + _SLOT_W / 2
+        x = _fmt(cx)
         top = min(y(g.effect), y(0.0))
         h = abs(y(g.effect) - y(0.0))
         parts.append(
@@ -98,42 +108,20 @@ def render_chart(
         )
         if g.ci is not None:
             y_lo, y_hi = _fmt(y(g.ci_low)), _fmt(y(g.ci_high))
-            parts.append(
-                f'<line x1="{_fmt(cx)}" y1="{y_lo}" x2="{_fmt(cx)}" y2="{y_hi}" '
-                f'stroke="{_AXIS}" stroke-width="1.5" class="whisker"/>'
-            )
+            parts.append(_line(x, y_lo, x, y_hi, _AXIS, 1.5, cls="whisker"))
             for yy in (y_lo, y_hi):
-                parts.append(
-                    f'<line x1="{_fmt(cx - 6)}" y1="{yy}" x2="{_fmt(cx + 6)}" y2="{yy}" '
-                    f'stroke="{_AXIS}" stroke-width="1.5" class="whisker"/>'
-                )
+                parts.append(_line(_fmt(cx - 6), yy, _fmt(cx + 6), yy, _AXIS, 1.5, cls="whisker"))
         value_y = y(g.effect) + (-6 if g.effect >= 0 else 14)
-        parts.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(value_y)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{g.effect:+.3f}</text>'
-        )
-        parts.append(
-            f'<text x="{_fmt(cx)}" y="{y_base + 16}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{_escape(_wrap_label(g.label)[0])}</text>'
-        )
-        second = _wrap_label(g.label)[1]
+        parts.append(_text(x, _fmt(value_y), f"{g.effect:+.3f}", "middle"))
+        first, second = _wrap_label(g.label)
+        parts.append(_text(x, y_base + 16, first, "middle"))
         if second:
-            parts.append(
-                f'<text x="{_fmt(cx)}" y="{y_base + 29}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="10">{_escape(second)}</text>'
-            )
+            parts.append(_text(x, y_base + 29, second, "middle"))
 
     if reference is not None:
         yr = _fmt(y(reference))
-        parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{yr}" x2="{width - _MARGIN_R}" y2="{yr}" '
-            f'stroke="{_REF}" stroke-width="1.5" stroke-dasharray="6,4" class="reference"/>'
-        )
-        parts.append(
-            f'<text x="{width - _MARGIN_R}" y="{_fmt(y(reference) - 5)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10" fill="{_REF}">'
-            f'causal effect {reference:+.3f}</text>'
-        )
+        parts.append(_line(_MARGIN_L, yr, right, yr, _REF, 1.5, dash="6,4", cls="reference"))
+        parts.append(_text(right, _fmt(y(reference) - 5), f"causal effect {reference:+.3f}", "end", fill=_REF))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

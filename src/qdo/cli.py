@@ -38,10 +38,11 @@ from .experiments import (
     report_csv_text,
     report_json_text,
     run_experiment,
+    run_header,
     simpson3_groups,
     stratified_group,
 )
-from .model import CausalModel, Intervention, ModelError, apply_do, load_model
+from .model import CausalModel, Intervention, ModelError, apply_do, load_model, read_json
 from .oracle import enumerate_joint
 
 EQUIVALENCE_TOLERANCE = 1e-10
@@ -220,12 +221,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for name, p in p_one.items():
         sys.stdout.write(f"P({name}=1) = {p:.6f}\n")
     if args.json_path:
-        payload: dict = {"model": model.name, "backend": cfg.backend}
-        if cfg.backend == "sampled":
-            payload["shots"] = cfg.shots
-            payload["seed"] = cfg.seed
-            if cfg.noise is not None:
-                payload["noise"] = cfg.noise.p_depol
+        payload = run_header(model.name, cfg, trials=False)
         payload["interventions"] = [
             {"variable": iv.variable, "value": iv.value} for iv in model.interventions
         ]
@@ -259,12 +255,7 @@ def _cmd_chart(args: argparse.Namespace) -> int:
         raise ModelError(f"--reference must be finite, got {args.reference!r}")
     groups = []
     for path in args.reports:
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ModelError(f"cannot read report {path}: {exc}") from exc
-        except RecursionError:
-            raise ModelError(f"{path}: JSON nested too deeply to parse") from None
+        data = read_json(path)
         if not isinstance(data, dict) or "groups" not in data:
             raise ModelError(f"{path}: not a report file (missing 'groups')")
         if not isinstance(data["groups"], list):

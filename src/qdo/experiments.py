@@ -302,15 +302,26 @@ def healthcare10_groups(stratifiers: Sequence[str] = ("Age", "Region")) -> list[
 # --- serialization -----------------------------------------------------------
 
 
-def report_to_dict(report: Report) -> dict:
-    cfg = report.config
-    out: dict = {"model": report.model, "backend": cfg.backend}
+def run_header(model_name: str, cfg: RunConfig, trials: bool = True) -> dict:
+    """The head of every JSON payload a run writes, in key order.
+
+    ``model`` and ``backend``, then for a sampled run ``shots``, ``trials``,
+    ``seed`` and ``noise`` (if set). ``trials=False`` leaves ``trials`` out,
+    as ``qdo run``'s distribution mode does: its one run has no trials.
+    """
+    out: dict = {"model": model_name, "backend": cfg.backend}
     if cfg.backend == "sampled":
         out["shots"] = cfg.shots
-        out["trials"] = cfg.trials
+        if trials:
+            out["trials"] = cfg.trials
         out["seed"] = cfg.seed
         if cfg.noise is not None:
             out["noise"] = cfg.noise.p_depol
+    return out
+
+
+def report_to_dict(report: Report) -> dict:
+    out = run_header(report.model, report.config)
     out["groups"] = []
     for g in report.groups:
         entry: dict = {"label": g.label, "effect": g.effect}

@@ -31,6 +31,26 @@ class ModelError(ValueError):
     """A model or model file cannot be used as requested."""
 
 
+def read_json(path: str | Path):
+    """The value of the UTF-8 JSON file at ``path``; the one JSON file reader.
+
+    Raises only ``ModelError``, and every message names ``path``: the file
+    cannot be read, is not UTF-8, is not JSON (the message gives the line and
+    column), holds an integer literal too long to convert, or nests too deeply
+    to parse.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ModelError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer past the digit limit
+        raise ModelError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise ModelError(f"{path}: JSON nested too deeply to parse") from None
+
+
 @dataclass(frozen=True)
 class Prep:
     """Initial-state preparation for one variable.
@@ -148,13 +168,24 @@ def validate(model: CausalModel) -> list[str]:
     this never raises. ``CausalModel`` runs it on every model it builds and
     raises all of them at once.
     """
-    out: list[str] = []
+    out: list[str] = [
+        f"{field}: expected {kind.__name__} entries, got {x!r}"
+        for field, kind in (("variables", Variable), ("edges", Edge), ("interventions", Intervention))
+        for x in getattr(model, field)
+        if not isinstance(x, kind)
+    ]
+    if out:  # every check below reads the entries' fields
+        return out
     names = [v.name for v in model.variables]
-    known = set(names)
-
+    # Names and edge endpoints are set and dict keys below, so the checks that
+    # key on them run only on strings; the peel needs every one to be a string.
+    keyed = True
     integral = True  # sorting and the peel's heap need comparable qubit indices
     for v in model.variables:
-        if not v.name:
+        if not isinstance(v.name, str):
+            out.append(f"variable {v.name!r}: name must be a string")
+            keyed = False
+        elif not v.name:
             out.append("variable with empty name")
         if isinstance(v.qubit, bool) or not isinstance(v.qubit, int):
             out.append(f"variable {v.name!r}: qubit index must be an integer, got {v.qubit!r}")
@@ -167,7 +198,8 @@ def validate(model: CausalModel) -> list[str]:
             out.append(f"variable {v.name!r}: base rotation angle must be a number, got {v.prep.angle!r}")
         elif v.prep.kind == "rotation" and not math.isfinite(v.prep.angle):
             out.append(f"variable {v.name!r}: non-finite base rotation angle")
-    if len(known) != len(names):
+    known = {n for n in names if isinstance(n, str)}
+    if keyed and len(known) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         out.append(f"duplicate variable names: {', '.join(dupes)}")
     if integral:
@@ -177,38 +209,50 @@ def validate(model: CausalModel) -> list[str]:
                 f"qubit indices must be a permutation of 0..{len(model.variables) - 1}, got {qubits}"
             )
 
+    # control_value, sign and an intervention's value are ints, as in the model
+    # file (``model_from_dict``): no bool, float or numpy integer.
     seen_triples: set[tuple[str, str, int]] = set()
     for e in model.edges:
-        if e.parent == e.child:
+        ends = isinstance(e.parent, str) and isinstance(e.child, str)
+        if not ends:
+            out.append(f"edge {e.parent!r}->{e.child!r}: parent and child must be strings")
+            keyed = False
+        elif e.parent == e.child:
             out.append(f"self-loop on {e.parent!r}")
             continue
-        for end in (e.parent, e.child):
-            if end not in known:
-                out.append(f"edge {e.parent!r}->{e.child!r} references unknown variable {end!r}")
+        else:
+            for end in (e.parent, e.child):
+                if end not in known:
+                    out.append(f"edge {e.parent!r}->{e.child!r} references unknown variable {end!r}")
         if not isinstance(e.angle, numbers.Real):
             out.append(f"edge {e.parent!r}->{e.child!r}: angle must be a number, got {e.angle!r}")
         elif not (math.isfinite(e.angle) and e.angle > 0):
             out.append(f"edge {e.parent!r}->{e.child!r}: angle must be finite and > 0")
-        if isinstance(e.control_value, bool) or e.control_value not in (0, 1):
-            out.append(f"edge {e.parent!r}->{e.child!r}: control_value must be 0 or 1")
-        if isinstance(e.sign, bool) or e.sign not in (1, -1):
-            out.append(f"edge {e.parent!r}->{e.child!r}: sign must be +1 or -1")
-        triple = (e.parent, e.child, e.control_value)
-        if triple in seen_triples:
-            out.append(f"duplicate edge {e.parent!r}->{e.child!r} (control={e.control_value})")
-        seen_triples.add(triple)
+        bit = type(e.control_value) is int and e.control_value in (0, 1)
+        if not bit:
+            out.append(f"edge {e.parent!r}->{e.child!r}: control_value must be 0 or 1, got {e.control_value!r}")
+        if type(e.sign) is not int or e.sign not in (1, -1):
+            out.append(f"edge {e.parent!r}->{e.child!r}: sign must be +1 or -1, got {e.sign!r}")
+        if ends and bit:
+            triple = (e.parent, e.child, e.control_value)
+            if triple in seen_triples:
+                out.append(f"duplicate edge {e.parent!r}->{e.child!r} (control={e.control_value})")
+            seen_triples.add(triple)
 
-    cyclic = _peel(model)[1] if integral else []
+    cyclic = _peel(model)[1] if integral and keyed else []
     if cyclic:
         out.append(f"cycle detected involving: {', '.join(cyclic)}")
 
     intervened: set[str] = set()
     for iv in model.interventions:
+        if not isinstance(iv.variable, str):
+            out.append(f"intervention {iv.variable!r}: variable must be a string")
+            continue
         if iv.variable not in known:
             out.append(f"intervention on unknown variable {iv.variable!r}")
             continue
-        if isinstance(iv.value, bool) or iv.value not in (0, 1):
-            out.append(f"intervention {iv.variable!r}: value must be 0 or 1")
+        if type(iv.value) is not int or iv.value not in (0, 1):
+            out.append(f"intervention {iv.variable!r}: value must be 0 or 1, got {iv.value!r}")
         if iv.variable in intervened:
             out.append(f"variable {iv.variable!r} intervened more than once")
         intervened.add(iv.variable)
@@ -415,15 +459,11 @@ def model_json_text(model: CausalModel) -> str:
 
 
 def load_model(path: str | Path) -> CausalModel:
-    """Parse a model file; every ModelError it raises names ``path``."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ModelError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except RecursionError:
-        raise ModelError(f"{path}: JSON nested too deeply to parse") from None
+    """Parse a model file, read by ``read_json``.
+
+    Raises only ``ModelError``, and every message names ``path``.
+    """
+    data = read_json(path)
     try:
         return model_from_dict(data)
     except ModelError as exc:

@@ -1,0 +1,135 @@
+"""Input boundaries as properties: no input may end in a traceback.
+
+The one JSON file reader, ``model.read_json``, fuzzed through both of its
+callers: model files (``load_model``) and saved reports (``qdo chart``).
+Each property replaces one field or subtree of a real file
+with arbitrary JSON: integers up to 10^400, NaN and +-Infinity, strings, and
+nesting up to well past the parser's recursion limit. ``load_model`` must
+return a model or raise ``ModelError``; ``qdo chart`` must exit 0 or 2. Two
+byte-level files, one not UTF-8 and one with a 5000-digit integer, take both
+routes as explicit examples and must be refused with a message naming the
+file.
+
+Runs are derandomized, so every tier-1 run checks the same examples.
+"""
+
+import json
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qdo import CausalModel, ModelError, load_model
+from qdo.catalog import healthcare10, simpson3
+from qdo.cli import main
+from qdo.experiments import RunConfig, report_to_dict, run_experiment, simpson3_groups
+from qdo.model import model_to_dict, read_json
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
+
+NOT_UTF8 = b"\xff\xfe{}"
+LONG_INT = b"1" * 5000
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=20),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+# JSON text for a subtree: a generated value, or brackets nested from a few
+# levels to far past what json.loads can parse.
+FRAGMENT = JSON.map(json.dumps) | st.integers(1, 5000).map(lambda d: "[" * d + "]" * d)
+
+_PLACEHOLDER = "\x00placeholder\x00"
+
+
+def _paths(node, prefix=()):
+    """Every field or subtree of ``node``, the root (``()``) first."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*prefix, key))
+
+
+def _replaced(document, path, fragment: str) -> str:
+    """``document`` as JSON text with the subtree at ``path`` replaced by ``fragment``."""
+    if not path:
+        return fragment
+    root = json.loads(json.dumps(document))
+    node = root
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = _PLACEHOLDER
+    return json.dumps(root).replace(json.dumps(_PLACEHOLDER), fragment)
+
+
+MODELS = [model_to_dict(simpson3().model), model_to_dict(healthcare10().model)]
+MODEL_CASES = [(doc, path) for doc in MODELS for path in _paths(doc)]
+
+REPORTS = [
+    report_to_dict(run_experiment(simpson3().model, "T", "O", simpson3_groups(), cfg))
+    for cfg in (RunConfig(), RunConfig(backend="sampled", shots=200, trials=3, seed=5))
+]
+REPORT_CASES = [(doc, path) for doc in REPORTS for path in _paths(doc)]
+
+
+@PROPERTY
+@given(st.sampled_from(MODEL_CASES), FRAGMENT)
+@example((MODELS[0], ("edges", 0, "angle")), LONG_INT.decode())
+@example((MODELS[0], ()), "[" * 100000 + "]" * 100000)
+def test_load_model_returns_a_model_or_raises_model_error(tmp_path_factory, case, fragment):
+    document, path = case
+    file = tmp_path_factory.mktemp("model") / "model.json"
+    file.write_text(_replaced(document, path, fragment), encoding="utf-8")
+    try:
+        assert isinstance(load_model(file), CausalModel)
+    except ModelError as exc:
+        assert str(file) in str(exc)
+
+
+@PROPERTY
+@given(st.sampled_from(REPORT_CASES), FRAGMENT)
+@example((REPORTS[1], ("groups", 0, "effect")), LONG_INT.decode())
+@example((REPORTS[1], ()), "[" * 100000 + "]" * 100000)
+def test_chart_exits_0_or_2(tmp_path_factory, case, fragment):
+    document, path = case
+    d = tmp_path_factory.mktemp("report")
+    report = d / "report.json"
+    report.write_text(_replaced(document, path, fragment), encoding="utf-8")
+    assert main(["chart", str(report), "--svg", str(d / "chart.svg")]) in (0, 2)
+
+
+@pytest.mark.parametrize("data, detail", [
+    (NOT_UTF8, "'utf-8' codec can't decode byte 0xff"),
+    (LONG_INT, "Exceeds the limit (4300 digits)"),
+], ids=["not-utf8", "5000-digit-int"])
+def test_byte_level_files_are_refused_naming_the_file(tmp_path, capsys, data, detail):
+    # Both are plain ValueErrors from the read and the parse, not
+    # JSONDecodeErrors; every route reports them as ModelError with the path.
+    file = tmp_path / "bad.json"
+    file.write_bytes(data)
+    for read in (read_json, load_model):
+        with pytest.raises(ModelError) as err:
+            read(file)
+        assert str(err.value).startswith(f"{file}: {detail}")
+    for argv in (["validate", str(file)], ["chart", str(file), "--svg", str(tmp_path / "x.svg")]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"qdo: error: {file}: {detail}")
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_chart_reports_the_reader_messages(tmp_path, capsys):
+    # ``qdo chart`` and ``load_model`` share one reader, so they word an
+    # unreadable file and invalid JSON alike.
+    svg = str(tmp_path / "x.svg")
+    missing = tmp_path / "none.json"
+    assert main(["chart", str(missing), "--svg", svg]) == 2
+    assert capsys.readouterr().err.startswith(f"qdo: error: cannot read {missing}: ")
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"groups":\n [}', encoding="utf-8")
+    assert main(["chart", str(broken), "--svg", svg]) == 2
+    assert capsys.readouterr().err.startswith(f"qdo: error: {broken}: invalid JSON at line 2 column 3: ")

@@ -4,9 +4,14 @@ import functools
 import json
 import math
 import operator
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import make_random_model
 from qdo import (
     GROUND,
     UNIFORM,
@@ -32,6 +37,9 @@ def _tiny(name="tiny"):
         (Variable("A", 0, UNIFORM), Variable("B", 1, GROUND)),
         (Edge("A", "B", 1, 1.0),),
     )
+
+
+_AB = (Variable("A", 0, UNIFORM), Variable("B", 1))
 
 
 class TestValidate:
@@ -140,6 +148,40 @@ class TestValidate:
                 (Intervention("B", 1), Intervention("B", 0)),
             )
 
+    @pytest.mark.parametrize("bad", [1.0, np.int64(1), True], ids=["float", "numpy", "bool"])
+    @pytest.mark.parametrize("field, rule", [
+        ("control_value", "control_value must be 0 or 1"),
+        ("sign", "sign must be \\+1 or -1"),
+        ("value", "intervention 'B': value must be 0 or 1"),
+    ], ids=["control_value", "sign", "value"])
+    def test_integer_fields_take_only_int(self, field, rule, bad):
+        # The model file's rule (``model_from_dict``): 1.0 would fail to
+        # compile or reload, and np.int64(1) to save.
+        if field == "value":
+            parts = ((), (Intervention("B", bad),))
+        else:
+            parts = ((Edge("A", "B", **{"control_value": 1, "angle": 1.0, "sign": 1, field: bad}),),)
+        with pytest.raises(ModelError, match=f"{rule}, got {re.escape(repr(bad))}"):
+            CausalModel("m", _AB, *parts)
+
+    @pytest.mark.parametrize("variables, edges, interventions, message", [
+        ((Variable(["a"], 0),), (), (), "variable ['a']: name must be a string"),
+        (_AB, (Edge(["A"], "B", 1, 0.5),), (), "edge ['A']->'B': parent and child must be strings"),
+        (_AB, (Edge("A", "B", [1], 0.5),), (), "edge 'A'->'B': control_value must be 0 or 1, got [1]"),
+        (_AB, (), (Intervention(["B"], 1),), "intervention ['B']: variable must be a string"),
+        ((None,), (), (), "variables: expected Variable entries, got None"),
+        (_AB, (("A", "B"),), (), "edges: expected Edge entries, got ('A', 'B')"),
+        (_AB, (), ({"B": 1},), "interventions: expected Intervention entries, got {'B': 1}"),
+    ], ids=["variable-name", "edge-parent", "control-value", "intervention-variable",
+            "variable-entry", "edge-entry", "intervention-entry"])
+    def test_wrongly_typed_fields_are_violations(self, variables, edges, interventions, message):
+        # validate keys sets and dicts on names and reads each entry's fields:
+        # a list name or a None entry is reported, not a TypeError or
+        # AttributeError.
+        with pytest.raises(ModelError) as err:
+            CausalModel("m", variables, edges, interventions)
+        assert str(err.value) == f"invalid model: {message}"
+
     def test_every_violation_reported_at_once(self):
         with pytest.raises(ModelError) as excinfo:
             CausalModel("bad", (Variable("", 0),), (Edge("", "Z", 1, -1.0),))
@@ -147,6 +189,14 @@ class TestValidate:
             "invalid model: variable with empty name; edge ''->'Z' references unknown "
             "variable 'Z'; edge ''->'Z': angle must be finite and > 0"
         )
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_valid_model_round_trips_and_compiles(seed):
+    model = make_random_model(np.random.default_rng(seed), max_qubits=8)
+    assert model_from_dict(json.loads(model_json_text(model))) == model
+    compile_model(model)
 
 
 class TestTopologicalOrder:
@@ -349,6 +399,9 @@ class TestJsonFormat:
         from pathlib import Path
 
         root = Path(__file__).resolve().parent.parent / "models"
+        # README, CI and the benchmark run these files, the simpson3 and
+        # healthcare10 subcommands the catalog: no file may lack an entry.
+        assert sorted(f.name for f in root.glob("*.json")) == ["healthcare10.json", "simpson3.json"]
         for entry in (simpson3_entry, healthcare10_entry):
             path = root / f"{entry.id}.json"
             assert load_model(path) == entry.model
