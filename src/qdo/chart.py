@@ -12,6 +12,7 @@ passed through ``_fmt`` (a value used twice is formatted once).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .analysis import EffectReport
@@ -56,7 +57,13 @@ def render_chart(
     title: str = "",
     reference: float | None = None,
 ) -> str:
-    """Render the groups as a grouped bar chart; returns the SVG text."""
+    """Render the groups as a grouped bar chart; returns the SVG text.
+
+    Raises ``ValueError`` when the padded value span (effects, CI bounds,
+    zero and ``reference``), times the grid's 4 steps, passes the float
+    range, as for effects of 1e308 and -1e308: the chart's coordinates would
+    be inf or nan.
+    """
     if not groups:
         raise ValueError("render_chart requires at least one group")
 
@@ -67,9 +74,11 @@ def render_chart(
             span.extend(g.ci)
     if reference is not None:
         span.append(reference)
-    lo, hi = min(span), max(span)
-    pad = 0.08 * ((hi - lo) or 1.0)
-    lo, hi = lo - pad, hi + pad
+    low, high = min(span), max(span)
+    pad = 0.08 * ((high - low) or 1.0)
+    lo, hi = low - pad, high + pad
+    if not math.isfinite((hi - lo) * 4):  # the grid's largest product below
+        raise ValueError(f"values from {low!r} to {high!r} span too wide to chart")
 
     width = _MARGIN_L + _SLOT_W * len(groups) + _MARGIN_R
     height = _TOP + _PLOT_H + _LABEL_H

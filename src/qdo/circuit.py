@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 
-from .model import CausalModel, Intervention, topological_order
+from .model import CausalModel, Intervention, is_bit, topological_order
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,13 @@ def surgered_circuit(circ: Circuit, iv: Intervention) -> Circuit:
     variables chain in any order. When the forced value is 1 an X gate takes
     the place of the qubit's prep (its one non-CRY gate), or goes first if it
     had none. The variable joins ``circ.forced``; one already there, at
-    either value, is refused as already forced. Returns a new circuit; the
-    input is unmodified.
+    either value, is refused as already forced. The value must pass
+    ``model.is_bit``, the rule graph surgery (``apply_do``) applies, so 1.0,
+    ``np.int64(1)`` and ``True`` are refused by both. Returns a new circuit;
+    the input is unmodified.
     """
     var, value = iv.variable, iv.value
-    if isinstance(value, bool) or value not in (0, 1):
+    if not is_bit(value):
         raise ValueError(f"intervention value must be 0 or 1, got {value!r}")
     if var not in circ.variables:
         raise ValueError(f"variable {var!r} is not one of this circuit's variables {circ.variables!r}")

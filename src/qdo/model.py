@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -64,9 +63,33 @@ class Prep:
 
     @staticmethod
     def rotation(angle: float) -> "Prep":
-        if math.isfinite(angle):
+        """A rotation prep, a finite int or float angle reduced mod 2*pi.
+
+        Any other angle (a bool, a non-finite or non-number value) is kept as
+        given, for ``validate`` to refuse.
+        """
+        real = _as_float(angle)
+        if real is not None and math.isfinite(real):
             angle = angle % TWO_PI
         return Prep("rotation", angle)
+
+
+def is_bit(x) -> bool:
+    """The one 0-or-1 rule: an int, never a bool, float or numpy integer."""
+    return type(x) is int and x in (0, 1)
+
+
+def _as_float(x) -> float | None:
+    """``x`` as a float if it is an int or a float, never a bool; else None.
+
+    An int past the float range reads as inf, which every angle check refuses.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 GROUND = Prep("ground")
@@ -166,7 +189,12 @@ def validate(model: CausalModel) -> list[str]:
 
     An empty list means the model is valid. Violations are data, not errors:
     this never raises. ``CausalModel`` runs it on every model it builds and
-    raises all of them at once.
+    raises all of them at once. It is the one judge of field values, for a
+    model built in Python and for one read from a file (``model_from_dict``
+    checks only the file's shape), so every valid model can be saved and read
+    back: names are strings, ``control_value``, ``sign`` and an
+    intervention's value are ints (``is_bit`` for the 0-or-1 fields), and
+    angles are ints or floats, never bools, finite as floats.
     """
     out: list[str] = [
         f"{field}: expected {kind.__name__} entries, got {x!r}"
@@ -176,6 +204,8 @@ def validate(model: CausalModel) -> list[str]:
     ]
     if out:  # every check below reads the entries' fields
         return out
+    if not isinstance(model.name, str):
+        out.append(f"model name must be a string, got {model.name!r}")
     names = [v.name for v in model.variables]
     # Names and edge endpoints are set and dict keys below, so the checks that
     # key on them run only on strings; the peel needs every one to be a string.
@@ -194,23 +224,30 @@ def validate(model: CausalModel) -> list[str]:
             out.append(f"variable {v.name!r}: prep must be a Prep, got {v.prep!r}")
         elif v.prep.kind not in ("ground", "uniform", "rotation"):
             out.append(f"variable {v.name!r}: unknown prep kind {v.prep.kind!r}")
-        elif v.prep.kind == "rotation" and not isinstance(v.prep.angle, numbers.Real):
-            out.append(f"variable {v.name!r}: base rotation angle must be a number, got {v.prep.angle!r}")
-        elif v.prep.kind == "rotation" and not math.isfinite(v.prep.angle):
-            out.append(f"variable {v.name!r}: non-finite base rotation angle")
+        elif v.prep.kind == "rotation":
+            angle = _as_float(v.prep.angle)
+            if angle is None:
+                out.append(f"variable {v.name!r}: base rotation angle must be a number, got {v.prep.angle!r}")
+            elif not math.isfinite(angle):
+                out.append(f"variable {v.name!r}: non-finite base rotation angle")
     known = {n for n in names if isinstance(n, str)}
     if keyed and len(known) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         out.append(f"duplicate variable names: {', '.join(dupes)}")
     if integral:
+        # An index out of range is named by its variable, never printed: an
+        # int past the digit limit has no str().
+        last = len(model.variables) - 1
+        outside = ", ".join(repr(v.name) for v in model.variables if not 0 <= v.qubit <= last)
         qubits = sorted(v.qubit for v in model.variables)
-        if qubits != list(range(len(model.variables))):
-            out.append(
-                f"qubit indices must be a permutation of 0..{len(model.variables) - 1}, got {qubits}"
-            )
+        if outside:
+            out.append(f"qubit indices must be a permutation of 0..{last}; out of range: {outside}")
+        elif qubits != list(range(last + 1)):
+            out.append(f"qubit indices must be a permutation of 0..{last}, got {qubits}")
 
-    # control_value, sign and an intervention's value are ints, as in the model
-    # file (``model_from_dict``): no bool, float or numpy integer.
+    # control_value, sign and an intervention's value are ints (no bool, float
+    # or numpy integer), and angles ints or floats: the JSON types of a model
+    # file, so every valid model can be saved and read back.
     seen_triples: set[tuple[str, str, int]] = set()
     for e in model.edges:
         ends = isinstance(e.parent, str) and isinstance(e.child, str)
@@ -224,11 +261,12 @@ def validate(model: CausalModel) -> list[str]:
             for end in (e.parent, e.child):
                 if end not in known:
                     out.append(f"edge {e.parent!r}->{e.child!r} references unknown variable {end!r}")
-        if not isinstance(e.angle, numbers.Real):
+        angle = _as_float(e.angle)
+        if angle is None:
             out.append(f"edge {e.parent!r}->{e.child!r}: angle must be a number, got {e.angle!r}")
-        elif not (math.isfinite(e.angle) and e.angle > 0):
+        elif not (math.isfinite(angle) and angle > 0):
             out.append(f"edge {e.parent!r}->{e.child!r}: angle must be finite and > 0")
-        bit = type(e.control_value) is int and e.control_value in (0, 1)
+        bit = is_bit(e.control_value)
         if not bit:
             out.append(f"edge {e.parent!r}->{e.child!r}: control_value must be 0 or 1, got {e.control_value!r}")
         if type(e.sign) is not int or e.sign not in (1, -1):
@@ -251,7 +289,7 @@ def validate(model: CausalModel) -> list[str]:
         if iv.variable not in known:
             out.append(f"intervention on unknown variable {iv.variable!r}")
             continue
-        if type(iv.value) is not int or iv.value not in (0, 1):
+        if not is_bit(iv.value):
             out.append(f"intervention {iv.variable!r}: value must be 0 or 1, got {iv.value!r}")
         if iv.variable in intervened:
             out.append(f"variable {iv.variable!r} intervened more than once")
@@ -341,12 +379,14 @@ def apply_do(model: CausalModel, iv: Intervention) -> CausalModel:
 #   "edges": [ {"parent": str, "child": str, "control_value": 0|1,
 #               "angle": float, "sign": 1|-1} ] }
 #
-# Angles are radians. Integer fields take no bool and no float, even 1.0.
-# Unknown fields are rejected.
+# Angles are radians. Unknown fields are rejected. This reader checks only
+# that shape; ``validate`` judges the values, as for a model built in Python.
 
 
-def _require_keys(obj: dict, keys: set[str], where: str) -> None:
+def _require_keys(obj, keys: set[str], where: str) -> None:
     # Every field is required: unknown fields are reported first, then missing ones.
+    if not isinstance(obj, dict):
+        raise ModelError(f"{where}: expected an object")
     unknown = set(obj) - keys
     if unknown:
         raise ModelError(f"{where}: unknown field(s) {', '.join(sorted(unknown))}")
@@ -355,19 +395,10 @@ def _require_keys(obj: dict, keys: set[str], where: str) -> None:
         raise ModelError(f"{where}: missing field(s) {', '.join(sorted(missing))}")
 
 
-def _as_bit(value, where: str) -> int:
-    if type(value) is not int or value not in (0, 1):
-        raise ModelError(f"{where}: expected 0 or 1, got {value!r}")
-    return value
-
-
-def _as_angle(value, where: str) -> float:
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            return float(value)
-        except OverflowError:  # an integer past the float range
-            pass
-    raise ModelError(f"{where}: expected a number (radians), got {value!r}")
+def _angle_from_json(value):
+    # A JSON integer angle becomes a float; any other value is kept as read.
+    real = _as_float(value)
+    return value if real is None else real
 
 
 def _prep_from_json(value, where: str) -> Prep:
@@ -377,54 +408,36 @@ def _prep_from_json(value, where: str) -> Prep:
         return UNIFORM
     if isinstance(value, dict):
         _require_keys(value, {"rotation"}, where)
-        return Prep.rotation(_as_angle(value["rotation"], f"{where}.rotation"))
+        return Prep.rotation(_angle_from_json(value["rotation"]))
     raise ModelError(f'{where}: expected "ground", "uniform" or {{"rotation": angle}}, got {value!r}')
 
 
 def model_from_dict(data: dict) -> CausalModel:
-    """Parse the JSON model format; rejects unknown fields with a field path."""
+    """Build a model from the JSON model format.
+
+    Checks only the file's shape, naming the field path of the first fault:
+    objects and arrays where the format has them, every field present and no
+    unknown one, and the three prep forms. A JSON integer angle is read as a
+    float. Every other value goes to ``CausalModel`` as read, so ``validate``
+    judges it by the rules of a model built in Python and ``ModelError``
+    lists every violation at once.
+    """
     if not isinstance(data, dict):
         raise ModelError(f"model: expected an object, got {type(data).__name__}")
     _require_keys(data, {"name", "variables", "edges"}, "model")
-    if not isinstance(data["name"], str):
-        raise ModelError("model.name: expected a string")
     if not isinstance(data["variables"], list) or not isinstance(data["edges"], list):
         raise ModelError("model.variables and model.edges: expected arrays")
 
     variables = []
     for i, v in enumerate(data["variables"]):
         where = f"variables[{i}]"
-        if not isinstance(v, dict):
-            raise ModelError(f"{where}: expected an object")
         _require_keys(v, {"name", "qubit", "prep"}, where)
-        if not isinstance(v["name"], str):
-            raise ModelError(f"{where}.name: expected a string")
-        if type(v["qubit"]) is not int or v["qubit"] < 0:
-            raise ModelError(f"{where}.qubit: expected a non-negative integer")
-        variables.append(
-            Variable(v["name"], v["qubit"], _prep_from_json(v["prep"], f"{where}.prep"))
-        )
+        variables.append(Variable(v["name"], v["qubit"], _prep_from_json(v["prep"], f"{where}.prep")))
 
     edges = []
     for i, e in enumerate(data["edges"]):
-        where = f"edges[{i}]"
-        if not isinstance(e, dict):
-            raise ModelError(f"{where}: expected an object")
-        _require_keys(e, {"parent", "child", "control_value", "angle", "sign"}, where)
-        if not isinstance(e["parent"], str) or not isinstance(e["child"], str):
-            raise ModelError(f"{where}: parent and child must be strings")
-        sign = e["sign"]
-        if type(sign) is not int or sign not in (1, -1):
-            raise ModelError(f"{where}.sign: expected 1 or -1, got {sign!r}")
-        edges.append(
-            Edge(
-                e["parent"],
-                e["child"],
-                _as_bit(e["control_value"], f"{where}.control_value"),
-                _as_angle(e["angle"], f"{where}.angle"),
-                sign,
-            )
-        )
+        _require_keys(e, {"parent", "child", "control_value", "angle", "sign"}, f"edges[{i}]")
+        edges.append(Edge(e["parent"], e["child"], e["control_value"], _angle_from_json(e["angle"]), e["sign"]))
     return CausalModel(data["name"], tuple(variables), tuple(edges))
 
 

@@ -10,10 +10,14 @@ byte-level files, one not UTF-8 and one with a 5000-digit integer, take both
 routes as explicit examples and must be refused with a message naming the
 file.
 
+The command line is the third boundary: every subcommand, with its numeric
+flags drawn from their edges, must exit 0, 2 or 3.
+
 Runs are derandomized, so every tier-1 run checks the same examples.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -133,3 +137,64 @@ def test_chart_reports_the_reader_messages(tmp_path, capsys):
     broken.write_text('{"groups":\n [}', encoding="utf-8")
     assert main(["chart", str(broken), "--svg", svg]) == 2
     assert capsys.readouterr().err.startswith(f"qdo: error: {broken}: invalid JSON at line 2 column 3: ")
+
+
+# Each subcommand's numeric flags at their edges. Huge values go only where
+# they are refused before any work: --shots past 2^63 by the shot check, a
+# --seed of 2^64 or more by the seed check, a --noise past 1 by NoiseSpec (a
+# 2^63 seed is valid, and cheap). Valid sizes stay at 64 shots x 3 trials.
+# --trials takes no huge value: trials run in chunks of bounded memory, so a
+# huge valid --trials costs time, not memory, and is not an input boundary.
+INTEGER_EDGES = ["0", "-1", str(1 << 63), str(1 << 64), str(10**20)]
+FLOAT_EDGES = ["nan", "inf", "-inf", "-0.0"]  # argparse refuses these for an int flag
+EDGES = [*INTEGER_EDGES, *FLOAT_EDGES]
+SHOTS = [*INTEGER_EDGES, "1", "64"]
+TRIALS = ["0", "-1", "1", "3"]
+SEEDS = [*EDGES, "5"]
+NOISES = [*EDGES, "0.05"]
+
+SIMPSON3_FILE = str(Path(__file__).resolve().parent.parent / "models" / "simpson3.json")
+RUN_COMMANDS = [
+    ["simpson3"],
+    ["healthcare10", "--stratify", "Age"],
+    ["run", SIMPSON3_FILE],
+    ["run", SIMPSON3_FILE, "--effect", "--treatment", "T", "--outcome", "O", "--stratify", "G"],
+]
+
+
+@st.composite
+def _run_argv(draw) -> list[str]:
+    flags = {
+        "--backend": draw(st.sampled_from(["exact", "sampled"])),
+        "--shots": draw(st.sampled_from(SHOTS)),
+        "--trials": draw(st.sampled_from(TRIALS)),
+    }
+    for flag, values in (("--seed", SEEDS), ("--noise", NOISES)):
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            flags[flag] = value
+    if draw(st.integers(0, 3)) == 0:  # now and then an int flag argparse refuses
+        flags[draw(st.sampled_from(["--shots", "--trials"]))] = draw(st.sampled_from(FLOAT_EDGES))
+    # "--flag=value" keeps a value such as "-inf" from parsing as an option.
+    return [*draw(st.sampled_from(RUN_COMMANDS)), *(f"{flag}={value}" for flag, value in flags.items())]
+
+
+ARGV = (
+    _run_argv()
+    | st.just(["validate", SIMPSON3_FILE])
+    | st.sampled_from(EDGES).map(lambda r: ["chart", "{report}", "--svg", "{svg}", f"--reference={r}"])
+)
+
+
+@PROPERTY
+@given(ARGV)
+def test_every_command_line_exits_0_2_or_3(tmp_path_factory, argv):
+    d = tmp_path_factory.mktemp("argv")
+    report = d / "report.json"
+    report.write_text(json.dumps(REPORTS[0]), encoding="utf-8")
+    argv = [a.format(report=report, svg=d / "chart.svg") for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refusing a value, e.g. --shots=nan
+        code = exc.code
+    assert code in (0, 2, 3)

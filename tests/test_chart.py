@@ -1,5 +1,7 @@
 """SVG rendering: structure, whiskers, reference line, and determinism."""
 
+import re
+
 import pytest
 
 from qdo.analysis import EffectReport
@@ -56,6 +58,24 @@ class TestRenderChart:
             'font-size="10">Counterfactual_effect</text>'
         ]
         assert svg.count("<text") == 7  # five axis values, the bar's value, one label line
+
+    @pytest.mark.parametrize("groups, reference", [
+        ([_group("a", 1e308), _group("b", -1e308)], None),
+        ([_group("a", -1e308)], 1e308),
+        ([_group("a", 0.1, ci=(-1e308, 1e308))], None),
+        ([_group("a", 1.7e308)], None),
+        ([_group("a", 5e307)], None),
+    ], ids=["effects", "reference", "ci", "padding", "grid"])
+    def test_span_past_the_float_range_rejected(self, groups, reference):
+        # The coordinates would be inf or nan. In the last two cases the span
+        # itself is finite: the 8% padding, or the grid's product of the span
+        # and 4, passes the float range.
+        with pytest.raises(ValueError, match="span too wide to chart"):
+            render_chart(groups, reference=reference)
+
+    def test_span_just_inside_the_float_range_renders(self):
+        svg = render_chart([_group("a", -1e300)], reference=3e307)
+        assert not re.search(r"(nan|inf)[\"<]", svg)  # no attribute or label is nan or inf
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -333,6 +333,18 @@ class TestChartCommand:
         assert "--reference must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x.svg").exists()
 
+    @pytest.mark.parametrize("effects, reference", [
+        ([1e308, -1e308], []),
+        ([-1e308], ["--reference", "1e308"]),
+    ], ids=["effects", "reference"])
+    def test_span_past_the_float_range_exits_2(self, tmp_path, capsys, effects, reference):
+        report = tmp_path / "report.json"
+        groups = [{"label": f"g{i}", "effect": e} for i, e in enumerate(effects)]
+        report.write_text(json.dumps({"groups": groups}), encoding="utf-8")
+        assert run_cli("chart", str(report), "--svg", str(tmp_path / "x.svg"), *reference) == 2
+        assert capsys.readouterr().err == "qdo: error: values from -1e+308 to 1e+308 span too wide to chart\n"
+        assert not (tmp_path / "x.svg").exists()
+
 
 class TestSeedHandling:
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):

@@ -24,6 +24,7 @@ from qdo import (
     apply_do,
     compile_model,
     load_model,
+    save_model,
     surgered_circuit,
     topological_order,
     validate,
@@ -88,8 +89,10 @@ class TestValidate:
         with pytest.raises(ModelError, match=f"variable 'B': qubit index must be an integer, got {qubit!r}"):
             CausalModel("m", (Variable("A", 0, UNIFORM), Variable("B", qubit)), (Edge("A", "B", 1, 1.0),))
 
-    @pytest.mark.parametrize("value", [True, 2])
+    @pytest.mark.parametrize("value", [True, 2, 1.0, pytest.param(np.int64(1), id="numpy")])
     def test_intervention_value_not_a_bit(self, value):
+        # Graph and circuit surgery share one rule (``model.is_bit``), so the
+        # two routes to do() refuse the same values.
         m = CausalModel("m", (Variable("A", 0, UNIFORM), Variable("B", 1)), (Edge("A", "B", 1, 1.0),))
         with pytest.raises(ModelError, match="intervention 'B': value must be 0 or 1"):
             CausalModel("m", m.variables, (), (Intervention("B", value),))
@@ -163,6 +166,43 @@ class TestValidate:
             parts = ((Edge("A", "B", **{"control_value": 1, "angle": 1.0, "sign": 1, field: bad}),),)
         with pytest.raises(ModelError, match=f"{rule}, got {re.escape(repr(bad))}"):
             CausalModel("m", _AB, *parts)
+
+    @pytest.mark.parametrize("name", [3, None])
+    def test_model_name_must_be_a_string(self, name):
+        # The model file's rule: such a model would save, and the file then
+        # fail to load.
+        with pytest.raises(ModelError) as err:
+            CausalModel(name, _AB, ())
+        assert str(err.value) == f"invalid model: model name must be a string, got {name!r}"
+
+    @pytest.mark.parametrize("angle, edge_rule, prep_rule", [
+        (True, "angle must be a number, got True", "base rotation angle must be a number, got True"),
+        (np.float32(0.5), f"angle must be a number, got {np.float32(0.5)!r}",
+         f"base rotation angle must be a number, got {np.float32(0.5)!r}"),
+        (10**400, "angle must be finite and > 0", "non-finite base rotation angle"),
+    ], ids=["bool", "float32", "huge-int"])
+    def test_angles_take_only_finite_ints_and_floats(self, angle, edge_rule, prep_rule):
+        # True would be saved as true, which load_model refuses; np.float32
+        # cannot be written as JSON; 10**400 has no float. Each is a
+        # violation, never an OverflowError or TypeError.
+        with pytest.raises(ModelError) as err:
+            CausalModel("m", _AB, (Edge("A", "B", 1, angle),))
+        assert str(err.value) == f"invalid model: edge 'A'->'B': {edge_rule}"
+        for prep in (Prep.rotation(angle), Prep("rotation", angle)):
+            with pytest.raises(ModelError) as err:
+                CausalModel("m", (Variable("A", 0, prep),), ())
+            assert str(err.value) == f"invalid model: variable 'A': {prep_rule}"
+
+    @pytest.mark.parametrize("qubits, message", [
+        ((10**5000,), "0..0; out of range: 'A'"),
+        ((-1, 1, 3), "0..2; out of range: 'A', 'C'"),
+    ], ids=["past-the-digit-limit", "negative-and-too-large"])
+    def test_qubit_index_out_of_range_is_named_by_variable(self, qubits, message):
+        # Never printed: str() of an int past 4300 digits raises ValueError.
+        variables = tuple(Variable(name, q) for name, q in zip("ABC", qubits))
+        with pytest.raises(ModelError) as err:
+            CausalModel("m", variables, ())
+        assert str(err.value) == f"invalid model: qubit indices must be a permutation of {message}"
 
     @pytest.mark.parametrize("variables, edges, interventions, message", [
         ((Variable(["a"], 0),), (), (), "variable ['a']: name must be a string"),
@@ -336,25 +376,33 @@ class TestJsonFormat:
         ((), [], "model: expected an object, got list"),
         (("variables", 0), "A", "variables[0]: expected an object"),
         (("edges", 0), 1, "edges[0]: expected an object"),
-        (("name",), 3, "model.name: expected a string"),
-        (("variables", 0, "name"), None, "variables[0].name: expected a string"),
-        (("edges", 0, "parent"), 0, "edges[0]: parent and child must be strings"),
-        (("edges", 0, "child"), ["B"], "edges[0]: parent and child must be strings"),
+        (("name",), 3, "invalid model: model name must be a string, got 3"),
+        (("variables", 0, "name"), None, "invalid model: variable None: name must be a string; "
+                                         "edge 'A'->'B' references unknown variable 'A'"),
+        (("edges", 0, "parent"), 0, "invalid model: edge 0->'B': parent and child must be strings"),
+        (("edges", 0, "child"), ["B"], "invalid model: edge 'A'->['B']: parent and child must be strings"),
         (("variables",), {}, "model.variables and model.edges: expected arrays"),
         (("edges",), "A->B", "model.variables and model.edges: expected arrays"),
-        (("edges", 0, "sign"), 2, "edges[0].sign: expected 1 or -1, got 2"),
-        (("edges", 0, "sign"), 1.0, "edges[0].sign: expected 1 or -1, got 1.0"),
-        (("edges", 0, "sign"), -1.0, "edges[0].sign: expected 1 or -1, got -1.0"),
-        (("edges", 0, "control_value"), 1.0, "edges[0].control_value: expected 0 or 1, got 1.0"),
-        (("edges", 0, "control_value"), 0.0, "edges[0].control_value: expected 0 or 1, got 0.0"),
-        (("variables", 0, "qubit"), 0.0, "variables[0].qubit: expected a non-negative integer"),
-        (("edges", 0, "angle"), "0.5", "edges[0].angle: expected a number (radians), got '0.5'"),
-        (("edges", 0, "angle"), 10**400, f"edges[0].angle: expected a number (radians), got {10**400}"),
+        (("edges", 0, "sign"), 2, "invalid model: edge 'A'->'B': sign must be +1 or -1, got 2"),
+        (("edges", 0, "sign"), 1.0, "invalid model: edge 'A'->'B': sign must be +1 or -1, got 1.0"),
+        (("edges", 0, "sign"), -1.0, "invalid model: edge 'A'->'B': sign must be +1 or -1, got -1.0"),
+        (("edges", 0, "control_value"), 1.0, "invalid model: edge 'A'->'B': control_value must be 0 or 1, got 1.0"),
+        (("edges", 0, "control_value"), 0.0, "invalid model: edge 'A'->'B': control_value must be 0 or 1, got 0.0"),
+        (("variables", 0, "qubit"), 0.0, "invalid model: variable 'A': qubit index must be an integer, got 0.0"),
+        (("edges", 0, "angle"), "0.5", "invalid model: edge 'A'->'B': angle must be a number, got '0.5'"),
+        (("edges", 0, "angle"), 10**400, "invalid model: edge 'A'->'B': angle must be finite and > 0"),
+        (("variables", 0, "prep"), {"rotation": True},
+         "invalid model: variable 'A': base rotation angle must be a number, got True"),
+        (("variables", 0, "prep"), {"rotation": "x"},
+         "invalid model: variable 'A': base rotation angle must be a number, got 'x'"),
+        (("variables", 0, "prep"), {"rotation": 10**400},
+         "invalid model: variable 'A': non-finite base rotation angle"),
         (None, None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
         (None, "[" * 100000 + "]" * 100000, "{path}: JSON nested too deeply to parse"),
     ], ids=["model", "variable", "edge", "model-name", "variable-name", "parent", "child",
             "variables", "edges", "sign", "sign-float", "sign-negative-float", "control-value-float",
-            "control-value-zero-float", "qubit-float", "angle", "huge-angle", "unreadable", "deep-nesting"])
+            "control-value-zero-float", "qubit-float", "angle", "huge-angle", "rotation-bool",
+            "rotation-string", "rotation-huge", "unreadable", "deep-nesting"])
     def test_malformed_file_names_the_field(self, tmp_path, keys, value, message):
         # keys: where in the tiny model's dict to put value; None writes value
         # as the file's text, or no file when value is None too.
@@ -370,6 +418,30 @@ class TestJsonFormat:
             load_model(path)
         want = message.format(path=path) if keys is None else f"{path}: {message}"
         assert str(err.value) == want
+
+    def test_a_file_lists_every_violation(self, tmp_path):
+        # The values of a file are judged by validate, like a model built in
+        # Python, so one refusal names them all.
+        data = model_to_dict(_tiny())
+        data["edges"][0].update(sign=1.0, control_value=2)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ModelError) as err:
+            load_model(path)
+        assert str(err.value) == (
+            f"{path}: invalid model: edge 'A'->'B': control_value must be 0 or 1, got 2; "
+            "edge 'A'->'B': sign must be +1 or -1, got 1.0"
+        )
+
+    @pytest.mark.parametrize("angle", [2, np.float64(0.5)], ids=["int", "float64"])
+    def test_odd_but_valid_angles_round_trip(self, tmp_path, angle):
+        # An int angle is written as a JSON integer and read back as a float,
+        # which compares equal; np.float64 is a float.
+        model = CausalModel(
+            "m", (Variable("A", 0, Prep.rotation(angle)), Variable("B", 1)), (Edge("A", "B", 1, angle),)
+        )
+        save_model(model, tmp_path / "m.json")
+        assert load_model(tmp_path / "m.json") == model
 
     def test_intervened_model_not_serializable(self, simpson3_entry):
         surgered = apply_do(simpson3_entry.model, Intervention("T", 1))
