@@ -233,7 +233,7 @@ def adjusted_effect(dist, qubits, treatment, outcome, adjust=(), given=()):
     with np.errstate(divide="ignore", invalid="ignore"):  # rows that fail or skip a cell
         for value, bits in enumerate(itertools.product((0, 1), repeat=len(adjust))):
             cell = tuple(zip(adjust, bits))
-            mass = _mass(values, qubits, given + cell)
+            mass = _mass(values, qubits, given + cell) if adjust else base_mass
             live = mass > 0 if adjust else np.ones(rows, dtype=bool)
             if not np.count_nonzero(live):
                 continue

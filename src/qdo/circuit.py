@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 
-from .model import CausalModel, Intervention, is_bit, topological_order
+from .model import CausalModel, Intervention, ModelError, is_bit, topological_order
 
 
 @dataclass(frozen=True)
@@ -118,32 +118,28 @@ def surgered_circuit(circ: Circuit, iv: Intervention) -> Circuit:
 
     The qubit is found by name in ``circ.variables``, so do()s on distinct
     variables chain in any order. When the forced value is 1 an X gate takes
-    the place of the qubit's prep (its one non-CRY gate), or goes first if it
-    had none. The variable joins ``circ.forced``; one already there, at
-    either value, is refused as already forced. The value must pass
-    ``model.is_bit``, the rule graph surgery (``apply_do``) applies, so 1.0,
-    ``np.int64(1)`` and ``True`` are refused by both. Returns a new circuit;
-    the input is unmodified.
+    the place of the qubit's first gate (its prep, or its first CRY when the
+    prep is ground), or goes first if no gate targets it. For a targeted
+    variable that is where ``compile_model(apply_do(...))`` puts the X when
+    the do() keeps the compile order. The variable joins ``circ.forced``; one
+    already there, at either value, is refused as already forced. The value
+    must pass ``model.is_bit``, the rule graph surgery (``apply_do``)
+    applies, so 1.0, ``np.int64(1)`` and ``True`` are refused by both.
+    Returns a new circuit; the input is unmodified.
     """
     var, value = iv.variable, iv.value
     if not is_bit(value):
         raise ValueError(f"intervention value must be 0 or 1, got {value!r}")
     if var not in circ.variables:
-        raise ValueError(f"variable {var!r} is not one of this circuit's variables {circ.variables!r}")
+        raise ModelError(f"variable {var!r} is not one of this circuit's variables {circ.variables!r}")
     if var in circ.forced:
         raise ValueError(f"variable {var!r} is already forced in this circuit")
     q = circ.variables.index(var)
 
-    out: list[Gate] = []
-    placed = value == 0  # a value-0 do() places no X
-    for g in circ.gates:
-        if g.target != q:
-            out.append(g)
-        elif g.kind != "cry" and not placed:
-            out.append(Gate("x", q))
-            placed = True
-    if not placed:
-        out.insert(0, Gate("x", q))
+    first = next((i for i, g in enumerate(circ.gates) if g.target == q), 0)
+    out = [g for g in circ.gates if g.target != q]
+    if value == 1:  # every gate before q's first is kept, so the X lands in its place
+        out.insert(first, Gate("x", q))
     return Circuit(circ.n_qubits, tuple(out), circ.variables, (*circ.forced, var))
 
 

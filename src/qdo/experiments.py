@@ -3,7 +3,9 @@
 A run evaluates a list of analysis groups against one model. The exact
 backend produces point estimates; the sampled backend runs K independent
 trials and aggregates per-trial estimates into 95% confidence intervals
-(mean +/- 1.96 standard errors).
+(mean +/- 1.96 standard errors). A run compiles once and intervenes by circuit
+surgery: do(T=1) puts an X in place of T's first gate, or first if none targets
+T. Graph surgery (``model.apply_do``) is the check route.
 
 Trials are stacked, not looped: each circuit's trials fill a (trials, 2^n)
 array, one row per trial (noiseless rows are drawn from one exact run,
@@ -41,9 +43,9 @@ from .analysis import (
     aggregate_trials,
     cond_prob,
 )
-from .circuit import Circuit, compile_model
+from .circuit import Circuit, compile_model, surgered_circuit
 from .engine import NoiseSpec, check_seed, check_shots, draw_counts, noisy_counts, run_exact
-from .model import CausalModel, Intervention, ModelError, apply_do
+from .model import CausalModel, Intervention, ModelError
 
 DEFAULT_SEED = 1729
 
@@ -143,13 +145,15 @@ def run_experiment(
 ) -> Report:
     """Evaluate ``groups`` on one model under the configured backend.
 
-    Only the circuits the groups need are compiled and run. The exact backend
-    makes one pass with ``run_exact`` and reports point estimates; the sampled
-    backend stacks the trials' counts per circuit, chunk by chunk, and
-    reports trial statistics. A noiseless sampled run computes each circuit's exact
-    distribution once and draws every trial from it; a noisy run evolves a
-    chunk's trials together with ``noisy_counts``, each from its own stream,
-    so trials with the same Pauli history share a state.
+    The model is compiled once; the do groups read its two circuit surgeries
+    (``surgered_circuit``: the X of do(treatment=1) takes the place of the
+    treatment's first gate). Only the circuits the groups need are run. The
+    exact backend makes one pass with ``run_exact`` and reports point
+    estimates; the sampled backend stacks the trials' counts per circuit, chunk
+    by chunk, and reports trial statistics. A noiseless sampled run computes
+    each circuit's exact distribution once and draws every trial from it; a
+    noisy run evolves a chunk's trials together with ``noisy_counts``, each
+    from its own stream, so trials with the same Pauli history share a state.
 
     Raises ValueError, before anything is compiled, when the outcome is the
     treatment or a group adjusts for or conditions on either of them.
@@ -161,15 +165,14 @@ def run_experiment(
             if name in (treatment, outcome):
                 role = "treatment" if name == treatment else "outcome"
                 raise ValueError(f"group {g.label!r} stratifies on the {role} {name!r}")
-    if model.is_intervened(treatment):
+    base = compile_model(model)
+    if treatment in base.forced:
         raise ModelError(f"treatment {treatment!r} is already intervened on")
     qubits = model.qubit_map()
-    circuits: dict[int, Circuit] = {}
-    if not all(g.do for g in groups):
-        circuits[OBS] = compile_model(model)
+    circuits: dict[int, Circuit] = {} if all(g.do for g in groups) else {OBS: base}
     if any(g.do for g in groups):
-        circuits[DO1] = compile_model(apply_do(model, Intervention(treatment, 1)))
-        circuits[DO0] = compile_model(apply_do(model, Intervention(treatment, 0)))
+        circuits[DO1] = surgered_circuit(base, Intervention(treatment, 1))
+        circuits[DO0] = surgered_circuit(base, Intervention(treatment, 0))
 
     sampled = cfg.backend == "sampled"
     noisy = cfg.noise is not None and cfg.noise.p_depol > 0.0

@@ -2,14 +2,14 @@
 
 A model is a DAG whose nodes are binary variables mapped one-to-one onto
 qubits. Each variable carries a preparation (ground state, uniform, or a base
-Y-rotation) and each edge carries a controlled-rotation angle. Interventions
-are represented by graph surgery: ``apply_do`` removes the intervened
-variable's incoming edges and pins its preparation, leaving the forcing of the
-value to the circuit compiler.
+Y-rotation) and each edge carries a controlled-rotation angle. Graph surgery
+(``apply_do``) removes an intervened variable's incoming edges and pins its
+preparation, leaving the forcing of the value to the circuit compiler. Runs
+intervene by circuit surgery instead; graph surgery is their check route.
 
 ``CausalModel`` raises ``ModelError`` with every violation ``validate`` finds
 when it is built, so a model that exists is valid; that includes each result
-of ``apply_do``. A model indexes itself once, on first use (``_Index``), so
+of ``apply_do``. A model indexes and peels itself once, on first use, so
 name lookups, incoming edges and the topological order cost no scan of it.
 """
 
@@ -130,7 +130,6 @@ class _Index(NamedTuple):
     variable: dict[str, Variable]
     qubit: dict[str, int]
     incoming: dict[str, tuple[Edge, ...]]  # per child, in model edge order
-    order: tuple[str, ...]  # the topological order of validate's peel (``_peel``)
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,11 @@ class CausalModel:
             {v.name: v for v in self.variables},
             {v.name: v.qubit for v in self.variables},
             {name: tuple(edges) for name, edges in incoming.items()},
-            tuple(_peel(self)[0]),
         )
+
+    @cached_property
+    def _peeled(self) -> tuple[list[str], list[str]]:  # validate and topological_order share one peel
+        return _peel(self)
 
     @property
     def n_qubits(self) -> int:
@@ -180,24 +182,21 @@ class CausalModel:
         """The edges into ``name`` in model order; empty for a name the model lacks."""
         return self._index.incoming.get(name, ())
 
-    def is_intervened(self, name: str) -> bool:
-        return any(iv.variable == name for iv in self.interventions)
-
 
 def validate(model: CausalModel) -> list[str]:
     """Return every invariant violation as a human-readable string.
 
     An empty list means the model is valid. Violations are data, not errors:
-    this never raises. ``CausalModel`` runs it on every model it builds and
-    raises all of them at once. It is the one judge of field values, for a
-    model built in Python and for one read from a file (``model_from_dict``
-    checks only the file's shape), so every valid model can be saved and read
-    back: names are strings, ``control_value``, ``sign`` and an
-    intervention's value are ints (``is_bit`` for the 0-or-1 fields), and
-    angles are ints or floats, never bools, finite as floats.
+    this never raises (values print through ``_show``). ``CausalModel`` runs it
+    on every model it builds and raises all of them at once. It is the one
+    judge of field values, for a model built in Python and for one read from a
+    file (``model_from_dict`` checks only the file's shape), so every valid
+    model can be saved and read back: names are strings, ``control_value``,
+    ``sign`` and an intervention's value are ints (``is_bit`` for the 0-or-1
+    fields), and angles are ints or floats, never bools, finite as floats.
     """
     out: list[str] = [
-        f"{field}: expected {kind.__name__} entries, got {x!r}"
+        f"{field}: expected {kind.__name__} entries, got {_show(x)}"
         for field, kind in (("variables", Variable), ("edges", Edge), ("interventions", Intervention))
         for x in getattr(model, field)
         if not isinstance(x, kind)
@@ -205,7 +204,7 @@ def validate(model: CausalModel) -> list[str]:
     if out:  # every check below reads the entries' fields
         return out
     if not isinstance(model.name, str):
-        out.append(f"model name must be a string, got {model.name!r}")
+        out.append(f"model name must be a string, got {_show(model.name)}")
     names = [v.name for v in model.variables]
     # Names and edge endpoints are set and dict keys below, so the checks that
     # key on them run only on strings; the peel needs every one to be a string.
@@ -213,37 +212,38 @@ def validate(model: CausalModel) -> list[str]:
     integral = True  # sorting and the peel's heap need comparable qubit indices
     for v in model.variables:
         if not isinstance(v.name, str):
-            out.append(f"variable {v.name!r}: name must be a string")
+            out.append(f"variable {_show(v.name)}: name must be a string")
             keyed = False
         elif not v.name:
             out.append("variable with empty name")
         if isinstance(v.qubit, bool) or not isinstance(v.qubit, int):
-            out.append(f"variable {v.name!r}: qubit index must be an integer, got {v.qubit!r}")
+            out.append(f"variable {_show(v.name)}: qubit index must be an integer, got {_show(v.qubit)}")
             integral = False
         if not isinstance(v.prep, Prep):
-            out.append(f"variable {v.name!r}: prep must be a Prep, got {v.prep!r}")
+            out.append(f"variable {_show(v.name)}: prep must be a Prep, got {_show(v.prep)}")
         elif v.prep.kind not in ("ground", "uniform", "rotation"):
-            out.append(f"variable {v.name!r}: unknown prep kind {v.prep.kind!r}")
+            out.append(f"variable {_show(v.name)}: unknown prep kind {_show(v.prep.kind)}")
         elif v.prep.kind == "rotation":
             angle = _as_float(v.prep.angle)
             if angle is None:
-                out.append(f"variable {v.name!r}: base rotation angle must be a number, got {v.prep.angle!r}")
+                out.append(f"variable {_show(v.name)}: base rotation angle must be a number, got {_show(v.prep.angle)}")
             elif not math.isfinite(angle):
-                out.append(f"variable {v.name!r}: non-finite base rotation angle")
+                out.append(f"variable {_show(v.name)}: non-finite base rotation angle")
     known = {n for n in names if isinstance(n, str)}
     if keyed and len(known) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         out.append(f"duplicate variable names: {', '.join(dupes)}")
-    if integral:
-        # An index out of range is named by its variable, never printed: an
-        # int past the digit limit has no str().
+    if integral:  # an index out of range is named by its variable, never printed
         last = len(model.variables) - 1
-        outside = ", ".join(repr(v.name) for v in model.variables if not 0 <= v.qubit <= last)
+        outside = ", ".join(_show(v.name) for v in model.variables if not 0 <= v.qubit <= last)
         qubits = sorted(v.qubit for v in model.variables)
         if outside:
             out.append(f"qubit indices must be a permutation of 0..{last}; out of range: {outside}")
         elif qubits != list(range(last + 1)):
             out.append(f"qubit indices must be a permutation of 0..{last}, got {qubits}")
+
+    def edge(e: Edge) -> str:  # formatted only for an edge at fault
+        return f"edge {_show(e.parent)}->{_show(e.child)}"
 
     # control_value, sign and an intervention's value are ints (no bool, float
     # or numpy integer), and angles ints or floats: the JSON types of a model
@@ -252,51 +252,59 @@ def validate(model: CausalModel) -> list[str]:
     for e in model.edges:
         ends = isinstance(e.parent, str) and isinstance(e.child, str)
         if not ends:
-            out.append(f"edge {e.parent!r}->{e.child!r}: parent and child must be strings")
+            out.append(f"{edge(e)}: parent and child must be strings")
             keyed = False
         elif e.parent == e.child:
-            out.append(f"self-loop on {e.parent!r}")
+            out.append(f"self-loop on {_show(e.parent)}")
             continue
         else:
             for end in (e.parent, e.child):
                 if end not in known:
-                    out.append(f"edge {e.parent!r}->{e.child!r} references unknown variable {end!r}")
+                    out.append(f"{edge(e)} references unknown variable {_show(end)}")
         angle = _as_float(e.angle)
         if angle is None:
-            out.append(f"edge {e.parent!r}->{e.child!r}: angle must be a number, got {e.angle!r}")
+            out.append(f"{edge(e)}: angle must be a number, got {_show(e.angle)}")
         elif not (math.isfinite(angle) and angle > 0):
-            out.append(f"edge {e.parent!r}->{e.child!r}: angle must be finite and > 0")
+            out.append(f"{edge(e)}: angle must be finite and > 0")
         bit = is_bit(e.control_value)
         if not bit:
-            out.append(f"edge {e.parent!r}->{e.child!r}: control_value must be 0 or 1, got {e.control_value!r}")
+            out.append(f"{edge(e)}: control_value must be 0 or 1, got {_show(e.control_value)}")
         if type(e.sign) is not int or e.sign not in (1, -1):
-            out.append(f"edge {e.parent!r}->{e.child!r}: sign must be +1 or -1, got {e.sign!r}")
+            out.append(f"{edge(e)}: sign must be +1 or -1, got {_show(e.sign)}")
         if ends and bit:
             triple = (e.parent, e.child, e.control_value)
             if triple in seen_triples:
-                out.append(f"duplicate edge {e.parent!r}->{e.child!r} (control={e.control_value})")
+                out.append(f"duplicate {edge(e)} (control={e.control_value})")
             seen_triples.add(triple)
 
-    cyclic = _peel(model)[1] if integral and keyed else []
+    cyclic = model._peeled[1] if integral and keyed else []
     if cyclic:
         out.append(f"cycle detected involving: {', '.join(cyclic)}")
 
     intervened: set[str] = set()
     for iv in model.interventions:
         if not isinstance(iv.variable, str):
-            out.append(f"intervention {iv.variable!r}: variable must be a string")
+            out.append(f"intervention {_show(iv.variable)}: variable must be a string")
             continue
         if iv.variable not in known:
-            out.append(f"intervention on unknown variable {iv.variable!r}")
+            out.append(f"intervention on unknown variable {_show(iv.variable)}")
             continue
         if not is_bit(iv.value):
-            out.append(f"intervention {iv.variable!r}: value must be 0 or 1, got {iv.value!r}")
+            out.append(f"intervention {_show(iv.variable)}: value must be 0 or 1, got {_show(iv.value)}")
         if iv.variable in intervened:
-            out.append(f"variable {iv.variable!r} intervened more than once")
+            out.append(f"variable {_show(iv.variable)} intervened more than once")
         intervened.add(iv.variable)
         if any(e.child == iv.variable for e in model.edges):
-            out.append(f"intervened variable {iv.variable!r} still has incoming edges")
+            out.append(f"intervened variable {_show(iv.variable)} still has incoming edges")
     return out
+
+
+def _show(x) -> str:
+    """``repr(x)``, or a stand-in if an int in it is past the str digit limit."""
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{type(x).__name__} too long to print>"
 
 
 def _kahn(nodes: set[str], succ: dict[str, list[str]], key: dict[str, int]) -> list[str]:
@@ -348,7 +356,7 @@ def topological_order(model: CausalModel) -> list[str]:
 
     Ties are broken by ascending qubit index, so the result is deterministic.
     """
-    return list(model._index.order)
+    return list(model._peeled[0])
 
 
 def apply_do(model: CausalModel, iv: Intervention) -> CausalModel:
@@ -359,16 +367,9 @@ def apply_do(model: CausalModel, iv: Intervention) -> CausalModel:
     The new model checks itself, so an unknown variable, a value other than 0
     or 1, or a variable already intervened on raises ``ModelError``.
     """
-    variables = tuple(
-        replace(v, prep=GROUND) if v.name == iv.variable else v for v in model.variables
-    )
+    variables = tuple(replace(v, prep=GROUND) if v.name == iv.variable else v for v in model.variables)
     edges = tuple(e for e in model.edges if e.child != iv.variable)
-    return replace(
-        model,
-        variables=variables,
-        edges=edges,
-        interventions=model.interventions + (iv,),
-    )
+    return replace(model, variables=variables, edges=edges, interventions=(*model.interventions, iv))
 
 
 # --- JSON model file format --------------------------------------------------

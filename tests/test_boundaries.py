@@ -10,6 +10,9 @@ byte-level files, one not UTF-8 and one with a 5000-digit integer, take both
 routes as explicit examples and must be refused with a message naming the
 file.
 
+A model built in Python is refused with ``ModelError`` even when a field
+``validate`` prints holds an int past the 4300-digit limit of ``str``.
+
 The command line is the third boundary: every subcommand, with its numeric
 flags drawn from their edges, must exit 0, 2 or 3.
 
@@ -23,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdo import CausalModel, ModelError, load_model
+from qdo import CausalModel, Edge, Intervention, ModelError, Prep, Variable, load_model
 from qdo.catalog import healthcare10, simpson3
 from qdo.cli import main
 from qdo.experiments import RunConfig, report_to_dict, run_experiment, simpson3_groups
@@ -124,6 +127,36 @@ def test_byte_level_files_are_refused_naming_the_file(tmp_path, capsys, data, de
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"qdo: error: {file}: {detail}")
     assert not (tmp_path / "x.svg").exists()
+
+
+HUGE = 10**5000  # past the 4300-digit limit of int -> str
+_A, _B = Variable("A", 0), Variable("B", 1)
+
+
+@pytest.mark.parametrize("name, variables, edges, interventions", [
+    (HUGE, (_A,), (), ()),
+    ("m", (HUGE,), (), ()),
+    ("m", (Variable(HUGE, 0),), (), ()),
+    ("m", (Variable(HUGE, 5),), (), ()),
+    ("m", (Variable("A", (HUGE,)),), (), ()),
+    ("m", (Variable("A", 0, HUGE),), (), ()),
+    ("m", (Variable("A", 0, Prep(HUGE)),), (), ()),
+    ("m", (Variable("A", 0, Prep("rotation", (HUGE,))),), (), ()),
+    ("m", (_A, _B), (Edge(HUGE, "B", 1, 1.0),), ()),
+    ("m", (_A, _B), (Edge("A", HUGE, 1, 1.0),), ()),
+    ("m", (_A, _B), (Edge("A", "B", 1, (HUGE,)),), ()),
+    ("m", (_A, _B), (Edge("A", "B", HUGE, 1.0),), ()),
+    ("m", (_A, _B), (Edge("A", "B", 1, 1.0, HUGE),), ()),
+    ("m", (_A,), (), (Intervention(HUGE, 1),)),
+    ("m", (_A,), (), (Intervention("A", HUGE),)),
+], ids=["model-name", "entry", "variable-name", "variable-name-out-of-range", "qubit", "prep", "prep-kind",
+        "base-angle", "parent", "child", "angle", "control-value", "sign", "intervened-variable",
+        "intervention-value"])
+def test_validate_prints_no_int_past_the_digit_limit(name, variables, edges, interventions):
+    # Each field validate prints, holding (or being) an int whose repr()
+    # raises ValueError: the model is refused with ModelError all the same.
+    with pytest.raises(ModelError, match="too long to print"):
+        CausalModel(name, variables, edges, interventions)
 
 
 def test_chart_reports_the_reader_messages(tmp_path, capsys):

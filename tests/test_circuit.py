@@ -15,7 +15,9 @@ from qdo import (
     apply_do,
     compile_model,
     format_circuit,
+    healthcare10,
     run_exact,
+    simpson3,
     surgered_circuit,
 )
 from qdo.circuit import Circuit, Gate
@@ -159,6 +161,19 @@ class TestCompile:
 
 
 class TestSurgery:
+    @pytest.mark.parametrize("entry", [simpson3, healthcare10])
+    def test_catalog_gate_lists_equal_graph_surgery(self, entry):
+        # A forced 1 takes the place of the variable's first gate, where the
+        # compiler puts it in a do-model whose compile order is unchanged, as
+        # in every catalog do(). A ground-prep variable with parents (simpson3
+        # T; healthcare10 Income, Region, GenderBias) has a CRY there.
+        m = entry().model
+        circ = compile_model(m)
+        for v in m.variables:
+            for value in (0, 1):
+                iv = Intervention(v.name, value)
+                assert surgered_circuit(circ, iv).gates == compile_model(apply_do(m, iv)).gates, iv
+
     def test_commutes_with_model_surgery(self, simpson3_entry):
         m = simpson3_entry.model
         circ = compile_model(m)

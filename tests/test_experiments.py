@@ -10,6 +10,7 @@ import pytest
 from conftest import chain_model, make_random_model
 
 from qdo import CausalModel, Edge, NoiseSpec, Prep, Variable, cli, engine, experiments
+from qdo import model as model_module
 from qdo.analysis import (
     Query,
     StratumEffect,
@@ -18,7 +19,7 @@ from qdo.analysis import (
     aggregate_trials,
     cond_prob,
 )
-from qdo.circuit import compile_model
+from qdo.circuit import compile_model, surgered_circuit
 from qdo.engine import run_exact, run_sampled
 from qdo.experiments import (
     DO0,
@@ -38,7 +39,7 @@ from qdo.experiments import (
     subgroup,
     trial_streams,
 )
-from qdo.model import Intervention, apply_do, save_model
+from qdo.model import Intervention, ModelError, apply_do, save_model
 
 EXACT_3Q = {
     "Observational, G=0": 0.16686326042747077,
@@ -263,7 +264,7 @@ def reference_run(model, treatment, outcome, groups, cfg):
     """
     circuits = {OBS: compile_model(model)}
     for k, value in ((DO1, 1), (DO0, 0)):
-        circuits[k] = compile_model(apply_do(model, Intervention(treatment, value)))
+        circuits[k] = surgered_circuit(circuits[OBS], Intervention(treatment, value))
     qubits = model.qubit_map()
     sampled = cfg.backend == "sampled"
     trial_streams = (
@@ -573,3 +574,62 @@ class TestRoles:
         with pytest.raises(ValueError) as info:
             run_experiment(simpson3_entry.model, "T", outcome, groups, RunConfig(backend=backend, trials=3))
         assert str(info.value) == message and compiled == []
+
+
+class TestCircuitSurgery:
+    """A run compiles its model once and takes its do-circuits by circuit surgery."""
+
+    @pytest.mark.parametrize("groups, keys", [
+        (simpson3_groups(), (OBS, DO1, DO0)),
+        ([causal_group()], (DO1, DO0)),
+        ([observational_group()], (OBS,)),
+    ], ids=["both", "do-only", "observational-only"])
+    @pytest.mark.parametrize("config", ["exact", "sampled", "noisy"])
+    def test_one_compile_and_no_do_model(self, simpson3_entry, monkeypatch, groups, keys, config):
+        compiled, built = [], []
+
+        def compile_spy(model):
+            compiled.append(model)
+            return compile_model(model)
+
+        def apply_do_spy(*args):
+            raise AssertionError("a run called apply_do")
+
+        def validate_spy(model):  # every CausalModel built runs validate
+            built.append(model)
+            return []
+
+        monkeypatch.setattr(experiments, "compile_model", compile_spy)
+        monkeypatch.setattr(experiments, "apply_do", apply_do_spy, raising=False)
+        monkeypatch.setattr(model_module, "apply_do", apply_do_spy)
+        monkeypatch.setattr(model_module, "validate", validate_spy)
+        report = run_experiment(simpson3_entry.model, "T", "O", groups, _CONFIGS[config])
+        assert compiled == [simpson3_entry.model] and built == []
+        base = compile_model(simpson3_entry.model)
+        circuits = {OBS: base, DO1: surgered_circuit(base, Intervention("T", 1)),
+                    DO0: surgered_circuit(base, Intervention("T", 0))}
+        assert report.circuits == tuple(circuits[k] for k in keys)
+
+    def test_unknown_treatment_is_a_model_error(self, simpson3_entry):
+        # Circuit surgery refuses it as graph surgery did, with ModelError.
+        with pytest.raises(ModelError, match="'Z' is not one of this circuit's variables"):
+            run_experiment(simpson3_entry.model, "Z", "O", [causal_group()], RunConfig())
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_do_circuits_are_surgered_observational_circuits(self, seed):
+        model, treatment, outcome, _ = _random_case(seed)
+        report = run_experiment(model, treatment, outcome, [causal_group()], RunConfig())
+        base = compile_model(model)
+        assert report.circuits == tuple(surgered_circuit(base, Intervention(treatment, v)) for v in (1, 0))
+
+    def test_random_cases_include_do_models_that_reorder_the_compile(self):
+        # Some do()s make graph surgery re-peel the compile order, so that even
+        # its gates other than the X come in another order than the run's: the
+        # property above is no restatement of graph surgery.
+        reordered = 0
+        for seed in range(40):
+            model, treatment, _, _ = _random_case(seed)
+            iv = Intervention(treatment, 1)
+            run, graph = surgered_circuit(compile_model(model), iv), compile_model(apply_do(model, iv))
+            reordered += [g for g in run.gates if g.kind != "x"] != [g for g in graph.gates if g.kind != "x"]
+        assert reordered > 0

@@ -42,7 +42,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdo import Intervention, NoiseSpec, compile_model, healthcare10, run_exact, run_sampled, simpson3, statevector
+from qdo import (
+    CausalModel,
+    Intervention,
+    NoiseSpec,
+    compile_model,
+    healthcare10,
+    run_exact,
+    run_sampled,
+    simpson3,
+    statevector,
+)
 from qdo import engine
 from qdo.circuit import Circuit, Gate, surgered_circuit
 from qdo.engine import (
@@ -239,8 +249,11 @@ def test_first_touch_edge_cases_equal_full_width(circ):
 
 
 def test_surgery_x_at_the_start_equals_full_width():
-    # v1 has no prep gate, so do(v1 = 1) puts its X first and q1 is touched first.
-    circ = surgered_circuit(compile_model(chain_model(4)), Intervention("v1", 1))
+    # Without the edge v0 -> v1 no gate targets v1, so do(v1 = 1) puts its X
+    # first and q1 is touched first.
+    chain = chain_model(4)
+    model = CausalModel(chain.name, chain.variables, chain.edges[1:])
+    circ = surgered_circuit(compile_model(model), Intervention("v1", 1))
     assert (circ.gates[0].kind, circ.gates[0].target) == ("x", 1)
     _assert_equals_full_width(circ)
 

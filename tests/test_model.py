@@ -29,6 +29,8 @@ from qdo import (
     topological_order,
     validate,
 )
+from qdo import model as model_module
+from qdo.catalog import simpson3
 from qdo.model import model_from_dict, model_json_text, model_to_dict
 
 
@@ -242,6 +244,15 @@ def test_every_valid_model_round_trips_and_compiles(seed):
 class TestTopologicalOrder:
     def test_simpson3_order(self, simpson3_entry):
         assert topological_order(simpson3_entry.model) == ["G", "T", "O"]
+
+    def test_a_model_peels_once(self, monkeypatch):
+        # validate's cycle check and the topological order read one peel.
+        calls = []
+        peel = model_module._peel
+        monkeypatch.setattr(model_module, "_peel", lambda m: calls.append(m) or peel(m))
+        m = simpson3().model
+        assert topological_order(m) == ["G", "T", "O"] and validate(m) == []
+        assert calls == [m]
 
     def test_single_variable(self):
         m = CausalModel("one", (Variable("X", 0),), ())
