@@ -19,7 +19,7 @@ from typing import Mapping, Sequence, overload
 import numpy as np
 
 from .engine import Distribution
-from .model import ModelError
+from .model import ModelError, _show
 
 # Normal-approximation 95% interval: mean +/- 1.96 standard errors.
 Z_95 = 1.96
@@ -85,17 +85,13 @@ class StratumRows:
 
 
 @dataclass(frozen=True)
-class TrialStats:
-    mean: float
-    std_err: float | None
-    ci_low: float | None
-    ci_high: float | None
-    n_trials: int
-
-
-@dataclass(frozen=True)
 class EffectReport:
-    """One analysis group: an effect size with optional trial statistics."""
+    """One report row: an analysis group's effect size, with trial statistics if sampled.
+
+    A sampled row (``aggregate_trials``) holds the K per-trial estimates, with
+    ``effect`` their mean and, for K >= 2, the standard error and 95% CI; an
+    exact row has no trials.
+    """
 
     label: str
     effect: float
@@ -103,13 +99,7 @@ class EffectReport:
     std_err: float | None = None
     ci_low: float | None = None
     ci_high: float | None = None
-    n_trials: int | None = None
-    shots_per_trial: int | None = None
     strata: tuple[StratumEffect, ...] | None = None
-
-    @property
-    def mean(self) -> float:
-        return self.effect
 
     @property
     def ci(self) -> tuple[float, float] | None:
@@ -133,11 +123,11 @@ def cells(values: np.ndarray, qubits: Mapping[str, int], event) -> np.ndarray:
     index: list = [slice(None)] * n
     for name, bit in event:
         if name not in qubits:
-            raise ModelError(f"unknown variable {name!r} in query")
+            raise ModelError(f"unknown variable {_show(name)} in query")
         if isinstance(bit, (bool, np.bool_)) or bit not in (0, 1):
-            raise ValueError(f"variable {name!r}: value must be 0 or 1, got {bit!r}")
+            raise ValueError(f"variable {_show(name)}: value must be 0 or 1, got {_show(bit)}")
         if not 0 <= qubits[name] < n:
-            raise ValueError(f"variable {name!r}: qubit {qubits[name]} outside a {n}-qubit distribution")
+            raise ValueError(f"variable {_show(name)}: qubit {_show(qubits[name])} outside a {n}-qubit distribution")
         axis = n - 1 - qubits[name]
         # An axis asked for both bits keeps no cell.
         index[axis] = int(bit) if index[axis] in (slice(None), bit) else slice(0)
@@ -280,18 +270,21 @@ def stratified_effect(
     return adjusted_effect(dist, qubits, treatment, outcome, (stratifier,))
 
 
-def aggregate_trials(estimates: Sequence[float]) -> TrialStats:
-    """Mean, standard error and 95% CI across independent trial estimates.
+def aggregate_trials(
+    label: str, per_trial: Sequence[float], strata: tuple[StratumEffect, ...] | None = None
+) -> EffectReport:
+    """The report row of K independent trial estimates: mean, standard error and 95% CI.
 
     The standard error uses the K-1 sample standard deviation; a single trial
     yields a mean with no interval.
     """
-    if len(estimates) == 0:
+    per_trial = tuple(per_trial)
+    k = len(per_trial)
+    if k == 0:
         raise ValueError("aggregate_trials requires at least one estimate")
-    k = len(estimates)
-    mean = float(np.mean(estimates))
+    mean = float(np.mean(per_trial))
     if k < 2:
-        return TrialStats(mean, None, None, None, k)
-    std_err = float(np.std(estimates, ddof=1)) / math.sqrt(k)
+        return EffectReport(label, mean, per_trial, strata=strata)
+    std_err = float(np.std(per_trial, ddof=1)) / math.sqrt(k)
     half = Z_95 * std_err
-    return TrialStats(mean, std_err, mean - half, mean + half, k)
+    return EffectReport(label, mean, per_trial, std_err, mean - half, mean + half, strata)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -57,8 +56,7 @@ def _add_backend_flags(p: argparse.ArgumentParser, default_trials: int) -> None:
     p.add_argument("--backend", choices=("exact", "sampled"), default="exact")
     p.add_argument("--shots", type=int, default=15000, help="shots per circuit per trial")
     p.add_argument("--trials", type=int, default=default_trials, help="independent trials")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"run seed (default: $QDO_SEED or {DEFAULT_SEED})")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="run seed (default: %(default)s)")
     p.add_argument("--noise", type=float, default=None, metavar="P",
                    help="per-gate per-qubit depolarizing probability (sampled only)")
     p.add_argument("--json", dest="json_path", metavar="PATH", help="write the JSON report")
@@ -113,24 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QDO_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ModelError(f"QDO_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         backend=args.backend,
         shots=args.shots,
         trials=args.trials,
-        seed=_resolve_seed(args),
+        seed=args.seed,
         noise=None if args.noise is None else NoiseSpec(args.noise),
     )
 

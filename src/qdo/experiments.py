@@ -150,7 +150,8 @@ def run_experiment(
     treatment's first gate). Only the circuits the groups need are run. The
     exact backend makes one pass with ``run_exact`` and reports point
     estimates; the sampled backend stacks the trials' counts per circuit, chunk
-    by chunk, and reports trial statistics. A noiseless sampled run computes
+    by chunk, and reports each group's row as ``aggregate_trials`` builds it
+    from the per-trial estimates. A noiseless sampled run computes
     each circuit's exact distribution once and draws every trial from it; a
     noisy run evolves a chunk's trials together with ``noisy_counts``, each
     from its own stream, so trials with the same Pauli history share a state.
@@ -201,24 +202,10 @@ def run_experiment(
     reports = []
     for g, (effect, strata) in zip(groups, estimates):
         means = None if strata is None else strata.means()
-        if not sampled:
+        if sampled:
+            reports.append(aggregate_trials(g.label, effect.tolist(), means))
+        else:
             reports.append(EffectReport(g.label, float(effect[0]), strata=means))
-            continue
-        per_trial = tuple(effect.tolist())
-        stats = aggregate_trials(per_trial)
-        reports.append(
-            EffectReport(
-                g.label,
-                stats.mean,
-                per_trial=per_trial,
-                std_err=stats.std_err,
-                ci_low=stats.ci_low,
-                ci_high=stats.ci_high,
-                n_trials=cfg.trials,
-                shots_per_trial=cfg.shots,
-                strata=means,
-            )
-        )
     return Report(model.name, cfg, tuple(reports), tuple(circuits.values()))
 
 
@@ -349,7 +336,7 @@ def report_csv_text(report: Report) -> str:
     for g in report.groups:
         ci_low = "" if g.ci_low is None else repr(g.ci_low)
         ci_high = "" if g.ci_high is None else repr(g.ci_high)
-        n = "" if g.n_trials is None else str(g.n_trials)
+        n = str(len(g.per_trial)) if g.per_trial else ""
         label = g.label.replace('"', '""')
         lines.append(f'"{label}",{g.effect!r},{ci_low},{ci_high},{n}')
     return "\n".join(lines) + "\n"

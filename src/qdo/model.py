@@ -172,7 +172,7 @@ class CausalModel:
         try:
             return self._index.variable[name]
         except (KeyError, TypeError):  # TypeError: an unhashable name
-            raise ModelError(f"unknown variable {name!r} in model {self.name!r}") from None
+            raise ModelError(f"unknown variable {_show(name)} in model {self.name!r}") from None
 
     def qubit_map(self) -> dict[str, int]:
         """Name -> qubit, a fresh dict the caller may change."""

@@ -372,11 +372,11 @@ class TestCausalEffect:
         report = causal_effect(
             simpson3_entry.model, "T", "O", backend="sampled", shots=15000, trials=10, seed=5
         )
-        assert report.n_trials == 10 and len(report.per_trial) == 10
+        assert len(report.per_trial) == 10
         # ~6 sigma for the mean of 10 trials at 15000 shots; any seed passes.
-        assert report.mean == pytest.approx(ACE, abs=0.01)
-        assert report.ci_low <= report.mean <= report.ci_high
-        assert report.ci_high - report.mean == pytest.approx(1.96 * report.std_err, abs=1e-12)
+        assert report.effect == pytest.approx(ACE, abs=0.01)
+        assert report.ci_low <= report.effect <= report.ci_high
+        assert report.ci_high - report.effect == pytest.approx(1.96 * report.std_err, abs=1e-12)
 
     def test_sampled_streams_match_run_experiment(self, simpson3_entry):
         report = causal_effect(simpson3_entry.model, "T", "O", backend="sampled", shots=2000, trials=3, seed=123)
@@ -393,30 +393,32 @@ class TestCausalEffect:
 
 class TestAggregateTrials:
     def test_hand_computed_example(self):
-        stats = aggregate_trials([0.1, 0.2, 0.3])
-        assert stats.mean == pytest.approx(0.2)
-        assert stats.std_err == pytest.approx(0.1 / math.sqrt(3), abs=1e-12)
-        assert stats.ci_low == pytest.approx(0.0868, abs=5e-4)
-        assert stats.ci_high == pytest.approx(0.3132, abs=5e-4)
+        row = aggregate_trials("g", [0.1, 0.2, 0.3])
+        assert row.label == "g" and row.per_trial == (0.1, 0.2, 0.3) and row.strata is None
+        assert row.effect == pytest.approx(0.2)
+        assert row.std_err == pytest.approx(0.1 / math.sqrt(3), abs=1e-12)
+        assert row.ci_low == pytest.approx(0.0868, abs=5e-4)
+        assert row.ci_high == pytest.approx(0.3132, abs=5e-4)
 
     def test_identical_values_collapse_ci(self):
-        stats = aggregate_trials([0.25] * 8)
-        assert stats.ci_low == pytest.approx(0.25) and stats.ci_high == pytest.approx(0.25)
+        row = aggregate_trials("g", [0.25] * 8)
+        assert row.ci_low == pytest.approx(0.25) and row.ci_high == pytest.approx(0.25)
 
     def test_single_trial_has_no_ci(self):
-        stats = aggregate_trials([0.4])
-        assert stats.mean == 0.4
-        assert stats.std_err is None and stats.ci_low is None and stats.ci_high is None
+        strata = (StratumEffect(0, 1.0, 0.4),)
+        row = aggregate_trials("g", [0.4], strata)
+        assert row.effect == 0.4 and row.per_trial == (0.4,) and row.strata == strata
+        assert row.std_err is None and row.ci_low is None and row.ci_high is None and row.ci is None
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate_trials([])
+            aggregate_trials("g", [])
 
     def test_ci_half_width_is_196_standard_errors(self):
         rng = np.random.default_rng(3)
         values = rng.normal(0.2, 0.01, size=30)
-        stats = aggregate_trials(values)
-        assert stats.ci_high - stats.mean == pytest.approx(1.96 * stats.std_err, abs=1e-12)
+        row = aggregate_trials("g", values)
+        assert row.ci_high - row.effect == pytest.approx(1.96 * row.std_err, abs=1e-12)
 
 
 class TestSignReversalInvariant:

@@ -11,7 +11,8 @@ routes as explicit examples and must be refused with a message naming the
 file.
 
 A model built in Python is refused with ``ModelError`` even when a field
-``validate`` prints holds an int past the 4300-digit limit of ``str``.
+``validate`` prints holds an int past the 4300-digit limit of ``str``; so
+is a variable lookup or a distribution query naming such an int.
 
 The command line is the third boundary: every subcommand, with its numeric
 flags drawn from their edges, must exit 0, 2 or 3.
@@ -26,7 +27,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdo import CausalModel, Edge, Intervention, ModelError, Prep, Variable, load_model
+from qdo import CausalModel, Edge, Intervention, ModelError, Prep, Variable, compile_model, load_model, run_exact
+from qdo.analysis import cells
 from qdo.catalog import healthcare10, simpson3
 from qdo.cli import main
 from qdo.experiments import RunConfig, report_to_dict, run_experiment, simpson3_groups
@@ -157,6 +159,32 @@ def test_validate_prints_no_int_past_the_digit_limit(name, variables, edges, int
     # raises ValueError: the model is refused with ModelError all the same.
     with pytest.raises(ModelError, match="too long to print"):
         CausalModel(name, variables, edges, interventions)
+
+
+def test_variable_lookup_prints_no_int_past_the_digit_limit():
+    with pytest.raises(ModelError, match="^unknown variable <int too long to print> in model 'simpson3'$"):
+        simpson3().model.variable(HUGE)
+
+
+_DIST = run_exact(compile_model(simpson3().model))
+_QUBITS = simpson3().model.qubit_map()
+
+
+@pytest.mark.parametrize("qubits, event, error, message", [
+    (_QUBITS, ((HUGE, 1),), ModelError, "unknown variable <int too long to print> in query"),
+    (_QUBITS, (("G", HUGE),), ValueError, "variable 'G': value must be 0 or 1, got <int too long to print>"),
+    ({HUGE: 0}, ((HUGE, 2),), ValueError,
+     "variable <int too long to print>: value must be 0 or 1, got 2"),
+    ({**_QUBITS, "X": HUGE}, (("X", 1),), ValueError,
+     "variable 'X': qubit <int too long to print> outside a 3-qubit distribution"),
+], ids=["name", "bit", "name-in-map", "qubit"])
+def test_cells_prints_no_int_past_the_digit_limit(qubits, event, error, message):
+    # The event's name and bit and the qubit map come from the caller; each
+    # prints through the same stand-in as validate's fields, never raising
+    # the digit-limit ValueError in place of the refusal.
+    with pytest.raises(error) as err:
+        cells(_DIST.values, qubits, event)
+    assert str(err.value) == message
 
 
 def test_chart_reports_the_reader_messages(tmp_path, capsys):

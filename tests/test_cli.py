@@ -347,30 +347,24 @@ class TestChartCommand:
 
 
 class TestSeedHandling:
-    def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("env", ["55", "pi"])
+    def test_set_env_seed_leaves_output_unchanged(self, tmp_path, capsys, monkeypatch, env):
+        # --seed is the one seed input: a QDO_SEED in the environment is not read.
+        argv = ["simpson3", "--backend", "sampled", "--shots", "500", "--trials", "2"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        monkeypatch.setenv("QDO_SEED", "55")
-        assert run_cli("simpson3", "--backend", "sampled", "--shots", "500",
-                       "--trials", "2", "--json", str(a)) == 0
-        monkeypatch.delenv("QDO_SEED")
-        assert run_cli("simpson3", "--backend", "sampled", "--shots", "500",
-                       "--trials", "2", "--seed", "55", "--json", str(b)) == 0
+        assert run_cli(*argv, "--json", str(a)) == 0
+        without = capsys.readouterr().out
+        monkeypatch.setenv("QDO_SEED", env)
+        assert run_cli(*argv, "--json", str(b)) == 0
+        assert capsys.readouterr().out == without
         assert a.read_bytes() == b.read_bytes()
-
-    def test_bad_env_seed_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("QDO_SEED", "pi")
-        assert run_cli("simpson3", "--backend", "sampled", "--shots", "100", "--trials", "2") == 2
 
     @pytest.mark.parametrize("command", ["run", "simpson3"])
     @pytest.mark.parametrize("seed", ["-5", str(1 << 64)])
-    def test_seed_outside_64_bits_exits_2(self, capsys, monkeypatch, command, seed):
-        monkeypatch.setenv("QDO_SEED", seed)
+    def test_seed_outside_64_bits_exits_2(self, capsys, command, seed):
         argv = [command, *([str(MODELS / "simpson3.json")] if command == "run" else [])]
-        assert run_cli(*argv, "--backend", "sampled", "--shots", "10", "--trials", "2") == 2
-        assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
-        monkeypatch.delenv("QDO_SEED")
         assert run_cli(*argv, "--backend", "sampled", "--shots", "10", "--trials", "2", "--seed", seed) == 2
-        assert f"got {seed}" in capsys.readouterr().err
+        assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "simpson3", "healthcare10"])
     @pytest.mark.parametrize("shots", ["0", str(1 << 63)])

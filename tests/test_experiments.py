@@ -1,5 +1,7 @@
 """Experiment orchestration: configs, trial aggregation, and serialization."""
 
+import csv
+import io
 import json
 import math
 import tracemalloc
@@ -156,9 +158,9 @@ class TestSampledRun:
     def test_trial_statistics_shape(self, simpson3_entry):
         cfg = RunConfig(backend="sampled", shots=5000, trials=6, seed=11)
         report = run_experiment(simpson3_entry.model, "T", "O", simpson3_groups(), cfg)
+        assert report.config.shots == 5000
         for g in report.groups:
-            assert g.n_trials == 6 and len(g.per_trial) == 6
-            assert g.shots_per_trial == 5000
+            assert len(g.per_trial) == 6
             assert g.ci_low <= g.effect <= g.ci_high
             assert g.ci_high - g.effect == pytest.approx(1.96 * g.std_err, abs=1e-12)
 
@@ -239,6 +241,19 @@ class TestSerialization:
         for line in report_csv_text(report).splitlines()[1:]:
             assert line.endswith(",,,")
 
+    @pytest.mark.parametrize("cfg, n_trials", [
+        (RunConfig(backend="sampled", shots=500, trials=1, seed=2), "1"),
+        (RunConfig(backend="sampled", shots=500, trials=2, seed=2, noise=NoiseSpec(0.01)), "2"),
+        (RunConfig(), ""),
+    ], ids=["one-trial", "noisy", "exact"])
+    def test_csv_n_trials_column(self, simpson3_entry, cfg, n_trials):
+        # The column counts a sampled row's trials, a lone trial (no CI) too;
+        # an exact row has none.
+        report = run_experiment(simpson3_entry.model, "T", "O", simpson3_groups(), cfg)
+        rows = list(csv.DictReader(io.StringIO(report_csv_text(report))))
+        assert len(rows) == 4
+        assert [row["n_trials"] for row in rows] == [n_trials] * 4
+
 
 # --- the stacked estimator against a per-trial reference loop -----------------
 
@@ -290,10 +305,8 @@ def reference_run(model, treatment, outcome, groups, cfg):
         if not sampled:
             out.append((g.label, res[0][0], (), None, strata[0] if strata else None))
             continue
-        per_trial = tuple(e for e, _ in res)
-        stats = aggregate_trials(per_trial)
-        ci = None if stats.ci_low is None else (stats.ci_low, stats.ci_high)
-        out.append((g.label, stats.mean, per_trial, ci, _reference_mean_strata(strata) if strata else None))
+        row = aggregate_trials(g.label, tuple(e for e, _ in res))
+        out.append((g.label, row.effect, row.per_trial, row.ci, _reference_mean_strata(strata) if strata else None))
     return out
 
 

@@ -117,8 +117,7 @@ def commands(tmp_path_factory):
 
 
 @pytest.mark.parametrize("workload,kind", CASES, ids=[k for _, k in CASES])
-def test_output_bytes_match_recorded_digests(workload, kind, commands, capsys, monkeypatch):
-    monkeypatch.delenv("QDO_SEED", raising=False)
+def test_output_bytes_match_recorded_digests(workload, kind, commands, capsys):
     workdir, cmds = commands[workload]
     cmd = cmds[kind]
     if "--seed" in cmd.argv:
@@ -139,8 +138,7 @@ def test_every_recorded_digest_is_checked():
 @pytest.mark.parametrize(
     "model,extra", DISTRIBUTIONS, ids=[" ".join((m, *a)) for m, a in DISTRIBUTIONS]
 )
-def test_distribution_mode_bytes(model, extra, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("QDO_SEED", raising=False)
+def test_distribution_mode_bytes(model, extra, tmp_path, capsys):
     payload = tmp_path / "dist.json"
     assert cli.main(["run", str(ROOT / "models" / f"{model}.json"), *extra, "--json", str(payload)]) == 0
     stdout = capsys.readouterr().out.encode("utf-8")
@@ -149,8 +147,7 @@ def test_distribution_mode_bytes(model, extra, tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", NOISY_REPORTS, ids=[" ".join(a[:1] + a[3:5]) for a in NOISY_REPORTS])
-def test_merged_noisy_report_bytes(argv, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("QDO_SEED", raising=False)
+def test_merged_noisy_report_bytes(argv, tmp_path, capsys):
     report = tmp_path / "report.json"
     assert cli.main([*argv, "--json", str(report)]) == 0
     stdout = capsys.readouterr().out.encode("utf-8")
