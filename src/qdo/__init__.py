@@ -14,7 +14,7 @@ from .analysis import (
 from .catalog import CatalogEntry, healthcare10, simpson3
 from .circuit import Circuit, Gate, compile_model, format_circuit, surgered_circuit
 from .engine import Distribution, NoiseSpec, marginal, run_exact, run_sampled, statevector
-from .experiments import DEFAULT_SEED, Report, RunConfig, causal_effect, run_experiment
+from .experiments import Report, RunConfig, causal_effect, run_experiment
 from .model import (
     GROUND,
     UNIFORM,
@@ -38,7 +38,6 @@ __all__ = [
     "CatalogEntry",
     "CausalModel",
     "Circuit",
-    "DEFAULT_SEED",
     "Distribution",
     "Edge",
     "EffectReport",

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence, overload
 import numpy as np
 
 from .engine import Distribution
-from .model import ModelError, _show
+from .model import ModelError, _show, is_bit
 
 # Normal-approximation 95% interval: mean +/- 1.96 standard errors.
 Z_95 = 1.96
@@ -89,23 +89,15 @@ class EffectReport:
     """One report row: an analysis group's effect size, with trial statistics if sampled.
 
     A sampled row (``aggregate_trials``) holds the K per-trial estimates, with
-    ``effect`` their mean and, for K >= 2, the standard error and 95% CI; an
-    exact row has no trials.
+    ``effect`` their mean and, for K >= 2, the 95% CI as (low, high); an exact
+    row has no trials and no CI.
     """
 
     label: str
     effect: float
     per_trial: tuple[float, ...] = ()
-    std_err: float | None = None
-    ci_low: float | None = None
-    ci_high: float | None = None
+    ci: tuple[float, float] | None = None
     strata: tuple[StratumEffect, ...] | None = None
-
-    @property
-    def ci(self) -> tuple[float, float] | None:
-        if self.ci_low is None or self.ci_high is None:
-            return None
-        return (self.ci_low, self.ci_high)
 
 
 def cells(values: np.ndarray, qubits: Mapping[str, int], event) -> np.ndarray:
@@ -122,15 +114,17 @@ def cells(values: np.ndarray, qubits: Mapping[str, int], event) -> np.ndarray:
     n = values.shape[-1].bit_length() - 1
     index: list = [slice(None)] * n
     for name, bit in event:
-        if name not in qubits:
-            raise ModelError(f"unknown variable {_show(name)} in query")
-        if isinstance(bit, (bool, np.bool_)) or bit not in (0, 1):
+        try:
+            qubit = qubits[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise ModelError(f"unknown variable {_show(name)} in query") from None
+        if not is_bit(bit):
             raise ValueError(f"variable {_show(name)}: value must be 0 or 1, got {_show(bit)}")
-        if not 0 <= qubits[name] < n:
-            raise ValueError(f"variable {_show(name)}: qubit {_show(qubits[name])} outside a {n}-qubit distribution")
-        axis = n - 1 - qubits[name]
+        if not 0 <= qubit < n:
+            raise ValueError(f"variable {_show(name)}: qubit {_show(qubit)} outside a {n}-qubit distribution")
+        axis = n - 1 - qubit
         # An axis asked for both bits keeps no cell.
-        index[axis] = int(bit) if index[axis] in (slice(None), bit) else slice(0)
+        index[axis] = bit if index[axis] in (slice(None), bit) else slice(0)
     return values.reshape(lead + (2,) * n)[(..., *index)].reshape(*lead, -1)
 
 
@@ -273,10 +267,10 @@ def stratified_effect(
 def aggregate_trials(
     label: str, per_trial: Sequence[float], strata: tuple[StratumEffect, ...] | None = None
 ) -> EffectReport:
-    """The report row of K independent trial estimates: mean, standard error and 95% CI.
+    """The report row of K independent trial estimates: their mean and 95% CI.
 
-    The standard error uses the K-1 sample standard deviation; a single trial
-    yields a mean with no interval.
+    The CI is mean +/- 1.96 standard errors, from the K-1 sample standard
+    deviation; a single trial yields a mean with no interval.
     """
     per_trial = tuple(per_trial)
     k = len(per_trial)
@@ -287,4 +281,4 @@ def aggregate_trials(
         return EffectReport(label, mean, per_trial, strata=strata)
     std_err = float(np.std(per_trial, ddof=1)) / math.sqrt(k)
     half = Z_95 * std_err
-    return EffectReport(label, mean, per_trial, std_err, mean - half, mean + half, strata)
+    return EffectReport(label, mean, per_trial, (mean - half, mean + half), strata)

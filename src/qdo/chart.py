@@ -116,7 +116,7 @@ def render_chart(
             f'height="{_fmt(h)}" fill="{_BAR_FILL}"/>'
         )
         if g.ci is not None:
-            y_lo, y_hi = _fmt(y(g.ci_low)), _fmt(y(g.ci_high))
+            y_lo, y_hi = (_fmt(y(v)) for v in g.ci)
             parts.append(_line(x, y_lo, x, y_hi, _AXIS, 1.5, cls="whisker"))
             for yy in (y_lo, y_hi):
                 parts.append(_line(_fmt(cx - 6), yy, _fmt(cx + 6), yy, _AXIS, 1.5, cls="whisker"))

@@ -27,7 +27,6 @@ from .chart import render_chart
 from .circuit import compile_model, format_circuit
 from .engine import NoiseSpec, run_exact, run_sampled
 from .experiments import (
-    DEFAULT_SEED,
     Group,
     RunConfig,
     causal_group,
@@ -53,10 +52,10 @@ EXIT_UNDEFINED_CONDITIONAL = 3
 
 
 def _add_backend_flags(p: argparse.ArgumentParser, default_trials: int) -> None:
-    p.add_argument("--backend", choices=("exact", "sampled"), default="exact")
-    p.add_argument("--shots", type=int, default=15000, help="shots per circuit per trial")
+    p.add_argument("--backend", choices=("exact", "sampled"), default=RunConfig.backend)
+    p.add_argument("--shots", type=int, default=RunConfig.shots, help="shots per circuit per trial")
     p.add_argument("--trials", type=int, default=default_trials, help="independent trials")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="run seed (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=RunConfig.seed, help="run seed (default: %(default)s)")
     p.add_argument("--noise", type=float, default=None, metavar="P",
                    help="per-gate per-qubit depolarizing probability (sampled only)")
     p.add_argument("--json", dest="json_path", metavar="PATH", help="write the JSON report")
@@ -259,8 +258,7 @@ def _cmd_chart(args: argparse.Namespace) -> int:
                         raise TypeError(f"effect and ci bounds must be numbers, got {x!r}")
                 if not all(map(math.isfinite, numbers)):
                     raise ValueError("effect and ci bounds must be finite")
-                low, high = map(float, ci) if ci else (None, None)
-                groups.append(EffectReport(label, float(effect), ci_low=low, ci_high=high))
+                groups.append(EffectReport(label, float(effect), ci=tuple(map(float, ci)) if ci else None))
             except KeyError as exc:
                 raise ModelError(f"{path}: groups[{i}]: missing field {exc}") from None
             except (AttributeError, OverflowError, TypeError, ValueError) as exc:

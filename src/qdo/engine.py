@@ -98,8 +98,8 @@ So each slot equals every shot it stands for up to the sign of some entries:
 it has equal squares, and the normalization, the cumsum and the binary
 search see the same floats, so the counts equal those of one row per shot.
 
-An int seed must lie in [0, 2^64) (``check_seed``), and a shot count in
-[1, 2^63) (``check_shots``), the range of the int64 counts. A noisy run draws
+A seed must be an int in [0, 2^64) (``check_seed``), and a shot count an int
+in [1, 2^63) (``check_shots``), the range of the int64 counts. A noisy run draws
 noise and measurements from one generator keyed by the seed and the constant
 noise key 0: entropy ``[seed, 0]``, or a trailing spawn-key entry 0 on a
 SeedSequence.
@@ -416,22 +416,22 @@ def run_exact(circ: Circuit) -> Distribution:
 
 
 def check_seed(seed: int) -> None:
-    """Raise ValueError unless ``seed`` lies in [0, 2^64)."""
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    """Raise ValueError unless ``seed`` is an int (not a bool, float or numpy integer) in [0, 2^64)."""
+    if type(seed) is not int or not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
 
 
 def check_shots(shots: int) -> None:
-    """Raise ValueError unless ``shots`` lies in [1, 2^63), the range of numpy's int64 counts."""
-    if not 1 <= shots < 1 << 63:
-        raise ValueError(f"shots must be in [1, 2**63), got {shots}")
+    """Raise ValueError unless ``shots`` is an int in [1, 2^63), the range of numpy's int64 counts."""
+    if type(shots) is not int or not 1 <= shots < 1 << 63:
+        raise ValueError(f"shots must be in [1, 2**63), got {shots!r}")
 
 
 def _seed_sequence(seed: int | np.random.SeedSequence, noisy: bool = False) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, 0)) if noisy else seed
     check_seed(seed)
-    return np.random.SeedSequence([int(seed), 0] if noisy else [int(seed)])
+    return np.random.SeedSequence([seed, 0] if noisy else [seed])
 
 
 def draw_counts(

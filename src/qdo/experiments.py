@@ -47,8 +47,6 @@ from .circuit import Circuit, compile_model, surgered_circuit
 from .engine import NoiseSpec, check_seed, check_shots, draw_counts, noisy_counts, run_exact
 from .model import CausalModel, Intervention, ModelError
 
-DEFAULT_SEED = 1729
-
 # A sampled run estimates its trials in chunks whose per-circuit (chunk, 2^n)
 # int64 count stack holds at most _CHUNK_BYTES (or one row, if a row is
 # larger), so its memory does not grow with the number of trials.
@@ -61,10 +59,18 @@ OBS, DO1, DO0 = 0, 1, 2
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A run's knobs, each with its one default; the CLI's ``--backend``,
+    ``--shots`` and ``--seed`` take theirs from here.
+
+    A sampled run's shots and seed are ints in range (``check_shots``,
+    ``check_seed``) and trials is an int >= 1; as for a bit
+    (``model.is_bit``), a bool, float or numpy integer is refused.
+    """
+
     backend: str = "exact"
     shots: int = 15000
     trials: int = 1
-    seed: int = DEFAULT_SEED
+    seed: int = 1729
     noise: NoiseSpec | None = None
 
     def __post_init__(self) -> None:
@@ -73,8 +79,8 @@ class RunConfig:
         if self.backend == "sampled":
             check_shots(self.shots)
             check_seed(self.seed)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if type(self.trials) is not int or self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials!r}")
         if self.noise is not None and self.backend != "sampled":
             raise ValueError("noise requires the sampled backend")
 
@@ -210,22 +216,14 @@ def run_experiment(
 
 
 def causal_effect(
-    model: CausalModel,
-    treatment: str,
-    outcome: str,
-    *,
-    backend: str = "exact",
-    shots: int = 15000,
-    trials: int = 1,
-    seed: int = 0,
-    noise: NoiseSpec | None = None,
+    model: CausalModel, treatment: str, outcome: str, cfg: RunConfig = RunConfig()
 ) -> EffectReport:
     """ACE = P(outcome=1 | do(treatment=1)) - P(outcome=1 | do(treatment=0)).
 
     A run of the single causal group: sampled trials draw from the (do=1,
-    do=0) streams of the seed contract above.
+    do=0) streams of the seed contract above, so under the CLI's config this
+    is the causal row of its run.
     """
-    cfg = RunConfig(backend=backend, shots=shots, trials=trials, seed=seed, noise=noise)
     return run_experiment(model, treatment, outcome, [causal_group()], cfg).groups[0]
 
 
@@ -316,7 +314,7 @@ def report_to_dict(report: Report) -> dict:
     for g in report.groups:
         entry: dict = {"label": g.label, "effect": g.effect}
         if g.ci is not None:
-            entry["ci"] = [g.ci_low, g.ci_high]
+            entry["ci"] = list(g.ci)
         if g.per_trial:
             entry["per_trial"] = list(g.per_trial)
         if g.strata is not None:
@@ -334,11 +332,10 @@ def report_json_text(report: Report) -> str:
 def report_csv_text(report: Report) -> str:
     lines = ["label,effect,ci_low,ci_high,n_trials"]
     for g in report.groups:
-        ci_low = "" if g.ci_low is None else repr(g.ci_low)
-        ci_high = "" if g.ci_high is None else repr(g.ci_high)
+        ci = ",".join(map(repr, g.ci)) if g.ci is not None else ","
         n = str(len(g.per_trial)) if g.per_trial else ""
         label = g.label.replace('"', '""')
-        lines.append(f'"{label}",{g.effect!r},{ci_low},{ci_high},{n}')
+        lines.append(f'"{label}",{g.effect!r},{ci},{n}')
     return "\n".join(lines) + "\n"
 
 
@@ -347,7 +344,7 @@ def format_report_table(report: Report, bias_against: str | None = None) -> str:
     ref = report.group(bias_against).effect if bias_against is not None else None
     rows = []
     for g in report.groups:
-        ci = f"[{g.ci_low:+.3f}, {g.ci_high:+.3f}]" if g.ci is not None else "-"
+        ci = "[{:+.3f}, {:+.3f}]".format(*g.ci) if g.ci is not None else "-"
         row = [g.label, f"{g.effect:+.3f}", ci]
         if ref is not None:
             row.append(f"{g.effect - ref:+.3f}")

@@ -33,7 +33,7 @@ from qdo import (
     run_exact,
     surgered_circuit,
 )
-from qdo.experiments import DEFAULT_SEED, RunConfig, healthcare10_groups, run_experiment, simpson3_groups
+from qdo.experiments import RunConfig, healthcare10_groups, run_experiment, simpson3_groups
 
 PAPER_3Q = {
     "Observational, G=0": +0.166,
@@ -75,12 +75,13 @@ def test_criterion_2_sampled_3q(simpson3_entry):
         g.label: g.effect
         for g in run_experiment(simpson3_entry.model, "T", "O", simpson3_groups(), RunConfig()).groups
     }
-    cfg = RunConfig(backend="sampled", shots=15000, trials=30, seed=DEFAULT_SEED)
+    cfg = RunConfig(backend="sampled", shots=15000, trials=30)  # the default seed
     report = run_experiment(simpson3_entry.model, "T", "O", simpson3_groups(), cfg)
     elapsed = time.perf_counter() - start
     for g in report.groups:
-        assert g.ci_low <= exact[g.label] <= g.ci_high, f"{g.label}: exact outside CI"
-        assert (g.ci_high - g.ci_low) / 2 <= 0.01, f"{g.label}: CI too wide"
+        low, high = g.ci
+        assert low <= exact[g.label] <= high, f"{g.label}: exact outside CI"
+        assert (high - low) / 2 <= 0.01, f"{g.label}: CI too wide"
         assert np.sign(g.effect) == np.sign(PAPER_3Q[g.label]), f"{g.label}: sign flip"
     assert elapsed < 10.0
     _ok(f"criterion 2: 30x15000-shot means in own CIs, half-widths <= 0.01 ({elapsed:.2f}s)")
@@ -193,7 +194,7 @@ def test_criterion_8_noise_signature(simpson3_entry):
             if report.group("Causal, Overall (do)").effect > 0:
                 causal_positive += 1
             obs = report.group("Observational, Overall")
-            if obs.ci_low <= 0.0 <= obs.ci_high:
+            if obs.ci[0] <= 0.0 <= obs.ci[1]:
                 obs_ci_covers_zero += 1
         results[p] = (causal_positive, obs_ci_covers_zero)
     elapsed = time.perf_counter() - start

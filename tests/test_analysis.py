@@ -6,7 +6,9 @@ sin^2((0.3 + G + 0.6 T)/2)), assembled with elementary probability rules,
 never through the code paths under test.
 """
 
+import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from qdo import (
     CausalModel,
     Distribution,
     Edge,
+    EffectReport,
     Intervention,
     ModelError,
     Prep,
@@ -94,12 +97,18 @@ class TestCondProb:
 
     def test_unknown_variable_rejected(self, obs3):
         dist, qmap = obs3
-        with pytest.raises(ModelError, match="unknown variable"):
-            cond_prob(dist, qmap, Query(("Z", 1)))
-        # A known variable with a bit other than 0 or 1 is refused as well, and so is a bool.
-        for bit in (2, -1, True, False):
-            with pytest.raises(ValueError, match=f"^variable 'G': value must be 0 or 1, got {bit}$"):
+        # A name the qubit map cannot hold (unhashable) is unknown too.
+        for name in ("Z", ["G"]):
+            with pytest.raises(ModelError, match=f"^unknown variable {re.escape(repr(name))} in query$"):
+                cond_prob(dist, qmap, Query((name, 1)))
+        # A known variable's bit is an int 0 or 1 (model.is_bit): not 2, a
+        # bool, a float or a numpy integer.
+        for bit in (2, -1, True, False, 1.0, np.int64(1)):
+            message = f"^variable 'G': value must be 0 or 1, got {re.escape(repr(bit))}$"
+            with pytest.raises(ValueError, match=message):
                 cond_prob(dist, qmap, Query(("O", 1), (("G", bit),)))
+            with pytest.raises(ValueError, match=message):
+                cond_prob(dist, qmap, Query(("G", bit)))
 
     # A variable named twice in one event: the same bit counts once, both bits
     # hold nowhere. A reader where the last bit named wins fails the conflicts.
@@ -347,6 +356,11 @@ class TestTemporaries:
         assert peak <= dist.values.nbytes // 2 + 64 * 1024
 
 
+def _half_width(row):
+    """1.96 standard errors of a row's trials (K-1 sample standard deviation)."""
+    return 1.96 * float(np.std(row.per_trial, ddof=1)) / math.sqrt(len(row.per_trial))
+
+
 class TestCausalEffect:
     def test_simpson3_exact_point_estimate(self, simpson3_entry):
         report = causal_effect(simpson3_entry.model, "T", "O")
@@ -369,25 +383,24 @@ class TestCausalEffect:
             causal_effect(surgered, "T", "O")
 
     def test_sampled_backend_reports_ci(self, simpson3_entry):
-        report = causal_effect(
-            simpson3_entry.model, "T", "O", backend="sampled", shots=15000, trials=10, seed=5
-        )
+        report = causal_effect(simpson3_entry.model, "T", "O", RunConfig("sampled", trials=10, seed=5))
         assert len(report.per_trial) == 10
         # ~6 sigma for the mean of 10 trials at 15000 shots; any seed passes.
         assert report.effect == pytest.approx(ACE, abs=0.01)
-        assert report.ci_low <= report.effect <= report.ci_high
-        assert report.ci_high - report.effect == pytest.approx(1.96 * report.std_err, abs=1e-12)
+        low, high = report.ci
+        assert low <= report.effect <= high
+        assert high - report.effect == pytest.approx(_half_width(report), abs=1e-12)
 
     def test_sampled_streams_match_run_experiment(self, simpson3_entry):
-        report = causal_effect(simpson3_entry.model, "T", "O", backend="sampled", shots=2000, trials=3, seed=123)
         cfg = RunConfig(backend="sampled", shots=2000, trials=3, seed=123)
+        report = causal_effect(simpson3_entry.model, "T", "O", cfg)
         run = run_experiment(simpson3_entry.model, "T", "O", [causal_group()], cfg)
         assert report.per_trial == run.groups[0].per_trial
 
     def test_sampled_deterministic(self, simpson3_entry):
-        kw = dict(backend="sampled", shots=2000, trials=3, seed=123)
-        a = causal_effect(simpson3_entry.model, "T", "O", **kw)
-        b = causal_effect(simpson3_entry.model, "T", "O", **kw)
+        cfg = RunConfig(backend="sampled", shots=2000, trials=3, seed=123)
+        a = causal_effect(simpson3_entry.model, "T", "O", cfg)
+        b = causal_effect(simpson3_entry.model, "T", "O", cfg)
         assert a.per_trial == b.per_trial
 
 
@@ -396,19 +409,25 @@ class TestAggregateTrials:
         row = aggregate_trials("g", [0.1, 0.2, 0.3])
         assert row.label == "g" and row.per_trial == (0.1, 0.2, 0.3) and row.strata is None
         assert row.effect == pytest.approx(0.2)
-        assert row.std_err == pytest.approx(0.1 / math.sqrt(3), abs=1e-12)
-        assert row.ci_low == pytest.approx(0.0868, abs=5e-4)
-        assert row.ci_high == pytest.approx(0.3132, abs=5e-4)
+        assert row.ci == pytest.approx((0.0868, 0.3132), abs=5e-4)
+        assert row.ci[1] - row.effect == pytest.approx(1.96 * 0.1 / math.sqrt(3), abs=1e-12)
 
     def test_identical_values_collapse_ci(self):
         row = aggregate_trials("g", [0.25] * 8)
-        assert row.ci_low == pytest.approx(0.25) and row.ci_high == pytest.approx(0.25)
+        assert row.ci == pytest.approx((0.25, 0.25))
 
     def test_single_trial_has_no_ci(self):
         strata = (StratumEffect(0, 1.0, 0.4),)
         row = aggregate_trials("g", [0.4], strata)
         assert row.effect == 0.4 and row.per_trial == (0.4,) and row.strata == strata
-        assert row.std_err is None and row.ci_low is None and row.ci_high is None and row.ci is None
+        assert row.ci is None
+
+    def test_row_fields(self):
+        # One field per quantity: the CI is the (low, high) pair, and the
+        # trial count is len(per_trial).
+        assert [f.name for f in dataclasses.fields(EffectReport)] == [
+            "label", "effect", "per_trial", "ci", "strata",
+        ]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -418,7 +437,8 @@ class TestAggregateTrials:
         rng = np.random.default_rng(3)
         values = rng.normal(0.2, 0.01, size=30)
         row = aggregate_trials("g", values)
-        assert row.ci_high - row.effect == pytest.approx(1.96 * row.std_err, abs=1e-12)
+        assert row.ci[1] - row.effect == pytest.approx(_half_width(row), abs=1e-12)
+        assert row.effect - row.ci[0] == pytest.approx(_half_width(row), abs=1e-12)
 
 
 class TestSignReversalInvariant:

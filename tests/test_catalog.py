@@ -1,6 +1,8 @@
 """Catalog models carry exactly the published gate parameters."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +106,14 @@ class TestHealthcare10:
 
 
 class TestCatalogApi:
+    def test_readme_python_blocks_run(self):
+        # The README's library calls run against the API as it is.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})
+
     @pytest.mark.parametrize("entry_id", ["simpson3", "healthcare10"])
     def test_json_round_trip(self, entry_id):
         model = getattr(catalog, entry_id)().model

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, file outputs, env seed fallback."""
 
+import inspect
 import json
 import math
 import subprocess
@@ -9,7 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdo import Intervention, apply_do, compile_model, format_circuit, save_model, simpson3
+from qdo import (
+    Intervention,
+    RunConfig,
+    apply_do,
+    causal_effect,
+    compile_model,
+    format_circuit,
+    save_model,
+    simpson3,
+)
 from qdo.cli import main
 from conftest import chain_model, make_random_model
 
@@ -36,6 +46,16 @@ class TestSimpson3Command:
         assert effects["Observational, G=1"] == pytest.approx(0.296, abs=5e-3)
         assert effects["Observational, Overall"] == pytest.approx(-0.061, abs=5e-3)
         assert effects["Causal, Overall (do)"] == pytest.approx(0.232, abs=5e-3)
+
+    def test_causal_effect_under_the_cli_config_is_the_causal_row(self, tmp_path, capsys):
+        # The library and the CLI share RunConfig's defaults: 15000 shots and
+        # seed 1729, with simpson3's 30 trials.
+        assert list(inspect.signature(causal_effect).parameters) == ["model", "treatment", "outcome", "cfg"]
+        path = tmp_path / "report.json"
+        assert run_cli("simpson3", "--backend", "sampled", "--json", str(path)) == 0
+        row = next(g for g in json.loads(path.read_text())["groups"] if g["label"] == "Causal, Overall (do)")
+        report = causal_effect(simpson3().model, "T", "O", RunConfig("sampled", trials=30))
+        assert list(report.per_trial) == row["per_trial"]
 
     def test_sampled_cis_exclude_zero(self, tmp_path, capsys):
         path = tmp_path / "report.json"

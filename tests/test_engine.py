@@ -26,6 +26,7 @@ from qdo import (
     Intervention,
     NoiseSpec,
     Prep,
+    RunConfig,
     apply_do,
     causal_effect,
     compile_model,
@@ -254,7 +255,7 @@ class TestNoise:
                 abs(
                     causal_effect(
                         simpson3_entry.model, "T", "O",
-                        backend="sampled", shots=4096, trials=1, seed=seed, noise=noise,
+                        RunConfig(backend="sampled", shots=4096, trials=1, seed=seed, noise=noise),
                     ).effect
                 )
                 for seed in range(10)

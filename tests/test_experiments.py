@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -60,6 +61,9 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="backend"):
             RunConfig(backend="qpu")
 
+    # A knob is an int, never a bool, float or numpy integer (the type rule of
+    # model.is_bit): 1.5 shots would draw one, and np.int64 shots would run
+    # but not serialize to JSON.
     @pytest.mark.parametrize(
         "kw",
         [
@@ -68,10 +72,17 @@ class TestRunConfig:
             {"backend": "sampled", "shots": 1 << 63},
             {"backend": "sampled", "seed": -1},
             {"backend": "sampled", "seed": 1 << 64},
+            {"backend": "sampled", "shots": 1.5},
+            {"backend": "sampled", "shots": np.int64(100)},
+            {"backend": "sampled", "trials": 2.5},
+            {"backend": "sampled", "trials": True},
+            {"backend": "sampled", "seed": 1.5},
+            {"backend": "sampled", "seed": True},
         ],
     )
     def test_bad_counts(self, kw):
-        with pytest.raises(ValueError):
+        (knob, value), = (item for item in kw.items() if item[0] != "backend")
+        with pytest.raises(ValueError, match=f"^{knob} must be .*, got {re.escape(repr(value))}$"):
             RunConfig(**kw)
 
     @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
@@ -161,8 +172,10 @@ class TestSampledRun:
         assert report.config.shots == 5000
         for g in report.groups:
             assert len(g.per_trial) == 6
-            assert g.ci_low <= g.effect <= g.ci_high
-            assert g.ci_high - g.effect == pytest.approx(1.96 * g.std_err, abs=1e-12)
+            low, high = g.ci
+            assert low <= g.effect <= high
+            std_err = float(np.std(g.per_trial, ddof=1)) / math.sqrt(6)
+            assert high - g.effect == pytest.approx(1.96 * std_err, abs=1e-12)
 
     @pytest.mark.parametrize("noise", [None, NoiseSpec(0.0)])
     def test_noiseless_trials_share_one_exact_run_per_circuit(self, simpson3_entry, monkeypatch, noise):
@@ -181,20 +194,18 @@ class TestSampledRun:
         assert report_json_text(a) == report_json_text(b)
 
     def test_healthcare10_sampled_means_cover_exact(self, healthcare10_entry):
-        from qdo.experiments import DEFAULT_SEED
-
         exact = {
             g.label: g.effect
             for g in run_experiment(
                 healthcare10_entry.model, "Treatment", "Outcome", healthcare10_groups(), RunConfig()
             ).groups
         }
-        cfg = RunConfig(backend="sampled", shots=15000, trials=10, seed=DEFAULT_SEED)
+        cfg = RunConfig(backend="sampled", shots=15000, trials=10)  # the default seed
         report = run_experiment(
             healthcare10_entry.model, "Treatment", "Outcome", healthcare10_groups(), cfg
         )
         for g in report.groups:
-            assert g.ci_low <= exact[g.label] <= g.ci_high, g.label
+            assert g.ci[0] <= exact[g.label] <= g.ci[1], g.label
 
     def test_sampled_strata_are_trial_means(self, healthcare10_entry):
         cfg = RunConfig(backend="sampled", shots=4000, trials=5, seed=8)
@@ -447,7 +458,7 @@ class TestCoverage:
         for seed in range(self.SEEDS):
             cfg = RunConfig(backend="sampled", shots=2000, trials=trials, seed=seed)
             for g in run_experiment(model, "T", "O", groups, cfg).groups:
-                covered[g.label] += g.ci_low <= exact[g.label] <= g.ci_high
+                covered[g.label] += g.ci[0] <= exact[g.label] <= g.ci[1]
         p = t_coverage(trials)
         band = 4 * math.sqrt(p * (1 - p) / self.SEEDS)
         for label, hits in covered.items():

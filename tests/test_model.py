@@ -198,7 +198,8 @@ class TestValidate:
     @pytest.mark.parametrize("qubits, message", [
         ((10**5000,), "0..0; out of range: 'A'"),
         ((-1, 1, 3), "0..2; out of range: 'A', 'C'"),
-    ], ids=["past-the-digit-limit", "negative-and-too-large"])
+        ((0, 0), "0..1, got [0, 0]"),
+    ], ids=["past-the-digit-limit", "negative-and-too-large", "in-range-duplicate"])
     def test_qubit_index_out_of_range_is_named_by_variable(self, qubits, message):
         # Never printed: str() of an int past 4300 digits raises ValueError.
         variables = tuple(Variable(name, q) for name, q in zip("ABC", qubits))
