@@ -7,6 +7,11 @@ model file and cross-checks the engine against the enumeration oracle, and
 import, and names each subcommand's handler; ``_run_effects`` runs, prints and
 writes every effect table (``simpson3``, ``healthcare10``, ``run --effect``).
 
+``run --do`` intervenes by circuit surgery in both of its modes: the model
+file is compiled as it is and each ``--do`` cuts that circuit, in order
+(``run_experiment``'s ``do``, or the same chain of ``surgered_circuit`` in
+distribution mode). No command runs a graph-surgered model.
+
 Exit codes: 0 success, 1 engine/oracle equivalence failure, 2 invalid
 configuration or model, 3 conditioning on a zero-mass event.
 """
@@ -17,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +30,7 @@ import numpy as np
 from . import catalog
 from .analysis import EffectReport, UndefinedConditionalError, cells
 from .chart import render_chart
-from .circuit import compile_model, format_circuit
+from .circuit import compile_model, format_circuit, surgered_circuit
 from .engine import NoiseSpec, run_exact, run_sampled
 from .experiments import (
     Group,
@@ -40,7 +46,7 @@ from .experiments import (
     simpson3_groups,
     stratified_group,
 )
-from .model import CausalModel, Intervention, ModelError, apply_do, load_model, read_json
+from .model import CausalModel, Intervention, ModelError, load_model, read_json
 from .oracle import enumerate_joint
 
 EQUIVALENCE_TOLERANCE = 1e-10
@@ -121,13 +127,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _run_effects(args: argparse.Namespace, cfg: RunConfig, model: CausalModel, treatment: str,
-                 outcome: str, groups: list[Group], title: str, bias: bool = False) -> int:
-    """Run ``groups`` and print and write the report, for every effect command.
+                 outcome: str, groups: list[Group], title: str, bias: bool = False,
+                 do: list[Intervention] | tuple[()] = ()) -> int:
+    """Run ``groups`` under ``do`` and print and write the report, for every effect command.
 
     With ``bias``, the table's bias column and the chart's reference line
     measure against the do group.
     """
-    report = run_experiment(model, treatment, outcome, groups, cfg)
+    report = run_experiment(model, treatment, outcome, groups, cfg, do)
     causal = next(g.label for g in groups if g.do) if bias else None
     if args.print_circuit:
         for circ in report.circuits:
@@ -177,8 +184,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     cfg = _config_from_args(args)
     model = load_model(args.model_path)
-    for iv in _parse_do(args.do):
-        model = apply_do(model, iv)
+    do = _parse_do(args.do)
 
     if args.effect:
         if not args.treatment or not args.outcome:
@@ -187,10 +193,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         model.variable(args.outcome)
         groups = [observational_group(), *map(stratified_group, args.stratify or ()), causal_group()]
         return _run_effects(args, cfg, model, args.treatment, args.outcome, groups,
-                            f"effects: {model.name}")
+                            f"effects: {model.name}", do=do)
 
     # Distribution mode: report the (possibly post-intervention) distribution.
-    circ = compile_model(model)
+    circ = reduce(surgered_circuit, do, compile_model(model))
     if args.print_circuit:
         sys.stdout.write(format_circuit(circ, expanded=args.expanded) + "\n")
     if cfg.backend == "exact":
@@ -201,14 +207,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     qubits = model.qubit_map()
     p_one = {name: float(cells(probs, qubits, ((name, 1),)).sum()) for name in sorted(qubits)}
     sys.stdout.write(f"model: {model.name}\n")
-    for iv in model.interventions:
+    for iv in do:
         sys.stdout.write(f"do: {iv.variable}={iv.value}\n")
     for name, p in p_one.items():
         sys.stdout.write(f"P({name}=1) = {p:.6f}\n")
     if args.json_path:
         payload = run_header(model.name, cfg, trials=False)
         payload["interventions"] = [
-            {"variable": iv.variable, "value": iv.value} for iv in model.interventions
+            {"variable": iv.variable, "value": iv.value} for iv in do
         ]
         payload["p_one"] = p_one
         payload["probabilities"] = [float(p) for p in probs]

@@ -123,6 +123,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import Circuit
+from .model import _as_float, _show
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _H = ((_SQRT1_2, _SQRT1_2), (_SQRT1_2, -_SQRT1_2))
@@ -142,13 +143,18 @@ MAX_STATE_BYTES = 2 << 30
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-gate, per-touched-qubit depolarizing probability."""
+    """Per-gate, per-touched-qubit depolarizing probability.
+
+    As for a model's angles (``model._as_float``), ``p_depol`` is an int or a
+    float in [0, 1]; a bool, a string or a numpy float32 is refused.
+    """
 
     p_depol: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.p_depol) and 0.0 <= self.p_depol <= 1.0):
-            raise ValueError(f"p_depol must be in [0, 1], got {self.p_depol!r}")
+        p = _as_float(self.p_depol)
+        if p is None or not (math.isfinite(p) and 0.0 <= p <= 1.0):
+            raise ValueError(f"p_depol must be in [0, 1], got {_show(self.p_depol)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,13 +424,13 @@ def run_exact(circ: Circuit) -> Distribution:
 def check_seed(seed: int) -> None:
     """Raise ValueError unless ``seed`` is an int (not a bool, float or numpy integer) in [0, 2^64)."""
     if type(seed) is not int or not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
+        raise ValueError(f"seed must be in [0, 2**64), got {_show(seed)}")
 
 
 def check_shots(shots: int) -> None:
     """Raise ValueError unless ``shots`` is an int in [1, 2^63), the range of numpy's int64 counts."""
     if type(shots) is not int or not 1 <= shots < 1 << 63:
-        raise ValueError(f"shots must be in [1, 2**63), got {shots!r}")
+        raise ValueError(f"shots must be in [1, 2**63), got {_show(shots)}")
 
 
 def _seed_sequence(seed: int | np.random.SeedSequence, noisy: bool = False) -> np.random.SeedSequence:

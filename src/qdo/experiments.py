@@ -3,9 +3,12 @@
 A run evaluates a list of analysis groups against one model. The exact
 backend produces point estimates; the sampled backend runs K independent
 trials and aggregates per-trial estimates into 95% confidence intervals
-(mean +/- 1.96 standard errors). A run compiles once and intervenes by circuit
-surgery: do(T=1) puts an X in place of T's first gate, or first if none targets
-T. Graph surgery (``model.apply_do``) is the check route.
+(mean +/- 1.96 standard errors). A run intervenes only by circuit surgery: it
+compiles the observational model once, cuts the run's own do()s (``do=``) from
+that circuit in order, and cuts each do-row's do(T=x) from the result. A
+do(v=1) puts an X in place of v's first gate, or first if none targets v. A
+graph-surgered model is refused: graph surgery (``model.apply_do``) is the
+check route, not a run route.
 
 Trials are stacked, not looped: each circuit's trials fill a (trials, 2^n)
 array, one row per trial (noiseless rows are drawn from one exact run,
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +49,7 @@ from .analysis import (
 )
 from .circuit import Circuit, compile_model, surgered_circuit
 from .engine import NoiseSpec, check_seed, check_shots, draw_counts, noisy_counts, run_exact
-from .model import CausalModel, Intervention, ModelError
+from .model import CausalModel, Intervention, ModelError, _show
 
 # A sampled run estimates its trials in chunks whose per-circuit (chunk, 2^n)
 # int64 count stack holds at most _CHUNK_BYTES (or one row, if a row is
@@ -80,7 +84,7 @@ class RunConfig:
             check_shots(self.shots)
             check_seed(self.seed)
         if type(self.trials) is not int or self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials!r}")
+            raise ValueError(f"trials must be >= 1, got {_show(self.trials)}")
         if self.noise is not None and self.backend != "sampled":
             raise ValueError("noise requires the sampled backend")
 
@@ -148,12 +152,15 @@ def run_experiment(
     outcome: str,
     groups: Sequence[Group],
     cfg: RunConfig,
+    do: Sequence[Intervention] = (),
 ) -> Report:
     """Evaluate ``groups`` on one model under the configured backend.
 
-    The model is compiled once; the do groups read its two circuit surgeries
-    (``surgered_circuit``: the X of do(treatment=1) takes the place of the
-    treatment's first gate). Only the circuits the groups need are run. The
+    The model is compiled once and ``do`` is applied to that circuit by
+    ``surgered_circuit``, one intervention after another; the result is the
+    run's observational circuit. The do groups read its two circuit surgeries
+    (the X of do(treatment=1) takes the place of the treatment's first gate).
+    Only the circuits the groups need are run. The
     exact backend makes one pass with ``run_exact`` and reports point
     estimates; the sampled backend stacks the trials' counts per circuit, chunk
     by chunk, and reports each group's row as ``aggregate_trials`` builds it
@@ -163,7 +170,9 @@ def run_experiment(
     from its own stream, so trials with the same Pauli history share a state.
 
     Raises ValueError, before anything is compiled, when the outcome is the
-    treatment or a group adjusts for or conditions on either of them.
+    treatment or a group adjusts for or conditions on either of them, and
+    ModelError when the model has interventions (pass them as ``do``) or
+    ``do`` forces the treatment.
     """
     if outcome == treatment:
         raise ValueError(f"outcome {outcome!r} is also the treatment")
@@ -172,7 +181,9 @@ def run_experiment(
             if name in (treatment, outcome):
                 role = "treatment" if name == treatment else "outcome"
                 raise ValueError(f"group {g.label!r} stratifies on the {role} {name!r}")
-    base = compile_model(model)
+    if model.interventions:
+        raise ModelError(f"model {model.name!r} is already intervened on: run its observational model with do=")
+    base = reduce(surgered_circuit, do, compile_model(model))
     if treatment in base.forced:
         raise ModelError(f"treatment {treatment!r} is already intervened on")
     qubits = model.qubit_map()
@@ -222,7 +233,8 @@ def causal_effect(
 
     A run of the single causal group: sampled trials draw from the (do=1,
     do=0) streams of the seed contract above, so under the CLI's config this
-    is the causal row of its run.
+    is the causal row of its run. A model with interventions is refused, as
+    by ``run_experiment``.
     """
     return run_experiment(model, treatment, outcome, [causal_group()], cfg).groups[0]
 

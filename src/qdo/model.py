@@ -5,7 +5,9 @@ qubits. Each variable carries a preparation (ground state, uniform, or a base
 Y-rotation) and each edge carries a controlled-rotation angle. Graph surgery
 (``apply_do``) removes an intervened variable's incoming edges and pins its
 preparation, leaving the forcing of the value to the circuit compiler. Runs
-intervene by circuit surgery instead; graph surgery is their check route.
+intervene only by circuit surgery and refuse a graph-surgered model (they
+take their do()s as ``run_experiment``'s ``do``); graph surgery is the check
+route, for the enumeration oracle and the tests that compare both surgeries.
 
 ``CausalModel`` raises ``ModelError`` with every violation ``validate`` finds
 when it is built, so a model that exists is valid; that includes each result

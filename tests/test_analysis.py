@@ -379,7 +379,7 @@ class TestCausalEffect:
 
     def test_already_intervened_rejected(self, simpson3_entry):
         surgered = apply_do(simpson3_entry.model, Intervention("T", 1))
-        with pytest.raises(ModelError, match="already intervened"):
+        with pytest.raises(ModelError, match="already intervened on: run its observational model with do=$"):
             causal_effect(surgered, "T", "O")
 
     def test_sampled_backend_reports_ci(self, simpson3_entry):

@@ -12,7 +12,8 @@ file.
 
 A model built in Python is refused with ``ModelError`` even when a field
 ``validate`` prints holds an int past the 4300-digit limit of ``str``; so
-is a variable lookup or a distribution query naming such an int.
+is a variable lookup or a distribution query naming such an int, and a run
+knob (seed, shots, trials or noise) holding one is refused by its own check.
 
 The command line is the third boundary: every subcommand, with its numeric
 flags drawn from their edges, must exit 0, 2 or 3.
@@ -27,7 +28,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdo import CausalModel, Edge, Intervention, ModelError, Prep, Variable, compile_model, load_model, run_exact
+from qdo import (
+    CausalModel, Edge, Intervention, ModelError, NoiseSpec, Prep, Variable, compile_model, load_model, run_exact,
+)
 from qdo.analysis import cells
 from qdo.catalog import healthcare10, simpson3
 from qdo.cli import main
@@ -164,6 +167,18 @@ def test_validate_prints_no_int_past_the_digit_limit(name, variables, edges, int
 def test_variable_lookup_prints_no_int_past_the_digit_limit():
     with pytest.raises(ModelError, match="^unknown variable <int too long to print> in model 'simpson3'$"):
         simpson3().model.variable(HUGE)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RunConfig("sampled", seed=HUGE), "seed must be in [0, 2**64)"),
+    (lambda: RunConfig("sampled", shots=HUGE), "shots must be in [1, 2**63)"),
+    (lambda: RunConfig("sampled", trials=-HUGE), "trials must be >= 1"),
+    (lambda: NoiseSpec(HUGE), "p_depol must be in [0, 1]"),
+], ids=["seed", "shots", "trials", "noise"])
+def test_run_knobs_print_no_int_past_the_digit_limit(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == f"{message}, got <int too long to print>"
 
 
 _DIST = run_exact(compile_model(simpson3().model))

@@ -16,12 +16,16 @@ from qdo import (
     apply_do,
     causal_effect,
     compile_model,
+    enumerate_joint,
     format_circuit,
+    run_experiment,
     save_model,
     simpson3,
+    surgered_circuit,
 )
 from qdo.cli import main
-from conftest import chain_model, make_random_model
+from qdo.experiments import causal_group
+from conftest import chain_model, make_random_model, random_intervention
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -110,6 +114,15 @@ class TestHealthcare10Command:
         assert err == "qdo: error: group 'Stratified by Treatment' stratifies on the treatment 'Treatment'\n"
 
 
+def _do_case(seed):
+    """A model of 6-12 qubits, a do() on one variable, and a treatment and outcome among the others."""
+    rng = np.random.default_rng(seed)
+    model = make_random_model(rng, n=int(rng.integers(6, 13)))
+    iv = random_intervention(rng, model)
+    treatment, outcome = rng.permutation([v.name for v in model.variables if v.name != iv.variable])[:2]
+    return model, iv, str(treatment), str(outcome)
+
+
 class TestRunCommand:
     def test_fixture_matches_builtin_experiment(self, tmp_path, capsys):
         ours = tmp_path / "run.json"
@@ -163,15 +176,44 @@ class TestRunCommand:
         assert run_cli("run", str(MODELS / "simpson3.json"), "--do", "G=2") == 2
 
     @pytest.mark.parametrize("specs, message", [
-        (["Z=1"], "invalid model: intervention on unknown variable 'Z'"),
-        (["G=1", "G=0"], "invalid model: variable 'G' intervened more than once"),
-    ])
+        (["Z=1"], "variable 'Z' is not one of this circuit's variables ('G', 'T', 'O')"),
+        (["G=1", "G=0"], "variable 'G' is already forced in this circuit"),
+    ], ids=["unknown-variable", "forced-twice"])
     def test_do_on_invalid_target_exits_2(self, capsys, specs, message):
+        # Circuit surgery refuses these do()s, in both modes of ``qdo run``.
         argv = ["run", str(MODELS / "simpson3.json")]
         for spec in specs:
             argv += ["--do", spec]
-        assert run_cli(*argv) == 2
-        assert capsys.readouterr().err == f"qdo: error: {message}\n"
+        for mode in ([], ["--effect", "--treatment", "T", "--outcome", "O"]):
+            assert run_cli(*argv, *mode) == 2
+            assert capsys.readouterr().err == f"qdo: error: {message}\n"
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_do_is_circuit_surgery_on_the_model_file(self, tmp_path, capsys, seed):
+        # Both modes cut the compiled model file: the printed circuit, the
+        # report's circuits and, through the oracle, the graph-surgery law.
+        model, iv, treatment, outcome = _do_case(seed)
+        path, payload = tmp_path / "m.json", tmp_path / "dist.json"
+        save_model(model, path)
+        do = f"{iv.variable}={iv.value}"
+        assert run_cli("run", str(path), "--do", do, "--print-circuit", "--json", str(payload)) == 0
+        cut = surgered_circuit(compile_model(model), iv)
+        assert capsys.readouterr().out.partition("model: ")[0] == format_circuit(cut) + "\n"
+        probs = np.array(json.loads(payload.read_text())["probabilities"])
+        assert np.max(np.abs(probs - enumerate_joint(apply_do(model, iv)).values)) < 1e-12
+        report = run_experiment(model, treatment, outcome, [causal_group()], RunConfig(), do=[iv])
+        assert report.circuits == tuple(surgered_circuit(cut, Intervention(treatment, v)) for v in (1, 0))
+
+    def test_do_cases_include_do_models_that_reorder_the_compile(self):
+        # Graph surgery re-peels the compile order of some do-models, so that
+        # even its gates other than the X come in another order: the cases
+        # above tell the two surgeries apart.
+        reordered = 0
+        for seed in range(40):
+            model, iv, _, _ = _do_case(seed)
+            cut, graph = surgered_circuit(compile_model(model), iv), compile_model(apply_do(model, iv))
+            reordered += [g for g in cut.gates if g.kind != "x"] != [g for g in graph.gates if g.kind != "x"]
+        assert reordered > 0
 
     @pytest.mark.parametrize("flag", ["--csv", "--svg", "--stratify", "--treatment", "--outcome"])
     def test_report_files_require_effect(self, tmp_path, capsys, flag):

@@ -246,6 +246,13 @@ class TestNoise:
         with pytest.raises(ValueError, match="p_depol"):
             NoiseSpec(1.5)
 
+    # The type rule of a model's angles: True would run at p = 1 and write
+    # "noise": true, and a float32 would run but not serialize to JSON.
+    @pytest.mark.parametrize("p", [True, np.float32(0.02), "0.1"], ids=["bool", "float32", "str"])
+    def test_probability_must_be_an_int_or_float(self, p):
+        with pytest.raises(ValueError, match=f"^p_depol must be in \\[0, 1\\], got {re.escape(repr(p))}$"):
+            NoiseSpec(p)
+
     def test_ace_attenuates_with_noise(self, simpson3_entry):
         # |ACE| should be non-increasing in expectation as depolarization grows.
         means = []

@@ -634,6 +634,18 @@ class TestCircuitSurgery:
                     DO0: surgered_circuit(base, Intervention("T", 0))}
         assert report.circuits == tuple(circuits[k] for k in keys)
 
+    @pytest.mark.parametrize("groups", [simpson3_groups(), [causal_group()]], ids=["run", "causal-only"])
+    def test_graph_surgered_model_refused(self, simpson3_entry, groups):
+        # A run intervenes by circuit surgery alone: its do()s come as do=.
+        forced = apply_do(simpson3_entry.model, Intervention("G", 1))
+        refusal = "^model 'simpson3' is already intervened on: run its observational model with do=$"
+        with pytest.raises(ModelError, match=refusal):
+            run_experiment(forced, "T", "O", groups, RunConfig())
+
+    def test_do_on_the_treatment_refused(self, simpson3_entry):
+        with pytest.raises(ModelError, match="^treatment 'T' is already intervened on$"):
+            run_experiment(simpson3_entry.model, "T", "O", [causal_group()], RunConfig(), do=[Intervention("T", 1)])
+
     def test_unknown_treatment_is_a_model_error(self, simpson3_entry):
         # Circuit surgery refuses it as graph surgery did, with ModelError.
         with pytest.raises(ModelError, match="'Z' is not one of this circuit's variables"):

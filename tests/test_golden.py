@@ -13,7 +13,9 @@ checked here. It covers only the stdout of the distribution mode of ``qdo run``
 So are those of two noisy reports whose trials share trajectory batches,
 recorded while every trial still ran its own batches, and of two noisy
 distribution-mode runs that cross a batch boundary, recorded while full
-batches still ran in a loop of their own.
+batches still ran in a loop of their own. Two ``qdo run --do ... --effect``
+reports are kept too, recorded while such a run still compiled the
+graph-surgered model and cut only its do-rows from the circuit.
 """
 
 import hashlib
@@ -106,6 +108,21 @@ NOISY_REPORTS = {
 }
 
 
+# Backend argv of a healthcare10 effect run under --do Age=1: sha256 of stdout
+# and of the --json report. The run's circuit and its do-rows both come from
+# circuit surgery on the compiled model file.
+DO_EFFECT_REPORTS = {
+    ("--backend", "exact"): (
+        "d67fa2e4d61cc4b010babf542549c865073d9bdcc2d3db8e0e37f9234826c552",
+        "c3bc95abe4b96b5c8117b39b232bc3d4ea553ac2ebc2d005331a236ae3fd5023",
+    ),
+    ("--backend", "sampled", "--noise", "0.05", "--shots", "500", "--trials", "2", "--seed", "3"): (
+        "9259d7f86668b33045cf27a49e321ee9956f9225471d913b4ce7a88b9716cd03",
+        "2c91db8de782c20101ff128f50c0185bbe1e22814e07a12ed955b5fe09d8d7c5",
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def commands(tmp_path_factory):
     out = {}
@@ -153,3 +170,14 @@ def test_merged_noisy_report_bytes(argv, tmp_path, capsys):
     stdout = capsys.readouterr().out.encode("utf-8")
     got = (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(report.read_bytes()).hexdigest())
     assert got == NOISY_REPORTS[argv]
+
+
+@pytest.mark.parametrize("backend", DO_EFFECT_REPORTS, ids=[a[1] for a in DO_EFFECT_REPORTS])
+def test_do_effect_report_bytes(backend, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    argv = ["run", str(ROOT / "models" / "healthcare10.json"), "--do", "Age=1", "--effect", "--treatment",
+            "Treatment", "--outcome", "Outcome", "--stratify", "Region", *backend, "--json", str(report)]
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    got = (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(report.read_bytes()).hexdigest())
+    assert got == DO_EFFECT_REPORTS[backend]
