@@ -4,8 +4,16 @@ A compiled circuit names the variable on each qubit (``Circuit.variables``),
 and every gate targets the qubit of the variable whose mechanism it realizes:
 the variable's prep (H or RY), the X of its forced value, or one CRY per
 incoming edge. So a link's child is ``variables[g.target]`` and its parent
-``variables[g.control]``, and circuit surgery on a variable drops exactly the
-gates that target its qubit.
+``variables[g.control]``.
+
+The block contract: the gates of each variable form one contiguous block
+(one conditional probability table per qubit, in the reading of Low, Yoder &
+Chuang, PRA 89:062315, 2014), and no gate targets a qubit after a CRY has
+used it as a control. ``compile_model`` emits this shape and
+``surgered_circuit`` keeps it; ``Circuit.blocks`` is the one reader of the
+block boundaries, and is None for a (hand-built) circuit that breaks the
+shape. Circuit surgery on a variable replaces its block, and the noisy
+planner counts a qubit as settled once its block is done.
 
 Control-on-zero is a first-class attribute of the CRY gate here; the
 three-gate X-wrapped realization is applied by the engine and by the expanded
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 from .model import CausalModel, Intervention, ModelError, is_bit, topological_order
@@ -60,6 +69,29 @@ class Circuit:
             raise ValueError(f"forced must name distinct variables of the circuit, got {self.forced!r}")
         for g in self.gates:
             _check_gate(g, n)
+
+    @cached_property
+    def blocks(self) -> dict[int, tuple[int, int]] | None:
+        """Each targeted qubit's gates as a slice ``(start, stop)`` of ``gates``, or None.
+
+        None when some qubit's gates are not contiguous, or a gate targets a
+        qubit after a CRY has used it as a control (see the module docstring).
+        A qubit no gate targets, such as a ground root or a do(v=0), has no
+        block. Not a field, so it takes no part in eq, hash or repr.
+        """
+        starts: dict[int, int] = {}
+        controls: set[int] = set()
+        t = None
+        for i, g in enumerate(self.gates):
+            if g.target != t:
+                t = g.target
+                if t in starts or t in controls:
+                    return None
+                starts[t] = i
+            if g.control is not None:
+                controls.add(g.control)
+        stops = [*starts.values(), len(self.gates)][1:]
+        return {q: (start, stop) for (q, start), stop in zip(starts.items(), stops)}
 
 
 def _is_index(i, n: int) -> bool:
@@ -114,18 +146,20 @@ def compile_model(model: CausalModel) -> Circuit:
 
 
 def surgered_circuit(circ: Circuit, iv: Intervention) -> Circuit:
-    """Circuit-level intervention: drop every gate that targets the variable's qubit.
+    """Circuit-level intervention: replace the variable's block (``Circuit.blocks``).
 
     The qubit is found by name in ``circ.variables``, so do()s on distinct
-    variables chain in any order. When the forced value is 1 an X gate takes
-    the place of the qubit's first gate (its prep, or its first CRY when the
-    prep is ground), or goes first if no gate targets it. For a targeted
-    variable that is where ``compile_model(apply_do(...))`` puts the X when
-    the do() keeps the compile order. The variable joins ``circ.forced``; one
-    already there, at either value, is refused as already forced. The value
-    must pass ``model.is_bit``, the rule graph surgery (``apply_do``)
-    applies, so 1.0, ``np.int64(1)`` and ``True`` are refused by both.
-    Returns a new circuit; the input is unmodified.
+    variables chain in any order. The block of every gate that targets the
+    qubit is cut out; when the forced value is 1 an X gate takes its place,
+    or goes first if the qubit has no block. For a targeted variable that is
+    where ``compile_model(apply_do(...))`` puts the X when the do() keeps the
+    compile order. The result keeps the block contract. A circuit without
+    blocks (only a hand-built one) is refused with ``ValueError``. The
+    variable joins ``circ.forced``; one already there, at either value, is
+    refused as already forced. The value must pass ``model.is_bit``, the rule
+    graph surgery (``apply_do``) applies, so 1.0, ``np.int64(1)`` and
+    ``True`` are refused by both. Returns a new circuit; the input is
+    unmodified.
     """
     var, value = iv.variable, iv.value
     if not is_bit(value):
@@ -134,13 +168,13 @@ def surgered_circuit(circ: Circuit, iv: Intervention) -> Circuit:
         raise ModelError(f"variable {var!r} is not one of this circuit's variables {circ.variables!r}")
     if var in circ.forced:
         raise ValueError(f"variable {var!r} is already forced in this circuit")
+    if circ.blocks is None:
+        raise ValueError("circuit surgery needs each qubit's gates in one block (Circuit.blocks), and this circuit"
+                         " has none")
     q = circ.variables.index(var)
-
-    first = next((i for i, g in enumerate(circ.gates) if g.target == q), 0)
-    out = [g for g in circ.gates if g.target != q]
-    if value == 1:  # every gate before q's first is kept, so the X lands in its place
-        out.insert(first, Gate("x", q))
-    return Circuit(circ.n_qubits, tuple(out), circ.variables, (*circ.forced, var))
+    start, stop = circ.blocks.get(q, (0, 0))
+    x = (Gate("x", q),) if value == 1 else ()
+    return Circuit(circ.n_qubits, circ.gates[:start] + x + circ.gates[stop:], circ.variables, (*circ.forced, var))
 
 
 def format_circuit(circ: Circuit, expanded: bool = False) -> str:

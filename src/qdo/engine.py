@@ -40,7 +40,10 @@ leaving it out of a noisy batch changes no draw.
 A gate that places its target (first touches it) puts it on the top bit of
 its width, whose half has never been written and is zero, so the update is
 a1 = m10*a0 then a0 *= m00: two passes and no temporary, where a general gate
-takes six passes and two half-width temporaries. Leaving out the zero terms
+takes six passes and two temporaries. A general gate whose halves exceed
+``_TILE`` entries runs tile by tile, so each temporary holds at most one
+tile (256 KiB), not half a state, and every entry gets the same float
+operations. Leaving out the zero terms
 changes no float but the sign of a zero, so the amplitudes ``statevector``
 returns may differ from a full-width pass only in the sign of a zero entry,
 and squaring removes it. A pair update whose halves run in contiguous pieces
@@ -86,8 +89,11 @@ same array, and each shot's outcome is a binary search of its slot, so peak
 memory stays about one batch, and the pages it touches follow the live
 slots.
 
-A touched qubit is settled after a gate when no later gate targets it (a CRY
-may still use it as a control). On a settled qubit a Z hit forks nothing and
+A touched qubit is settled after a gate when its block (``Circuit.blocks``)
+is done, or when it has none: no later gate targets it, though a CRY may
+still use it as a control. A circuit without blocks (only a hand-built one)
+settles nothing, which changes no count, by the argument below, and only
+shares fewer slots. On a settled qubit a Z hit forks nothing and
 a Y hit forks under the same key as an X hit; the draws are the same as for
 any other qubit, so the generator's stream does not change. Z can be left
 out: a later gate that does not target q updates pairs inside one half of q
@@ -135,6 +141,10 @@ _TRAJECTORY_BATCH = 2048
 
 # Bytes per state entry: a float64 amplitude (or an oracle probability).
 _ENTRY_BYTES = 8
+
+# Entries per half in one tile of a general pair update: each of its two
+# temporaries holds at most this many (256 KiB), whatever the state's width.
+_TILE = 1 << 15
 
 # Largest single state array (statevector, trajectory batch or oracle joint)
 # qdo will allocate; a bigger request fails fast instead of exhausting memory.
@@ -200,6 +210,8 @@ def _ry_matrix(theta: float) -> tuple[tuple[float, float], tuple[float, float]]:
 _SHORT_RUN = 4
 _LONG_SLICE = 256
 
+_ALL = slice(None)
+
 
 def _pair_update(a0: np.ndarray, a1: np.ndarray, mat, fresh: bool) -> None:
     # (a0, a1) <- mat @ (a0, a1), entry by entry. With ``fresh`` a1 is all
@@ -214,6 +226,13 @@ def _pair_update(a0: np.ndarray, a1: np.ndarray, mat, fresh: bool) -> None:
     if fresh:
         np.multiply(a0, m10, out=a1)
         a0 *= m00
+        return
+    if a0.size > _TILE:  # slices of the first axis longer than 1, at most _TILE entries each
+        axis = next(i for i, d in enumerate(a0.shape) if d > 1)
+        step = max(1, _TILE // (a0.size // a0.shape[axis]))
+        for start in range(0, a0.shape[axis], step):
+            tile = (*(_ALL,) * axis, slice(start, start + step))
+            _pair_update(a0[tile], a1[tile], mat, False)
         return
     b0 = m10 * a0
     a0 *= m00
@@ -287,9 +306,6 @@ def _apply_gate(states: np.ndarray, pos: tuple[int, ...], mat, control_value: in
         _apply_cry(states, pos[0], control_value, pos[1], mat, fresh)
 
 
-_ALL = slice(None)
-
-
 def _plan(circ: Circuit, *, fold: bool) -> tuple[list[tuple], tuple[int, ...] | None, int, tuple]:
     # One walk over the gates (module docstring). Returns the steps, each
     # (positions, 2x2 matrix, control value or None, 2^(qubits touched
@@ -304,14 +320,18 @@ def _plan(circ: Circuit, *, fold: bool) -> tuple[list[tuple], tuple[int, ...] | 
     # is dropped when it does not.
     # A step that places its target puts it on the top bit of its width, and
     # no entry past the previous width has been written, so that half is
-    # zero. A qubit is settled after gate i when no later gate targets it.
+    # zero.
     n = circ.n_qubits
     gates = circ.gates
     value: dict[int, int] = {}
     if fold:
         rotated = {g.target for g in gates if g.kind != "x"}
         value = {q: 0 for q in range(n) if q not in rotated}
-    last_target = {g.target: i for i, g in enumerate(gates)}
+    # A qubit is settled after gate i when its block (``Circuit.blocks``)
+    # stops at or before i + 1, or it has no block. A circuit without blocks
+    # settles nothing, and so does an exact plan: its loop reads no flags.
+    blocks = None if fold else circ.blocks
+    stop = dict.fromkeys(range(n), len(gates) + 1) if blocks is None else {q: b[1] for q, b in blocks.items()}
     position: dict[int, int] = {}
     steps = []
     for i, g in enumerate(gates):
@@ -332,10 +352,10 @@ def _plan(circ: Circuit, *, fold: bool) -> tuple[list[tuple], tuple[int, ...] | 
         if fresh:
             position[t] = len(position)
         if c is None:
-            steps.append(((position[t],), mat, None, 1 << len(position), (last_target[t] == i,), fresh))
+            steps.append(((position[t],), mat, None, 1 << len(position), (stop[t] <= i + 1,), fresh))
         else:
             steps.append(((position[c], position[t]), mat, g.control_value, 1 << len(position),
-                          (last_target.get(c, -1) < i, last_target[t] == i), fresh))
+                          (stop.get(c, 0) <= i + 1, stop[t] <= i + 1), fresh))
     index = tuple(_ALL if q in position else value.get(q, 0) for q in range(n - 1, -1, -1))
     qubits = sorted(position)
     k = len(qubits)

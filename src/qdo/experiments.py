@@ -6,7 +6,7 @@ trials and aggregates per-trial estimates into 95% confidence intervals
 (mean +/- 1.96 standard errors). A run intervenes only by circuit surgery: it
 compiles the observational model once, cuts the run's own do()s (``do=``) from
 that circuit in order, and cuts each do-row's do(T=x) from the result. A
-do(v=1) puts an X in place of v's first gate, or first if none targets v. A
+do(v=1) puts an X in place of v's block, or first if v has none. A
 graph-surgered model is refused: graph surgery (``model.apply_do``) is the
 check route, not a run route.
 
@@ -159,7 +159,7 @@ def run_experiment(
     The model is compiled once and ``do`` is applied to that circuit by
     ``surgered_circuit``, one intervention after another; the result is the
     run's observational circuit. The do groups read its two circuit surgeries
-    (the X of do(treatment=1) takes the place of the treatment's first gate).
+    (the X of do(treatment=1) takes the place of the treatment's block).
     Only the circuits the groups need are run. The
     exact backend makes one pass with ``run_exact`` and reports point
     estimates; the sampled backend stacks the trials' counts per circuit, chunk

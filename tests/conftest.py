@@ -5,6 +5,7 @@ import pytest
 
 from qdo import CausalModel, Edge, Intervention, Prep, Variable
 from qdo.catalog import healthcare10, simpson3
+from qdo.circuit import Circuit, Gate
 
 
 @pytest.fixture(scope="session")
@@ -81,3 +82,23 @@ def random_models():
         model = make_random_model(rng)
         out.append((model, random_intervention(rng, model)))
     return out
+
+
+def unblocked_circuits() -> dict[str, Circuit]:
+    """Two hand-built 3-qubit circuits that break the block contract (``Circuit.blocks`` is None).
+
+    "interleaved": the gates of q0 and of q2 are not contiguous.
+    "control-retargeted": the blocks are contiguous, but q0 is targeted after
+    a CRY has used it as a control.
+    """
+    return {
+        "interleaved": Circuit(3, (
+            Gate("ry", 0, theta=0.7), Gate("ry", 1, theta=1.2), Gate("cry", 2, theta=0.9, control=1, control_value=1),
+            Gate("ry", 0, theta=0.4), Gate("cry", 2, theta=1.3, control=0, control_value=0),
+        ), ("A", "B", "C")),
+        "control-retargeted": Circuit(3, (
+            Gate("ry", 1, theta=1.1), Gate("cry", 1, theta=0.8, control=0, control_value=1),
+            Gate("ry", 0, theta=0.6), Gate("cry", 0, theta=1.4, control=1, control_value=0),
+            Gate("cry", 2, theta=1.0, control=1, control_value=1),
+        ), ("A", "B", "C")),
+    }

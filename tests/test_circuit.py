@@ -1,4 +1,4 @@
-"""Compiler output, circuit checks, circuit surgery, the qubit-to-variable record, and the text export."""
+"""Compiler output, circuit checks, the block contract, circuit surgery, the variable record and the text export."""
 
 import math
 from functools import reduce
@@ -23,6 +23,7 @@ from qdo import (
     surgered_circuit,
 )
 from qdo.circuit import Circuit, Gate
+from conftest import make_random_model, random_intervention, unblocked_circuits
 
 
 def _cry(control, control_value, target=1, theta=0.5):
@@ -265,6 +266,59 @@ class TestSurgery:
         gates_before = circ.gates
         surgered_circuit(circ, Intervention("T", 1))
         assert circ.gates == gates_before
+
+
+def _assert_blocks(circ: Circuit) -> None:
+    """``circ.blocks`` partitions the gates into one block per targeted qubit, each before its controls' uses."""
+    blocks = circ.blocks
+    assert blocks is not None
+    assert set(blocks) == {g.target for g in circ.gates}
+    assert sorted(i for start, stop in blocks.values() for i in range(start, stop)) == list(range(len(circ.gates)))
+    for q, (start, stop) in blocks.items():
+        assert all(g.target == q for g in circ.gates[start:stop])
+    for i, g in enumerate(circ.gates):
+        if g.control is not None:
+            assert blocks.get(g.control, (0, 0))[1] <= i
+
+
+class TestBlocks:
+    """Compiled and surgered circuits keep each variable's gates in one block."""
+
+    def test_compiled_and_chained_surgeries_have_blocks(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            m = make_random_model(rng, max_qubits=8)
+            circ = compile_model(m)
+            _assert_blocks(circ)
+            for _ in range(int(rng.integers(1, min(3, m.n_qubits) + 1))):
+                iv = random_intervention(rng, m)
+                if iv.variable not in circ.forced:
+                    circ = surgered_circuit(circ, iv)
+                    _assert_blocks(circ)
+
+    @pytest.mark.parametrize("entry", [simpson3, healthcare10])
+    def test_catalog_circuits_have_blocks(self, entry):
+        _assert_blocks(compile_model(entry().model))
+
+    @pytest.mark.parametrize("name", ["interleaved", "control-retargeted"])
+    def test_hand_built_circuit_without_blocks(self, name):
+        circ = unblocked_circuits()[name]
+        assert circ.blocks is None
+        for value in (0, 1):
+            with pytest.raises(ValueError, match="in one block"):
+                surgered_circuit(circ, Intervention("A", value))
+
+    def test_untargeted_root_has_no_block(self):
+        m = CausalModel("pair", (Variable("A", 0), Variable("B", 1)), (Edge("A", "B", 1, 0.7),))
+        circ = compile_model(m)
+        assert circ.blocks == {1: (0, 1)}
+        cut = surgered_circuit(circ, Intervention("A", 1))
+        assert cut.gates == (Gate("x", 0), circ.gates[0]) and cut.blocks == {0: (0, 1), 1: (1, 2)}
+
+    def test_blocks_take_no_part_in_equality(self, simpson3_entry):
+        circ, fresh = compile_model(simpson3_entry.model), compile_model(simpson3_entry.model)
+        assert circ.blocks is circ.blocks  # cached
+        assert circ == fresh and hash(circ) == hash(fresh)
 
 
 class TestGateOrderInvariance:

@@ -8,12 +8,15 @@ Core claims:
       the noiseless path
     - 15000-shot frequencies stay within a 4-sigma guard of the exact values
     - depolarizing noise attenuates the causal effect estimate on average
-    - a noisy batch forks one slot per distinct Pauli history, and once no
-      later gate targets a qubit, a Z hit on it forks nothing and a Y hit
-      shares the slot of an X hit; each slot's row count stays equal to the
-      rows it owns
+    - a noisy batch forks one slot per distinct Pauli history, and once a
+      qubit's block is done, a Z hit on it forks nothing and a Y hit shares
+      the slot of an X hit; each slot's row count stays equal to the rows it
+      owns. A hand-built circuit without blocks settles nothing and counts as
+      it did when the planner settled its qubits gate by gate
+    - a general gate's temporaries hold at most one tile each, not half a state
 """
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -38,7 +41,7 @@ from qdo import (
 from qdo.circuit import Circuit, Gate, surgered_circuit
 from qdo import engine
 from qdo.engine import MAX_STATE_BYTES, check_shots, check_state_size, draw_counts, trajectory_batch
-from conftest import chain_model, make_random_model
+from conftest import chain_model, make_random_model, unblocked_circuits
 
 
 def _h(q):
@@ -485,8 +488,8 @@ class TestSharedHistories:
         last = [len(circ.gates) * i - 1 for i in (1, 2, 3)]
         assert [gate_rows[i] for i in last] == [40, 40, 10]
 
-    # Once no later gate targets a qubit, a Z hit on it forks nothing and a Y
-    # hit forks as X. simpson3 has a prep target with later incoming CRYs (O)
+    # Once a qubit's block is done (no later gate targets it), a Z hit on it
+    # forks nothing and a Y hit forks as X. simpson3 has a prep target with later incoming CRYs (O)
     # and a CRY target that the next CRY targets again (T); the reversed
     # healthcare10 map puts register positions out of qubit order.
 
@@ -519,6 +522,25 @@ class TestSharedHistories:
             for slot in np.unique(before):
                 mine = before == slot
                 assert np.unique(after[mine]).size == np.unique(paulis[mine]).size
+
+
+# sha256 of noisy_counts(circ, 512, (0, 1, 2), NoiseSpec(p)).tobytes() for
+# conftest's circuits without blocks, recorded while the noisy planner still
+# settled a qubit after the last gate that targeted it.
+UNBLOCKED_DIGESTS = {
+    ("interleaved", 0.05): "4cd163bbd8ed4489dcdaee7dfd8926f1d07507e0b5279a51da668d2b716fe006",
+    ("interleaved", 1.0): "862171c3252907eb7dff78886db999b013e8c8fdaa17877512ff30803f95cfbd",
+    ("control-retargeted", 0.05): "0c53f977f4d1b76f48ccb65460d0ae34d42f0160e132a6e6e2a6d9a68a3d6cc3",
+    ("control-retargeted", 1.0): "5290df45ab1fb4b5b6121cbcfc50f926692867a815bf546b268912e0cea27937",
+}
+
+
+@pytest.mark.parametrize(("name", "p"), list(UNBLOCKED_DIGESTS))
+def test_circuit_without_blocks_settles_nothing_and_keeps_its_counts(name, p):
+    circ = unblocked_circuits()[name]
+    assert not any(any(settled) for *_, settled, _ in engine._plan(circ, fold=False)[0])
+    counts = engine.noisy_counts(circ, 512, (0, 1, 2), NoiseSpec(p))
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == UNBLOCKED_DIGESTS[name, p]
 
 
 def _reversed_qubits(model):
@@ -618,6 +640,17 @@ class TestExactMemory:
             for run in (run_exact, statevector):
                 peak = _traced_peak(run, circ)
                 assert peak <= self.STATE + self.STATE // 2 + 64 * 1024 + self.SMALL, (value, run.__name__)
+
+    def test_a_general_gate_adds_at_most_one_tile_per_temporary(self):
+        # The Hs place every qubit of an in-order 20-qubit circuit (8 MiB),
+        # so the last gate updates the whole state. Each of its two
+        # temporaries holds one tile, and numpy may stage a strided tile
+        # through one 64 KiB iterator buffer per operand.
+        n = 20
+        state, tile = 8 << n, 8 * engine._TILE
+        for last in (_ry(n - 1, 0.3), _ry(9, 0.7), _cry(17, 0, 3, 0.4), _cry(3, 1, 17, -1.1)):
+            peak = _traced_peak(statevector, Circuit(n, (*(_h(q) for q in range(n)), last)))
+            assert peak <= 1.1 * state and peak <= state + 2 * tile + 2 * 64 * 1024 + self.SMALL, last
 
     def test_identity_first_touch_order_peaks_at_one_state(self):
         # Every gate of the chain places its target, so no gate allocates a

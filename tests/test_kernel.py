@@ -17,7 +17,10 @@ equal those of the full-width loop that runs every gate on all 2^n entries.
 A gate that places its target updates it in two passes, on the promise that
 the target's upper half is still zero; a spy checks the promise in exact runs
 and in noisy batches. Pair updates over short contiguous runs sweep one run
-offset at a time, so the first-touch circuits reach widths of 2^12.
+offset at a time, so the first-touch circuits reach widths of 2^12. A general
+pair update over more than ``_TILE`` entries per half runs tile by tile;
+with tiles of a few entries every general update of these circuits does, and
+the bytes must not move.
 
 An exact run keeps basis qubits (qubits no H, RY or CRY targets) out of the
 register and writes the register into the slice of the output that their
@@ -328,6 +331,18 @@ def first_touch_circuits(draw) -> Circuit:
 @given(first_touch_circuits())
 def test_first_touch_paths_equal_references(circ):
     _assert_equals_references(circ)
+
+
+@settings(PROPERTY, max_examples=20)
+@given(first_touch_circuits(), st.sampled_from([32, 512]), st.integers(0, 2**64 - 1))
+def test_tiled_pair_updates_equal_whole_ones(circ, tile, seed):
+    def run():
+        return statevector(circ).tobytes(), run_sampled(circ, 64, seed, NoiseSpec(0.3)).values.tobytes()
+
+    whole = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_TILE", tile)
+        assert run() == whole
 
 
 @st.composite
