@@ -212,10 +212,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for name, p in p_one.items():
         sys.stdout.write(f"P({name}=1) = {p:.6f}\n")
     if args.json_path:
-        payload = run_header(model.name, cfg, trials=False)
-        payload["interventions"] = [
-            {"variable": iv.variable, "value": iv.value} for iv in do
-        ]
+        payload = run_header(model.name, cfg, do, trials=False)
         payload["p_one"] = p_one
         payload["probabilities"] = [float(p) for p in probs]
         Path(args.json_path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -453,6 +453,12 @@ def check_shots(shots: int) -> None:
         raise ValueError(f"shots must be in [1, 2**63), got {_show(shots)}")
 
 
+def check_noise(noise) -> None:
+    """Raise ValueError unless ``noise`` is None or a ``NoiseSpec`` (a bare probability is refused)."""
+    if noise is not None and not isinstance(noise, NoiseSpec):
+        raise ValueError(f"noise must be None or a NoiseSpec, got {_show(noise)}")
+
+
 def _seed_sequence(seed: int | np.random.SeedSequence, noisy: bool = False) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, 0)) if noisy else seed
@@ -495,9 +501,10 @@ def run_sampled(
     once, with shots drawn i.i.d. from it. With noise it is ``noisy_counts``:
     every shot follows its own trajectory with stochastic Pauli injection and
     is then measured once; shots with the same Pauli history share one state.
-    A bad seed or shot count is refused before the circuit runs.
+    A bad seed, shot count or noise is refused before the circuit runs.
     """
     check_shots(shots)
+    check_noise(noise)
     if noise is None or not noise.p_depol > 0.0:
         seeds = (_seed_sequence(seed),)  # checks the seed before run_exact
         counts = draw_counts(run_exact(circ), shots, seeds)
@@ -519,7 +526,8 @@ def noisy_counts(
     Pauli history share a slot; a full batch is a group of one trial. The
     circuit is planned once for all batches.
     """
-    if not noise.p_depol > 0.0:
+    check_noise(noise)
+    if noise is None or not noise.p_depol > 0.0:
         raise ValueError("noisy_counts needs p_depol > 0; draw noiseless counts with draw_counts")
     check_shots(shots)
     rngs = [np.random.default_rng(_seed_sequence(seed, noisy=True)) for seed in seeds]

@@ -32,7 +32,7 @@ reports, and each trial's numbers do not depend on the other trials.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from typing import Sequence
 
@@ -48,7 +48,7 @@ from .analysis import (
     cond_prob,
 )
 from .circuit import Circuit, compile_model, surgered_circuit
-from .engine import NoiseSpec, check_seed, check_shots, draw_counts, noisy_counts, run_exact
+from .engine import NoiseSpec, check_noise, check_seed, check_shots, draw_counts, noisy_counts, run_exact
 from .model import CausalModel, Intervention, ModelError, _show
 
 # A sampled run estimates its trials in chunks whose per-circuit (chunk, 2^n)
@@ -68,7 +68,8 @@ class RunConfig:
 
     A sampled run's shots and seed are ints in range (``check_shots``,
     ``check_seed``) and trials is an int >= 1; as for a bit
-    (``model.is_bit``), a bool, float or numpy integer is refused.
+    (``model.is_bit``), a bool, float or numpy integer is refused. ``noise``
+    is None or a ``NoiseSpec`` (``check_noise``), never a bare probability.
     """
 
     backend: str = "exact"
@@ -85,6 +86,7 @@ class RunConfig:
             check_seed(self.seed)
         if type(self.trials) is not int or self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {_show(self.trials)}")
+        check_noise(self.noise)
         if self.noise is not None and self.backend != "sampled":
             raise ValueError("noise requires the sampled backend")
 
@@ -123,9 +125,16 @@ def causal_group(label: str = "Causal, Overall (do)") -> Group:
 
 @dataclass(frozen=True)
 class Report:
+    """A run's rows, with what ``report_to_dict`` needs to say how they were made.
+
+    ``do`` is the run's own do()s (``run_experiment``'s ``do``), which
+    ``run_header`` writes as the report's ``interventions``.
+    """
+
     model: str
     config: RunConfig
     groups: tuple[EffectReport, ...]
+    do: tuple[Intervention, ...] = ()
     circuits: tuple[Circuit, ...] = field(default=(), repr=False)
 
     def group(self, label: str) -> EffectReport:
@@ -169,11 +178,13 @@ def run_experiment(
     noisy run evolves a chunk's trials together with ``noisy_counts``, each
     from its own stream, so trials with the same Pauli history share a state.
 
-    Raises ValueError, before anything is compiled, when the outcome is the
-    treatment or a group adjusts for or conditions on either of them, and
-    ModelError when the model has interventions (pass them as ``do``) or
-    ``do`` forces the treatment.
+    Raises ValueError, before anything is compiled, when there is no group,
+    the outcome is the treatment or a group adjusts for or conditions on
+    either of them, and ModelError when the model has interventions (pass
+    them as ``do``) or ``do`` forces the treatment.
     """
+    if not groups:
+        raise ValueError("a run needs at least one group")
     if outcome == treatment:
         raise ValueError(f"outcome {outcome!r} is also the treatment")
     for g in groups:
@@ -223,7 +234,7 @@ def run_experiment(
             reports.append(aggregate_trials(g.label, effect.tolist(), means))
         else:
             reports.append(EffectReport(g.label, float(effect[0]), strata=means))
-    return Report(model.name, cfg, tuple(reports), tuple(circuits.values()))
+    return Report(model.name, cfg, tuple(reports), tuple(do), tuple(circuits.values()))
 
 
 def causal_effect(
@@ -302,12 +313,16 @@ def healthcare10_groups(stratifiers: Sequence[str] = ("Age", "Region")) -> list[
 # --- serialization -----------------------------------------------------------
 
 
-def run_header(model_name: str, cfg: RunConfig, trials: bool = True) -> dict:
-    """The head of every JSON payload a run writes, in key order.
+def run_header(model_name: str, cfg: RunConfig, do: Sequence[Intervention] | None = None, trials: bool = True) -> dict:
+    """The head of every JSON payload a run writes, in key order; the one writer of these keys.
 
     ``model`` and ``backend``, then for a sampled run ``shots``, ``trials``,
-    ``seed`` and ``noise`` (if set). ``trials=False`` leaves ``trials`` out,
-    as ``qdo run``'s distribution mode does: its one run has no trials.
+    ``seed`` and ``noise`` (if set), then ``interventions`` (one
+    ``{"variable", "value"}`` object per do(), in order) unless ``do`` is
+    None. ``trials=False`` leaves ``trials`` out, as ``qdo run``'s
+    distribution mode does: its one run has no trials. That mode passes its
+    ``--do`` list even when it is empty; ``report_to_dict`` passes a report's
+    do() only when it has one.
     """
     out: dict = {"model": model_name, "backend": cfg.backend}
     if cfg.backend == "sampled":
@@ -317,11 +332,13 @@ def run_header(model_name: str, cfg: RunConfig, trials: bool = True) -> dict:
         out["seed"] = cfg.seed
         if cfg.noise is not None:
             out["noise"] = cfg.noise.p_depol
+    if do is not None:
+        out["interventions"] = [asdict(iv) for iv in do]
     return out
 
 
 def report_to_dict(report: Report) -> dict:
-    out = run_header(report.model, report.config)
+    out = run_header(report.model, report.config, report.do or None)
     out["groups"] = []
     for g in report.groups:
         entry: dict = {"label": g.label, "effect": g.effect}

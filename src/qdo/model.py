@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -384,16 +384,22 @@ def apply_do(model: CausalModel, iv: Intervention) -> CausalModel:
 #
 # Angles are radians. Unknown fields are rejected. This reader checks only
 # that shape; ``validate`` judges the values, as for a model built in Python.
+# A variable or edge record's keys are the fields of ``Variable`` or ``Edge``,
+# in field order: ``model_from_dict`` requires exactly those and
+# ``model_to_dict`` writes them, both from the two tuples below.
+
+_VARIABLE_KEYS = tuple(f.name for f in fields(Variable))
+_EDGE_KEYS = tuple(f.name for f in fields(Edge))
 
 
-def _require_keys(obj, keys: set[str], where: str) -> None:
+def _require_keys(obj, keys: tuple[str, ...], where: str) -> None:
     # Every field is required: unknown fields are reported first, then missing ones.
     if not isinstance(obj, dict):
         raise ModelError(f"{where}: expected an object")
-    unknown = set(obj) - keys
+    unknown = obj.keys() - keys
     if unknown:
         raise ModelError(f"{where}: unknown field(s) {', '.join(sorted(unknown))}")
-    missing = keys - set(obj)
+    missing = set(keys) - obj.keys()
     if missing:
         raise ModelError(f"{where}: missing field(s) {', '.join(sorted(missing))}")
 
@@ -410,7 +416,7 @@ def _prep_from_json(value, where: str) -> Prep:
     if value == "uniform":
         return UNIFORM
     if isinstance(value, dict):
-        _require_keys(value, {"rotation"}, where)
+        _require_keys(value, ("rotation",), where)
         return Prep.rotation(_angle_from_json(value["rotation"]))
     raise ModelError(f'{where}: expected "ground", "uniform" or {{"rotation": angle}}, got {value!r}')
 
@@ -427,46 +433,36 @@ def model_from_dict(data: dict) -> CausalModel:
     """
     if not isinstance(data, dict):
         raise ModelError(f"model: expected an object, got {type(data).__name__}")
-    _require_keys(data, {"name", "variables", "edges"}, "model")
+    _require_keys(data, ("name", "variables", "edges"), "model")
     if not isinstance(data["variables"], list) or not isinstance(data["edges"], list):
         raise ModelError("model.variables and model.edges: expected arrays")
 
     variables = []
     for i, v in enumerate(data["variables"]):
         where = f"variables[{i}]"
-        _require_keys(v, {"name", "qubit", "prep"}, where)
-        variables.append(Variable(v["name"], v["qubit"], _prep_from_json(v["prep"], f"{where}.prep")))
+        _require_keys(v, _VARIABLE_KEYS, where)
+        variables.append(Variable(**{**v, "prep": _prep_from_json(v["prep"], f"{where}.prep")}))
 
     edges = []
     for i, e in enumerate(data["edges"]):
-        _require_keys(e, {"parent", "child", "control_value", "angle", "sign"}, f"edges[{i}]")
-        edges.append(Edge(e["parent"], e["child"], e["control_value"], _angle_from_json(e["angle"]), e["sign"]))
+        _require_keys(e, _EDGE_KEYS, f"edges[{i}]")
+        edges.append(Edge(**{**e, "angle": _angle_from_json(e["angle"])}))
     return CausalModel(data["name"], tuple(variables), tuple(edges))
 
 
 def model_to_dict(model: CausalModel) -> dict:
     if model.interventions:
         raise ModelError("the model file format holds observational models only")
+
+    def prep(p: Prep) -> str | dict:
+        return p.kind if p.kind != "rotation" else {"rotation": p.angle}
+
     return {
         "name": model.name,
         "variables": [
-            {
-                "name": v.name,
-                "qubit": v.qubit,
-                "prep": v.prep.kind if v.prep.kind != "rotation" else {"rotation": v.prep.angle},
-            }
-            for v in model.variables
+            {**{k: getattr(v, k) for k in _VARIABLE_KEYS}, "prep": prep(v.prep)} for v in model.variables
         ],
-        "edges": [
-            {
-                "parent": e.parent,
-                "child": e.child,
-                "control_value": e.control_value,
-                "angle": e.angle,
-                "sign": e.sign,
-            }
-            for e in model.edges
-        ],
+        "edges": [{k: getattr(e, k) for k in _EDGE_KEYS} for e in model.edges],
     }
 
 

@@ -204,6 +204,30 @@ class TestRunCommand:
         report = run_experiment(model, treatment, outcome, [causal_group()], RunConfig(), do=[iv])
         assert report.circuits == tuple(surgered_circuit(cut, Intervention(treatment, v)) for v in (1, 0))
 
+    @pytest.mark.parametrize("backend", [
+        ("--backend", "exact"),
+        ("--backend", "sampled", "--shots", "300", "--trials", "2", "--seed", "5", "--noise", "0.02"),
+    ], ids=["exact", "noisy"])
+    def test_effect_report_lists_its_do_after_the_header(self, tmp_path, capsys, backend):
+        # The report says which do() produced it, where distribution mode's
+        # payload does, and stays a chart input.
+        report, svg = tmp_path / "report.json", tmp_path / "chart.svg"
+        assert run_cli("run", str(MODELS / "healthcare10.json"), "--do", "Age=1", "--do", "Region=0",
+                       "--effect", "--treatment", "Treatment", "--outcome", "Outcome", *backend,
+                       "--json", str(report)) == 0
+        data = json.loads(report.read_text())
+        header = ["model", "backend"] + (["shots", "trials", "seed", "noise"] if "sampled" in backend else [])
+        assert list(data) == [*header, "interventions", "groups"]
+        assert data["interventions"] == [{"variable": "Age", "value": 1}, {"variable": "Region", "value": 0}]
+        assert run_cli("chart", str(report), "--svg", str(svg)) == 0
+        assert svg.read_text().count("<rect") == 3
+
+    def test_effect_report_without_do_lists_no_interventions(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert run_cli("run", str(MODELS / "simpson3.json"), "--effect", "--treatment", "T",
+                       "--outcome", "O", "--json", str(report)) == 0
+        assert list(json.loads(report.read_text())) == ["model", "backend", "groups"]
+
     def test_do_cases_include_do_models_that_reorder_the_compile(self):
         # Graph surgery re-peels the compile order of some do-models, so that
         # even its gates other than the X come in another order: the cases

@@ -256,6 +256,22 @@ class TestNoise:
         with pytest.raises(ValueError, match=f"^p_depol must be in \\[0, 1\\], got {re.escape(repr(p))}$"):
             NoiseSpec(p)
 
+    # A bare probability is not a NoiseSpec: it used to fail later with an
+    # AttributeError on .p_depol.
+    @pytest.mark.parametrize("noise", [0.02, "0.1", True], ids=["float", "str", "bool"])
+    @pytest.mark.parametrize("entry", ["run_sampled", "noisy_counts"])
+    def test_noise_that_is_not_a_noise_spec_is_refused(self, simpson3_entry, entry, noise):
+        circ = compile_model(simpson3_entry.model)
+        with pytest.raises(ValueError, match=f"^noise must be None or a NoiseSpec, got {re.escape(repr(noise))}$"):
+            if entry == "run_sampled":
+                run_sampled(circ, 10, 1, noise)
+            else:
+                engine.noisy_counts(circ, 10, (1,), noise)
+
+    def test_noisy_counts_refuses_no_noise(self, simpson3_entry):
+        with pytest.raises(ValueError, match=re.escape("noisy_counts needs p_depol > 0")):
+            engine.noisy_counts(compile_model(simpson3_entry.model), 10, (1,), None)
+
     def test_ace_attenuates_with_noise(self, simpson3_entry):
         # |ACE| should be non-increasing in expectation as depolarization grows.
         means = []

@@ -78,6 +78,9 @@ class TestRunConfig:
             {"backend": "sampled", "trials": True},
             {"backend": "sampled", "seed": 1.5},
             {"backend": "sampled", "seed": True},
+            {"backend": "sampled", "noise": 0.02},
+            {"backend": "sampled", "noise": "0.1"},
+            {"backend": "sampled", "noise": True},
         ],
     )
     def test_bad_counts(self, kw):
@@ -224,10 +227,21 @@ class TestSerialization:
         report = run_experiment(simpson3_entry.model, "T", "O", simpson3_groups(), RunConfig())
         data = report_to_dict(report)
         assert data["model"] == "simpson3" and data["backend"] == "exact"
-        assert "shots" not in data and "trials" not in data
+        assert "shots" not in data and "trials" not in data and "interventions" not in data
         for g in data["groups"]:
             assert set(g) <= {"label", "effect", "ci", "per_trial", "strata"}
             assert "ci" not in g
+
+    def test_report_keeps_the_runs_do_and_lists_it_after_the_header(self, healthcare10_entry):
+        do = [Intervention("Age", 1), Intervention("Region", 0)]
+        cfg = RunConfig(backend="sampled", shots=200, trials=2, seed=4)
+        report = run_experiment(healthcare10_entry.model, "Treatment", "Outcome", [causal_group()], cfg, do)
+        assert report.do == tuple(do)
+        data = report_to_dict(report)
+        assert list(data) == ["model", "backend", "shots", "trials", "seed", "interventions", "groups"]
+        assert data["interventions"] == [{"variable": "Age", "value": 1}, {"variable": "Region", "value": 0}]
+        bare = run_experiment(healthcare10_entry.model, "Treatment", "Outcome", [causal_group()], cfg)
+        assert bare.do == () and "interventions" not in report_to_dict(bare)
 
     def test_json_schema_sampled(self, simpson3_entry):
         cfg = RunConfig(backend="sampled", shots=1500, trials=3, seed=2, noise=NoiseSpec(0.01))
@@ -590,7 +604,10 @@ class TestRoles:
         ("O", [causal_group(), stratified_group("O")], "group 'Stratified by O' stratifies on the outcome 'O'"),
         ("O", [subgroup("T", 1)], "group 'Observational, T=1' stratifies on the treatment 'T'"),
         ("O", [subgroup("O", 0)], "group 'Observational, O=0' stratifies on the outcome 'O'"),
-    ], ids=["outcome-is-treatment", "adjust-treatment", "adjust-outcome", "given-treatment", "given-outcome"])
+        # A report with no row has no table: format_report_table would fail on it.
+        ("O", [], "a run needs at least one group"),
+    ], ids=["outcome-is-treatment", "adjust-treatment", "adjust-outcome", "given-treatment", "given-outcome",
+            "no-groups"])
     @pytest.mark.parametrize("backend", ["exact", "sampled"])
     def test_refused_before_compiling(self, simpson3_entry, monkeypatch, outcome, groups, message, backend):
         compiled = []

@@ -14,8 +14,10 @@ So are those of two noisy reports whose trials share trajectory batches,
 recorded while every trial still ran its own batches, and of two noisy
 distribution-mode runs that cross a batch boundary, recorded while full
 batches still ran in a loop of their own. Two ``qdo run --do ... --effect``
-reports are kept too, recorded while such a run still compiled the
-graph-surgered model and cut only its do-rows from the circuit.
+reports are kept too: their stdout was recorded while such a run still
+compiled the graph-surgered model and cut only its do-rows from the circuit,
+and their JSON once the report listed its ``interventions`` after the run
+header, as distribution mode's payload does.
 """
 
 import hashlib
@@ -109,16 +111,17 @@ NOISY_REPORTS = {
 
 
 # Backend argv of a healthcare10 effect run under --do Age=1: sha256 of stdout
-# and of the --json report. The run's circuit and its do-rows both come from
-# circuit surgery on the compiled model file.
+# and of the --json report, whose interventions list do(Age=1). The run's
+# circuit and its do-rows both come from circuit surgery on the compiled model
+# file.
 DO_EFFECT_REPORTS = {
     ("--backend", "exact"): (
         "d67fa2e4d61cc4b010babf542549c865073d9bdcc2d3db8e0e37f9234826c552",
-        "c3bc95abe4b96b5c8117b39b232bc3d4ea553ac2ebc2d005331a236ae3fd5023",
+        "bcf765966225a59c5d21182d6115599009f1ff66cd2859663c4b4064bd1d726b",
     ),
     ("--backend", "sampled", "--noise", "0.05", "--shots", "500", "--trials", "2", "--seed", "3"): (
         "9259d7f86668b33045cf27a49e321ee9956f9225471d913b4ce7a88b9716cd03",
-        "2c91db8de782c20101ff128f50c0185bbe1e22814e07a12ed955b5fe09d8d7c5",
+        "f4020ab9de3c7779e163bfdd1fa798fd16337200abaf9d63799de093a4da7e28",
     ),
 }
 
