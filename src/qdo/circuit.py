@@ -30,9 +30,27 @@ from numbers import Integral
 from .model import CausalModel, Intervention, ModelError, is_bit, topological_order
 
 
+# Each gate kind's ``format_circuit`` line; the one list of kinds. A kind
+# carries the fields its line prints and no others (``_check_gate``).
+_KINDS = {
+    "h": "H q{g.target}",
+    "x": "X q{g.target}",
+    "ry": "RY q{g.target} {g.theta:.6f}",
+    "cry": "CRY q{g.control}={g.control_value} q{g.target} {g.theta:.6f}",
+}
+
+
 @dataclass(frozen=True)
 class Gate:
-    kind: str  # "h" | "x" | "ry" | "cry"
+    """One gate; each kind carries only its own fields (``_check_gate``).
+
+    Every kind has a ``target``. An H or an X carries nothing else: its
+    ``theta`` stays 0.0. An RY carries a finite ``theta``. A CRY also
+    carries its ``control`` qubit and the ``control_value`` (0 or 1) the
+    rotation waits for; on any other kind both stay None.
+    """
+
+    kind: str  # a key of _KINDS
     target: int
     theta: float = 0.0
     control: int | None = None
@@ -100,16 +118,20 @@ def _is_index(i, n: int) -> bool:
 
 
 def _check_gate(g: Gate, n: int) -> None:
-    if g.kind not in ("h", "x", "ry", "cry"):
+    if not isinstance(g.kind, str) or g.kind not in _KINDS:
         raise ValueError(f"unknown gate kind {g.kind!r}")
-    if not _is_index(g.target, n) or g.kind == "cry" and not _is_index(g.control, n):
+    cry = g.kind == "cry"
+    if not _is_index(g.target, n) or cry and not _is_index(g.control, n):
         raise ValueError(f"qubit index out of range in gate {g!r} (circuit has {n} qubits)")
-    if g.kind == "cry":
-        if g.control == g.target:
-            raise ValueError(f"control equals target in gate {g!r}")
-        if not _is_index(g.control_value, 2):
-            raise ValueError(f"control_value must be 0 or 1 in gate {g!r}")
-    if g.kind in ("ry", "cry") and not math.isfinite(g.theta):
+    if not cry and (g.control is not None or g.control_value is not None):
+        raise ValueError(f"only a CRY takes a control, got {g!r}")
+    if cry and g.control == g.target:
+        raise ValueError(f"control equals target in gate {g!r}")
+    if cry and not _is_index(g.control_value, 2):
+        raise ValueError(f"control_value must be 0 or 1 in gate {g!r}")
+    if "{g.theta" not in _KINDS[g.kind] and g.theta != 0.0:  # an H or an X
+        raise ValueError(f"an H or X takes no angle, got {g!r}")
+    if not math.isfinite(g.theta):
         raise ValueError(f"non-finite rotation angle in gate {g!r}")
 
 
@@ -185,16 +207,8 @@ def format_circuit(circ: Circuit, expanded: bool = False) -> str:
     """
     lines = [f"qubits {circ.n_qubits}"]
     for g in circ.gates:
-        if g.kind == "h":
-            lines.append(f"H q{g.target}")
-        elif g.kind == "x":
-            lines.append(f"X q{g.target}")
-        elif g.kind == "ry":
-            lines.append(f"RY q{g.target} {g.theta:.6f}")
-        elif expanded and g.control_value == 0:
-            lines.append(f"X q{g.control}")
-            lines.append(f"CRY q{g.control}=1 q{g.target} {g.theta:.6f}")
-            lines.append(f"X q{g.control}")
+        if expanded and g.control_value == 0:
+            lines += [f"X q{g.control}", f"CRY q{g.control}=1 q{g.target} {g.theta:.6f}", f"X q{g.control}"]
         else:
-            lines.append(f"CRY q{g.control}={g.control_value} q{g.target} {g.theta:.6f}")
+            lines.append(_KINDS[g.kind].format(g=g))
     return "\n".join(lines) + "\n"

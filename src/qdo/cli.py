@@ -189,8 +189,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.effect:
         if not args.treatment or not args.outcome:
             raise ModelError("--effect requires --treatment and --outcome")
-        model.variable(args.treatment)
-        model.variable(args.outcome)
         groups = [observational_group(), *map(stratified_group, args.stratify or ()), causal_group()]
         return _run_effects(args, cfg, model, args.treatment, args.outcome, groups,
                             f"effects: {model.name}", do=do)

@@ -261,21 +261,20 @@ def _apply_cry(states: np.ndarray, control: int, control_value: int, target: int
 
 
 def _fork(
-    buf: np.ndarray, owner: np.ndarray, held: np.ndarray, live: int, hit: np.ndarray, paulis: np.ndarray | None,
-    qubit: int,
+    buf: np.ndarray, owner: np.ndarray, held: np.ndarray, live: int, hit: np.ndarray, paulis: np.ndarray, qubit: int,
 ) -> int:
     # Move each hit row to a slot holding its old slot's state times its Pauli
-    # (0 = X, 1 = Y up to its global phase i, 2 = Z; None: every hit is an X);
-    # hit rows with the same key (Pauli, old slot) share one slot. held[s]
-    # counts the rows of slot s. Every key's state is read before any slot is
-    # written, so a slot that lost every row can take any key: the freed
-    # slots take the first keys, the rest go onto the end, and buf[:live]
-    # stays dense. Returns the new live count.
+    # (0 = X, 1 = Y up to its global phase i, 2 = Z); hit rows with the same
+    # key (Pauli, old slot) share one slot. held[s] counts the rows of slot s.
+    # Every key's state is read before any slot is written, so a slot that
+    # lost every row can take any key: the freed slots take the first keys,
+    # the rest go onto the end, and buf[:live] stays dense. Returns the new
+    # live count.
     old = owner[hit]
-    key = old if paulis is None else paulis * live + old
+    key = paulis * live + old
     per_key = np.bincount(key, minlength=3 * live)
     keys = per_key.nonzero()[0]  # sorted, as np.unique(key) would give: X, then Y, then Z
-    held[:live] -= per_key[:live] if paulis is None else np.bincount(old, minlength=live)
+    held[:live] -= np.bincount(old, minlength=live)
     freed = (held[:live] == 0).nonzero()[0]  # a freed slot had rows, so keys.size >= freed.size
     grown = live + keys.size - freed.size
     dest = np.concatenate((freed, np.arange(live, grown))) if freed.size else np.arange(live, grown)
@@ -344,8 +343,7 @@ def _plan(circ: Circuit, *, fold: bool) -> tuple[list[tuple], tuple[int, ...] | 
             if value[c] != g.control_value:
                 continue
             c = None
-        kind = g.kind
-        mat = _H if kind == "h" else _X if kind == "x" else _ry_matrix(g.theta)
+        mat = _H if g.kind == "h" else _X if g.kind == "x" else _ry_matrix(g.theta)
         if c is not None and c not in position:
             position[c] = len(position)
         fresh = t not in position
@@ -545,18 +543,16 @@ def noisy_counts(
     return counts
 
 
-def _draw_hits(rngs: Sequence[np.random.Generator], rows: int, p_depol: float) -> tuple[np.ndarray, np.ndarray] | None:
+def _draw_hits(rngs: Sequence[np.random.Generator], rows: int, p_depol: float) -> tuple[np.ndarray, np.ndarray]:
     # The rows a Pauli hits and each hit's Pauli, drawn trial by trial, trial
-    # t's rows offset by t * rows; None when nothing is hit.
+    # t's rows offset by t * rows. A trial nothing hits draws no Pauli:
+    # ``integers`` of size 0 leaves its generator's stream where it was.
     hits, paulis = [], []
     for t, rng in enumerate(rngs):
         hit = (rng.random(rows) < p_depol).nonzero()[0]
-        if hit.size:
-            hits.append(hit + t * rows)
-            paulis.append(rng.integers(0, 3, size=hit.size))
-    if len(hits) > 1:
-        return np.concatenate(hits), np.concatenate(paulis)
-    return (hits[0], paulis[0]) if hits else None
+        hits.append(hit + t * rows)
+        paulis.append(rng.integers(0, 3, size=hit.size))
+    return np.concatenate(hits), np.concatenate(paulis)
 
 
 def _trajectory_counts(plan: tuple, rows: int, p_depol: float, rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -582,14 +578,12 @@ def _trajectory_counts(plan: tuple, rows: int, p_depol: float, rngs: Sequence[np
             filled = width
         _apply_gate(buf[:live, :width], pos, mat, control_value, fresh)
         for q, quiet in zip(pos, settled):
-            drawn = _draw_hits(rngs, rows, p_depol)
-            if drawn is None:
-                continue
-            hit, paulis = drawn
+            hit, paulis = _draw_hits(rngs, rows, p_depol)
             if quiet:
-                # Z on a settled qubit changes no square, and Y is X times Z.
+                # Z on a settled qubit changes no square, and Y is X times Z,
+                # so its kept hits fork as X (0).
                 hit = hit[paulis != 2]
-                paulis = None
+                paulis = np.zeros_like(hit)
             if hit.size:
                 live = _fork(buf[:, :width], owner, held, live, hit, paulis, q)
     cum = _read_out(buf[:live], axes, index, n, True)

@@ -49,7 +49,7 @@ from .analysis import (
 )
 from .circuit import Circuit, compile_model, surgered_circuit
 from .engine import NoiseSpec, check_noise, check_seed, check_shots, draw_counts, noisy_counts, run_exact
-from .model import CausalModel, Intervention, ModelError, _show
+from .model import CausalModel, Intervention, ModelError, _show, is_bit
 
 # A sampled run estimates its trials in chunks whose per-circuit (chunk, 2^n)
 # int64 count stack holds at most _CHUNK_BYTES (or one row, if a row is
@@ -98,7 +98,8 @@ class Group:
     A do-group is the interventional effect P(outcome=1 | do(treatment=1)) -
     P(outcome=1 | do(treatment=0)); any other group is the back-door
     adjustment over ``adjust`` within the ``given`` cell (see
-    ``analysis.adjusted_effect``).
+    ``analysis.adjusted_effect``). A do-group sets neither, and the groups
+    of one run have distinct labels (``run_experiment`` refuses the rest).
     """
 
     label: str
@@ -178,20 +179,35 @@ def run_experiment(
     noisy run evolves a chunk's trials together with ``noisy_counts``, each
     from its own stream, so trials with the same Pauli history share a state.
 
-    Raises ValueError, before anything is compiled, when there is no group,
-    the outcome is the treatment or a group adjusts for or conditions on
-    either of them, and ModelError when the model has interventions (pass
-    them as ``do``) or ``do`` forces the treatment.
+    Raises, before anything is compiled: ModelError when the treatment, the
+    outcome or a name a group adjusts for or conditions on is not a variable
+    of the model; ValueError when there is no group, two groups share a
+    label, a do group sets ``adjust`` or ``given``, a ``given`` value is not
+    a bit (``model.is_bit``), the outcome is the treatment or a group adjusts
+    for or conditions on either of them. Raises ModelError when the model
+    has interventions (pass them as ``do``) or ``do`` forces the treatment.
     """
     if not groups:
         raise ValueError("a run needs at least one group")
+    model.variable(treatment)
+    model.variable(outcome)
     if outcome == treatment:
         raise ValueError(f"outcome {outcome!r} is also the treatment")
+    labels = set()
     for g in groups:
+        if g.label in labels:
+            raise ValueError(f"two groups are labeled {g.label!r}")
+        labels.add(g.label)
+        if g.do and (g.adjust or g.given):
+            raise ValueError(f"do group {g.label!r} sets adjust or given: a do row is the overall effect")
         for name in (*g.adjust, *(name for name, _ in g.given)):
+            model.variable(name)
             if name in (treatment, outcome):
                 role = "treatment" if name == treatment else "outcome"
                 raise ValueError(f"group {g.label!r} stratifies on the {role} {name!r}")
+        for name, value in g.given:
+            if not is_bit(value):
+                raise ValueError(f"group {g.label!r}: variable {name!r}: value must be 0 or 1, got {_show(value)}")
     if model.interventions:
         raise ModelError(f"model {model.name!r} is already intervened on: run its observational model with do=")
     base = reduce(surgered_circuit, do, compile_model(model))

@@ -51,6 +51,19 @@ class TestGateChecks:
         ((2, (Gate("ry", 0, theta=math.inf),)), "non-finite"),
         ((2, (_cry(0, 1, theta=math.nan),)), "non-finite"),
         ((2, (_cry(0, 1, theta=-math.inf),)), "non-finite"),
+        ((2, (Gate(["h"], 0),)), "unknown gate kind"),
+        ((2, (Gate("CRY", 0, theta=0.5, control=1, control_value=1),)), "unknown gate kind"),
+        # Only a CRY has a control. At the parent this circuit ran its X
+        # unconditionally exactly, controlled under noise, and printed "X q0".
+        ((2, (Gate("h", 1), Gate("x", 0, control=1, control_value=0))), "only a CRY takes a control"),
+        ((2, (Gate("x", 0, control=1),)), "only a CRY takes a control"),
+        ((2, (Gate("x", 0, control_value=1),)), "only a CRY takes a control"),
+        ((2, (Gate("h", 0, control=1, control_value=1),)), "only a CRY takes a control"),
+        ((2, (Gate("ry", 0, theta=0.5, control=1, control_value=1),)), "only a CRY takes a control"),
+        ((2, (Gate("ry", 0, theta=0.5, control_value=0),)), "only a CRY takes a control"),
+        ((2, (Gate("h", 0, theta=0.5),)), "an H or X takes no angle"),
+        ((2, (Gate("x", 0, theta=-1.0),)), "an H or X takes no angle"),
+        ((2, (Gate("x", 0, theta=math.nan),)), "an H or X takes no angle"),
         ((True, ()), "n_qubits"),
         ((-1, ()), "n_qubits"),
         ((1.5, ()), "n_qubits"),
@@ -64,7 +77,9 @@ class TestGateChecks:
         "unknown-kind", "target-high", "target-negative", "target-bool",
         "control-high", "control-none", "control-bool", "cry-target-high", "control-is-target",
         "control-value-none", "control-value-neg", "control-value-2", "control-value-bool",
-        "ry-nan", "ry-inf", "cry-nan", "cry-neg-inf",
+        "ry-nan", "ry-inf", "cry-nan", "cry-neg-inf", "kind-unhashable", "kind-upper-case",
+        "x-controlled", "x-control", "x-control-value", "h-control", "ry-control", "ry-control-value",
+        "h-theta", "x-theta", "x-nan",
         "n-qubits-bool", "n-qubits-negative", "n-qubits-float",
         "variables-short", "variables-repeated", "variables-long",
         "forced-unknown", "forced-repeated", "forced-unnamed",

@@ -113,6 +113,12 @@ class TestHealthcare10Command:
         err = capsys.readouterr().err
         assert err == "qdo: error: group 'Stratified by Treatment' stratifies on the treatment 'Treatment'\n"
 
+    def test_stratifier_given_twice_exits_2(self, capsys):
+        # Two rows with one label would print twice, and Report.group finds the first only.
+        assert run_cli("healthcare10", "--stratify", "Age", "--stratify", "Age") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "qdo: error: two groups are labeled 'Stratified by Age'\n" and captured.out == ""
+
 
 def _do_case(seed):
     """A model of 6-12 qubits, a do() on one variable, and a treatment and outcome among the others."""
@@ -268,7 +274,10 @@ class TestRunCommand:
         (["--outcome", "T"], "outcome 'T' is also the treatment"),
         (["--outcome", "O", "--stratify", "T"], "group 'Stratified by T' stratifies on the treatment 'T'"),
         (["--outcome", "O", "--stratify", "O"], "group 'Stratified by O' stratifies on the outcome 'O'"),
-    ], ids=["outcome-is-treatment", "stratify-by-treatment", "stratify-by-outcome"])
+        (["--outcome", "Nope"], "unknown variable 'Nope' in model 'simpson3'"),
+        (["--outcome", "O", "--stratify", "Nope"], "unknown variable 'Nope' in model 'simpson3'"),
+    ], ids=["outcome-is-treatment", "stratify-by-treatment", "stratify-by-outcome", "unknown-outcome",
+            "unknown-stratifier"])
     def test_meaningless_roles_exit_2(self, tmp_path, capsys, roles, message):
         out = tmp_path / "report.json"
         code = run_cli("run", str(MODELS / "simpson3.json"), "--treatment", "T", *roles, "--effect",

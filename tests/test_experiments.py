@@ -28,6 +28,7 @@ from qdo.experiments import (
     DO0,
     DO1,
     OBS,
+    Group,
     Report,
     RunConfig,
     causal_group,
@@ -606,8 +607,21 @@ class TestRoles:
         ("O", [subgroup("O", 0)], "group 'Observational, O=0' stratifies on the outcome 'O'"),
         # A report with no row has no table: format_report_table would fail on it.
         ("O", [], "a run needs at least one group"),
+        # Two rows with one label: Report.group would find the first only.
+        ("O", [stratified_group("G"), stratified_group("G")], "two groups are labeled 'Stratified by G'"),
+        ("O", [causal_group(), causal_group()], "two groups are labeled 'Causal, Overall (do)'"),
+        # A do row is the overall effect: it would ignore its cell or adjustment set.
+        ("O", [Group("y", given=(("G", 1),), do=True)],
+         "do group 'y' sets adjust or given: a do row is the overall effect"),
+        ("O", [Group("y", adjust=("G",), do=True)], "do group 'y' sets adjust or given: a do row is the overall effect"),
+        ("O", [subgroup("G", 2)], "group 'Observational, G=2': variable 'G': value must be 0 or 1, got 2"),
+        ("O", [subgroup("G", True)], "group 'Observational, G=True': variable 'G': value must be 0 or 1, got True"),
+        ("Nope", [observational_group()], "unknown variable 'Nope' in model 'simpson3'"),
+        ("O", [stratified_group("Nope")], "unknown variable 'Nope' in model 'simpson3'"),
+        ("O", [subgroup("Nope", 1)], "unknown variable 'Nope' in model 'simpson3'"),
     ], ids=["outcome-is-treatment", "adjust-treatment", "adjust-outcome", "given-treatment", "given-outcome",
-            "no-groups"])
+            "no-groups", "same-label", "same-do-label", "do-given", "do-adjust", "given-2", "given-bool",
+            "unknown-outcome", "unknown-adjust", "unknown-given"])
     @pytest.mark.parametrize("backend", ["exact", "sampled"])
     def test_refused_before_compiling(self, simpson3_entry, monkeypatch, outcome, groups, message, backend):
         compiled = []
@@ -663,10 +677,13 @@ class TestCircuitSurgery:
         with pytest.raises(ModelError, match="^treatment 'T' is already intervened on$"):
             run_experiment(simpson3_entry.model, "T", "O", [causal_group()], RunConfig(), do=[Intervention("T", 1)])
 
-    def test_unknown_treatment_is_a_model_error(self, simpson3_entry):
-        # Circuit surgery refuses it as graph surgery did, with ModelError.
-        with pytest.raises(ModelError, match="'Z' is not one of this circuit's variables"):
+    def test_unknown_treatment_is_a_model_error(self, simpson3_entry, monkeypatch):
+        # The model refuses it before anything is compiled, as graph surgery did, with ModelError.
+        compiled = []
+        monkeypatch.setattr(experiments, "compile_model", compiled.append)
+        with pytest.raises(ModelError, match="^unknown variable 'Z' in model 'simpson3'$"):
             run_experiment(simpson3_entry.model, "Z", "O", [causal_group()], RunConfig())
+        assert compiled == []
 
     @pytest.mark.parametrize("seed", range(40))
     def test_do_circuits_are_surgered_observational_circuits(self, seed):
