@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
 
-from .model import CausalModel, Intervention, ModelError, is_bit, topological_order
+from .model import CausalModel, Intervention, ModelError, _as_float, is_bit, topological_order
 
 
 # Each gate kind's ``format_circuit`` line; the one list of kinds. A kind
@@ -131,7 +131,10 @@ def _check_gate(g: Gate, n: int) -> None:
         raise ValueError(f"control_value must be 0 or 1 in gate {g!r}")
     if "{g.theta" not in _KINDS[g.kind] and g.theta != 0.0:  # an H or an X
         raise ValueError(f"an H or X takes no angle, got {g!r}")
-    if not math.isfinite(g.theta):
+    theta = _as_float(g.theta)  # a model's angle rule: an int or a float, never a bool
+    if theta is None:
+        raise ValueError(f"rotation angle must be a number in gate {g!r}")
+    if not math.isfinite(theta):
         raise ValueError(f"non-finite rotation angle in gate {g!r}")
 
 

@@ -166,12 +166,15 @@ def _cmd_healthcare10(args: argparse.Namespace) -> int:
                         groups, "10-qubit treatment effects", bias=True)
 
 
-def _parse_do(specs: list[str] | None) -> list[Intervention]:
+def _parse_do(specs: list[str] | None, model: CausalModel) -> list[Intervention]:
+    # Names are checked against the model here, so both modes of ``qdo run``
+    # refuse an unknown one, before compiling, as ``run_experiment`` does.
     out = []
     for spec in specs or []:
         name, sep, bit = spec.partition("=")
         if not sep or bit not in ("0", "1") or not name:
             raise ModelError(f"--do expects VAR=0 or VAR=1, got {spec!r}")
+        model.variable(name)
         out.append(Intervention(name, int(bit)))
     return out
 
@@ -184,7 +187,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     cfg = _config_from_args(args)
     model = load_model(args.model_path)
-    do = _parse_do(args.do)
+    do = _parse_do(args.do, model)
 
     if args.effect:
         if not args.treatment or not args.outcome:

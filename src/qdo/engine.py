@@ -73,12 +73,11 @@ finds the slots a hit emptied without a pass over every row. A fork reads
 the state of every new slot before it writes any, so a slot whose shots were
 all hit is refilled by whichever new slot comes first; a shot's outcome
 depends on its slot's contents and its own draws, never on the slot's index.
-So the trials of a stack (``noisy_counts``) share batches: batch b of as
-many seeds as fit in ``trajectory_batch(n)`` rows runs in one buffer (a full
-batch holds one seed), each seed's rows drawing from its own generator in
-the order a batch of its own would (per step and touched qubit
-``random(rows)``, then ``integers`` on a hit; at the end ``u``), and the
-counts equal those of one-seed runs. The plan is made once per stack.
+A batch draws, per step and touched qubit, ``random(rows)`` and then
+``integers`` for the hit rows, and at the end one ``u`` per row. Each trial
+of a stack (``noisy_counts``) runs its own batches from its own generator,
+so its counts do not depend on the other trials; the plan is made once per
+stack.
 
 The batch buffer is allocated uninitialized and only its live slots are
 touched: before a step that widens the register the live slots' new entries
@@ -516,13 +515,10 @@ def noisy_counts(
 ) -> np.ndarray:
     """Noisy counts of ``shots`` trajectories per seed, as a (len(seeds), 2^n) int64 stack.
 
-    Row i equals ``run_sampled(circ, shots, seeds[i], noise).values``: each
-    seed's shots run in batches of up to ``trajectory_batch(n)`` rows, drawn
-    from that seed's generator in the same order. Batch b of every seed has
-    the same row count, and as many seeds' batches b as fit in
-    ``trajectory_batch(n)`` rows share one buffer, so trials with the same
-    Pauli history share a slot; a full batch is a group of one trial. The
-    circuit is planned once for all batches.
+    Row i equals ``run_sampled(circ, shots, seeds[i], noise).values``: seed
+    i's shots run in batches of up to ``trajectory_batch(n)`` rows, each drawn
+    from that seed's generator alone. The circuit is planned once for all
+    batches.
     """
     check_noise(noise)
     if noise is None or not noise.p_depol > 0.0:
@@ -534,43 +530,26 @@ def noisy_counts(
     check_state_size(n, len(rngs))
     plan = _plan(circ, fold=False)
     counts = np.zeros((len(rngs), 1 << n), dtype=np.int64)
-    for done in range(0, shots, max_batch):
-        rows = min(max_batch, shots - done)
-        merged = max_batch // rows
-        for first in range(0, len(rngs), merged):
-            group = slice(first, first + merged)
-            counts[group] += _trajectory_counts(plan, rows, noise.p_depol, rngs[group])
+    for row, rng in zip(counts, rngs):
+        for done in range(0, shots, max_batch):
+            row += _trajectory_counts(plan, min(max_batch, shots - done), noise.p_depol, rng)
     return counts
 
 
-def _draw_hits(rngs: Sequence[np.random.Generator], rows: int, p_depol: float) -> tuple[np.ndarray, np.ndarray]:
-    # The rows a Pauli hits and each hit's Pauli, drawn trial by trial, trial
-    # t's rows offset by t * rows. A trial nothing hits draws no Pauli:
-    # ``integers`` of size 0 leaves its generator's stream where it was.
-    hits, paulis = [], []
-    for t, rng in enumerate(rngs):
-        hit = (rng.random(rows) < p_depol).nonzero()[0]
-        hits.append(hit + t * rows)
-        paulis.append(rng.integers(0, 3, size=hit.size))
-    return np.concatenate(hits), np.concatenate(paulis)
-
-
-def _trajectory_counts(plan: tuple, rows: int, p_depol: float, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    # One noisy batch of ``rows`` shots per trial, trial t on rows
-    # [t*rows, (t+1)*rows) with generator rngs[t], over the steps of
+def _trajectory_counts(plan: tuple, rows: int, p_depol: float, rng: np.random.Generator) -> np.ndarray:
+    # One noisy batch of ``rows`` shots drawn from ``rng``, over the steps of
     # _plan(circ, fold=False). owner[r] is the slot of row r and held[s] the
     # number of rows slot s holds. buf is uninitialized: every entry of
     # buf[:live, :filled] is zeroed or written by a fork before it is read.
-    # Returns the (len(rngs), 2^n) counts.
+    # Returns the (2^n,) counts.
     steps, axes, k, index = plan
     n = len(index)
     dim = 1 << n
-    total = rows * len(rngs)
-    buf = np.empty((total, 1 << k))
+    buf = np.empty((rows, 1 << k))
     buf[0, 0] = 1.0
-    owner = np.zeros(total, dtype=np.intp)
-    held = np.zeros(total, dtype=np.intp)
-    held[0] = total
+    owner = np.zeros(rows, dtype=np.intp)
+    held = np.zeros(rows, dtype=np.intp)
+    held[0] = rows
     live = filled = 1
     for pos, mat, control_value, width, settled, fresh in steps:
         if width > filled:
@@ -578,7 +557,9 @@ def _trajectory_counts(plan: tuple, rows: int, p_depol: float, rngs: Sequence[np
             filled = width
         _apply_gate(buf[:live, :width], pos, mat, control_value, fresh)
         for q, quiet in zip(pos, settled):
-            hit, paulis = _draw_hits(rngs, rows, p_depol)
+            # With no row hit, ``integers`` of size 0 leaves the stream where it was.
+            hit = (rng.random(rows) < p_depol).nonzero()[0]
+            paulis = rng.integers(0, 3, size=hit.size)
             if quiet:
                 # Z on a settled qubit changes no square, and Y is X times Z,
                 # so its kept hits fork as X (0).
@@ -589,7 +570,7 @@ def _trajectory_counts(plan: tuple, rows: int, p_depol: float, rngs: Sequence[np
     cum = _read_out(buf[:live], axes, index, n, True)
     cum /= cum.sum(axis=1, keepdims=True)
     np.cumsum(cum, axis=1, out=cum)
-    u = np.concatenate([rng.random(rows) for rng in rngs])
+    u = rng.random(rows)
     # A row's outcome is the number of its slot's cumulative probabilities
     # below u, capped at dim - 1 (the cumsum never decreases): a binary search
     # on flat indices, one bit per step, that gathers one entry per row.
@@ -600,8 +581,7 @@ def _trajectory_counts(plan: tuple, rows: int, p_depol: float, rngs: Sequence[np
     while step:
         idx += step * (flat[idx + (step - 1)] < u)
         step >>= 1
-    idx += np.arange(total) // rows * dim - start  # trial t's outcomes count in row t
-    return np.bincount(idx, minlength=len(rngs) * dim).reshape(len(rngs), dim)
+    return np.bincount(idx - start, minlength=dim)
 
 
 def marginal(dist: Distribution, qubits) -> Distribution:

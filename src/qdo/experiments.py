@@ -12,7 +12,7 @@ check route, not a run route.
 
 Trials are stacked, not looped: each circuit's trials fill a (trials, 2^n)
 array, one row per trial (noiseless rows are drawn from one exact run,
-noisy rows come from one ``noisy_counts`` call, whose trials share
+noisy rows come from one ``noisy_counts`` call, each trial's from its own
 trajectory batches), and every group is estimated once
 over the stack by ``analysis``' estimators. A stack holds at most
 ``_CHUNK_BYTES`` of counts (at least one row); more trials run as several
@@ -176,16 +176,17 @@ def run_experiment(
     by chunk, and reports each group's row as ``aggregate_trials`` builds it
     from the per-trial estimates. A noiseless sampled run computes
     each circuit's exact distribution once and draws every trial from it; a
-    noisy run evolves a chunk's trials together with ``noisy_counts``, each
-    from its own stream, so trials with the same Pauli history share a state.
+    noisy run takes a chunk's trials from one ``noisy_counts`` call, each
+    trial from its own stream.
 
     Raises, before anything is compiled: ModelError when the treatment, the
-    outcome or a name a group adjusts for or conditions on is not a variable
-    of the model; ValueError when there is no group, two groups share a
-    label, a do group sets ``adjust`` or ``given``, a ``given`` value is not
-    a bit (``model.is_bit``), the outcome is the treatment or a group adjusts
-    for or conditions on either of them. Raises ModelError when the model
-    has interventions (pass them as ``do``) or ``do`` forces the treatment.
+    outcome, a name a group adjusts for or conditions on or a ``do`` name is
+    not a variable of the model; ValueError when there is no group, two
+    groups share a label, a do group sets ``adjust`` or ``given``, a
+    ``given`` or ``do`` value is not a bit (``model.is_bit``), the outcome is
+    the treatment or a group adjusts for or conditions on either of them.
+    Raises ModelError when the model has interventions (pass them as ``do``)
+    or ``do`` forces the treatment.
     """
     if not groups:
         raise ValueError("a run needs at least one group")
@@ -208,6 +209,11 @@ def run_experiment(
         for name, value in g.given:
             if not is_bit(value):
                 raise ValueError(f"group {g.label!r}: variable {name!r}: value must be 0 or 1, got {_show(value)}")
+    do = tuple(do)  # read three times: checked, cut and reported
+    for iv in do:
+        model.variable(iv.variable)
+        if not is_bit(iv.value):
+            raise ValueError(f"intervention value must be 0 or 1, got {_show(iv.value)}")
     if model.interventions:
         raise ModelError(f"model {model.name!r} is already intervened on: run its observational model with do=")
     base = reduce(surgered_circuit, do, compile_model(model))
@@ -250,7 +256,7 @@ def run_experiment(
             reports.append(aggregate_trials(g.label, effect.tolist(), means))
         else:
             reports.append(EffectReport(g.label, float(effect[0]), strata=means))
-    return Report(model.name, cfg, tuple(reports), tuple(do), tuple(circuits.values()))
+    return Report(model.name, cfg, tuple(reports), do, tuple(circuits.values()))
 
 
 def causal_effect(

@@ -51,6 +51,13 @@ class TestGateChecks:
         ((2, (Gate("ry", 0, theta=math.inf),)), "non-finite"),
         ((2, (_cry(0, 1, theta=math.nan),)), "non-finite"),
         ((2, (_cry(0, 1, theta=-math.inf),)), "non-finite"),
+        # A model's angle rule (model._as_float): an int or a float, never a bool.
+        ((2, (Gate("ry", 0, theta=True),)), "rotation angle must be a number"),
+        ((2, (_cry(0, 1, theta=False),)), "rotation angle must be a number"),
+        ((2, (Gate("ry", 0, theta="a"),)), "rotation angle must be a number"),
+        ((2, (Gate("ry", 0, theta=None),)), "rotation angle must be a number"),
+        ((2, (Gate("ry", 0, theta=[1]),)), "rotation angle must be a number"),
+        ((2, (Gate("ry", 0, theta=10 ** 400),)), "non-finite"),
         ((2, (Gate(["h"], 0),)), "unknown gate kind"),
         ((2, (Gate("CRY", 0, theta=0.5, control=1, control_value=1),)), "unknown gate kind"),
         # Only a CRY has a control. At the parent this circuit ran its X
@@ -77,7 +84,8 @@ class TestGateChecks:
         "unknown-kind", "target-high", "target-negative", "target-bool",
         "control-high", "control-none", "control-bool", "cry-target-high", "control-is-target",
         "control-value-none", "control-value-neg", "control-value-2", "control-value-bool",
-        "ry-nan", "ry-inf", "cry-nan", "cry-neg-inf", "kind-unhashable", "kind-upper-case",
+        "ry-nan", "ry-inf", "cry-nan", "cry-neg-inf",
+        "ry-bool", "cry-bool", "ry-str", "ry-none", "ry-list", "ry-huge-int", "kind-unhashable", "kind-upper-case",
         "x-controlled", "x-control", "x-control-value", "h-control", "ry-control", "ry-control-value",
         "h-theta", "x-theta", "x-nan",
         "n-qubits-bool", "n-qubits-negative", "n-qubits-float",

@@ -182,11 +182,12 @@ class TestRunCommand:
         assert run_cli("run", str(MODELS / "simpson3.json"), "--do", "G=2") == 2
 
     @pytest.mark.parametrize("specs, message", [
-        (["Z=1"], "variable 'Z' is not one of this circuit's variables ('G', 'T', 'O')"),
+        (["Z=1"], "unknown variable 'Z' in model 'simpson3'"),
         (["G=1", "G=0"], "variable 'G' is already forced in this circuit"),
     ], ids=["unknown-variable", "forced-twice"])
     def test_do_on_invalid_target_exits_2(self, capsys, specs, message):
-        # Circuit surgery refuses these do()s, in both modes of ``qdo run``.
+        # Both modes of ``qdo run`` refuse these do()s with one message: an
+        # unknown name before compiling, a second do() on G in circuit surgery.
         argv = ["run", str(MODELS / "simpson3.json")]
         for spec in specs:
             argv += ["--do", spec]

@@ -90,7 +90,7 @@ def test_report_rows(work):
 
 
 def test_noisy_trials_sharing_batches_write_the_same_bytes(work):
-    # 2500 shots cross a batch boundary, and the three trials' 452-shot tails share one batch.
+    # 2500 shots cross a batch boundary, and each trial runs its own 452-shot tail.
     twice(work, "merged", "healthcare10", "--backend", "sampled", "--noise", "0.02", "--shots", "2500",
           "--trials", "3", "--stratify", "Age")
 

@@ -511,14 +511,14 @@ class TestSharedHistories:
 
     def test_z_hits_on_a_settled_qubit_fork_nothing(self, forks, noisy_circuit):
         hits = _hit_positions(noisy_circuit)
-        counts = engine._trajectory_counts(engine._plan(noisy_circuit, fold=False), 6, 1.0, [_ScriptedRng([2])])[0]
+        counts = engine._trajectory_counts(engine._plan(noisy_circuit, fold=False), 6, 1.0, _ScriptedRng([2]))
         assert counts.sum() == 6
         assert [pos for pos, *_ in forks] == [pos for pos, settled in hits if not settled]
         assert 0 < len(forks) < len(hits)
 
     def test_x_and_y_hits_from_one_slot_share_a_slot(self, forks, noisy_circuit):
         rows = np.arange(9)
-        engine._trajectory_counts(engine._plan(noisy_circuit, fold=False), rows.size, 1.0, [_ScriptedRng([0, 1, 2])])
+        engine._trajectory_counts(engine._plan(noisy_circuit, fold=False), rows.size, 1.0, _ScriptedRng([0, 1, 2]))
         hits = _hit_positions(noisy_circuit)
         assert [pos for pos, *_ in forks] == [pos for pos, _ in hits]
         settled = [call for call, (_, quiet) in zip(forks, hits) if quiet]
@@ -530,7 +530,7 @@ class TestSharedHistories:
 
     def test_unsettled_positions_fork_every_pauli(self, forks, noisy_circuit):
         rows = np.arange(9)
-        engine._trajectory_counts(engine._plan(noisy_circuit, fold=False), rows.size, 1.0, [_ScriptedRng([0, 1, 2])])
+        engine._trajectory_counts(engine._plan(noisy_circuit, fold=False), rows.size, 1.0, _ScriptedRng([0, 1, 2]))
         unsettled = [call for call, (_, quiet) in zip(forks, _hit_positions(noisy_circuit)) if not quiet]
         assert unsettled
         for _, hit, paulis, before, after, _ in unsettled:

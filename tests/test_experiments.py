@@ -545,34 +545,34 @@ class TestTrialChunks:
 
 
 class TestNoisyBatches:
-    """A noisy run's trials share trajectory batches, and no batch outgrows ``trajectory_batch(n)`` rows."""
+    """Each trial of a noisy run runs its own trajectory batches, none over ``trajectory_batch(n)`` rows."""
 
     @pytest.fixture
     def batches(self, monkeypatch):
-        """(rows per trial, trials) of every trajectory batch; each is checked against the bound."""
+        """The rows of every trajectory batch; each gets one generator and at most the bound."""
         sizes = []
         trajectory_counts = engine._trajectory_counts
 
-        def spy(plan, rows, p_depol, rngs):
-            n_qubits = len(plan[3])
-            assert rows * len(rngs) <= engine.trajectory_batch(n_qubits)
-            sizes.append((rows, len(rngs)))
-            return trajectory_counts(plan, rows, p_depol, rngs)
+        def spy(plan, rows, p_depol, rng):
+            assert isinstance(rng, np.random.Generator)
+            assert rows <= engine.trajectory_batch(len(plan[3]))
+            sizes.append(rows)
+            return trajectory_counts(plan, rows, p_depol, rng)
 
         monkeypatch.setattr(engine, "_trajectory_counts", spy)
         return sizes
 
     @pytest.mark.parametrize("shots, trials, rows, per_circuit", [
-        (1024, 8, None, [(1024, 2)] * 4),
-        (2500, 3, None, [(2048, 1)] * 3 + [(452, 3)]),
-        (700, 4, None, [(700, 2)] * 2),
-        (250, 5, 100, [(100, 1)] * 10 + [(50, 2), (50, 2), (50, 1)]),
-        (90, 3, 100, [(90, 1)] * 3),
+        (1024, 8, None, [1024] * 8),
+        (2500, 3, None, [2048, 452] * 3),
+        (700, 4, None, [700] * 4),
+        (250, 5, 100, [100, 100, 50] * 5),
+        (90, 3, 100, [90] * 3),
     ], ids=["1024x8", "2500x3", "700x4", "250x5-small-budget", "90x3-small-budget"])
     def test_merging_never_makes_a_bigger_batch(self, batches, monkeypatch, simpson3_entry, shots, trials, rows,
                                                 per_circuit):
-        # Full batches run alone, each trial's in turn; the last batches of
-        # as many trials as fit in one batch share it.
+        # No two trials share a batch: each trial's full batches, then its
+        # tail, in trial order.
         if rows is not None:
             monkeypatch.setattr(engine, "MAX_STATE_BYTES", rows * (8 << simpson3_entry.model.n_qubits))
         cfg = RunConfig(backend="sampled", shots=shots, trials=trials, seed=4, noise=NoiseSpec(0.1))
@@ -580,20 +580,23 @@ class TestNoisyBatches:
         assert batches == per_circuit * 3
 
     def test_merged_trials_peak_like_one_full_batch(self, healthcare10_entry):
-        # Eight 1024-shot trials run as four 2048-row batches per circuit, as
-        # big as a 2048-shot trial's one. Gate temporaries and the read-out
-        # grow with the live slots, and the eight trials take the largest of
-        # four batches' live counts, so they may peak a few percent higher.
+        # Three 1024-shot trials run one batch at a time, so they peak like
+        # one trial; the live slots, and with them the gate temporaries,
+        # differ from trial to trial. A first run makes the allocations that
+        # happen once per process.
+        model = healthcare10_entry.model
+        groups = healthcare10_groups(("Age",))
+        runs = {t: RunConfig(backend="sampled", shots=1024, trials=t, seed=3, noise=NoiseSpec(0.02)) for t in (3, 1)}
+        run_experiment(model, "Treatment", "Outcome", groups, runs[1])
         peaks = {}
-        for shots, trials in ((1024, 8), (2048, 1)):
-            cfg = RunConfig(backend="sampled", shots=shots, trials=trials, seed=3, noise=NoiseSpec(0.02))
+        for trials, cfg in runs.items():
             tracemalloc.start()
             try:
-                run_experiment(healthcare10_entry.model, "Treatment", "Outcome", healthcare10_groups(("Age",)), cfg)
+                run_experiment(model, "Treatment", "Outcome", groups, cfg)
                 peaks[trials] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[8] <= 1.1 * peaks[1]
+        assert peaks[3] <= 1.05 * peaks[1]
 
 
 class TestRoles:
@@ -684,6 +687,24 @@ class TestCircuitSurgery:
         with pytest.raises(ModelError, match="^unknown variable 'Z' in model 'simpson3'$"):
             run_experiment(simpson3_entry.model, "Z", "O", [causal_group()], RunConfig())
         assert compiled == []
+
+    @pytest.mark.parametrize("iv, error, message", [
+        (Intervention("Z", 1), ModelError, "unknown variable 'Z' in model 'simpson3'"),
+        (Intervention("G", 2), ValueError, "intervention value must be 0 or 1, got 2"),
+        (Intervention("G", True), ValueError, "intervention value must be 0 or 1, got True"),
+        (Intervention("G", 1.0), ValueError, "intervention value must be 0 or 1, got 1.0"),
+    ], ids=["unknown-variable", "value-2", "value-bool", "value-float"])
+    def test_bad_do_refused_before_compiling(self, simpson3_entry, monkeypatch, iv, error, message):
+        compiled = []
+        monkeypatch.setattr(experiments, "compile_model", compiled.append)
+        with pytest.raises(error) as info:
+            run_experiment(simpson3_entry.model, "T", "O", [causal_group()], RunConfig(), do=[iv])
+        assert str(info.value) == message and compiled == []
+
+    def test_do_may_be_an_iterator(self, simpson3_entry):
+        args = (simpson3_entry.model, "T", "O", [causal_group()], RunConfig())
+        do = [Intervention("G", 1)]
+        assert run_experiment(*args, do=iter(do)) == run_experiment(*args, do=do)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_do_circuits_are_surgered_observational_circuits(self, seed):

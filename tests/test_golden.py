@@ -10,10 +10,11 @@ fails here, not only in the benchmark.
 ``refs.json`` holds every digest the benchmark checks, and every one is
 checked here. It covers only the stdout of the distribution mode of ``qdo run``
 (the P(v=1) lines), not its ``--json`` payload, so those digests are kept below.
-So are those of two noisy reports whose trials share trajectory batches,
-recorded while every trial still ran its own batches, and of two noisy
-distribution-mode runs that cross a batch boundary, recorded while full
-batches still ran in a loop of their own. Two ``qdo run --do ... --effect``
+So are those of two noisy reports of several trials, recorded while every
+trial ran its own batches and held while short batches of several trials
+shared one buffer, and of two noisy distribution-mode runs that cross a
+batch boundary, recorded while full batches still ran in a loop of their
+own. Two ``qdo run --do ... --effect``
 reports are kept too: their stdout was recorded while such a run still
 compiled the graph-surgered model and cut only its do-rows from the circuit,
 and their JSON once the report listed its ``interventions`` after the run
@@ -93,10 +94,10 @@ DISTRIBUTIONS = {
 }
 
 
-# qdo argv: sha256 of stdout and of the --json report. Noisy runs whose
-# trials share trajectory batches: healthcare10's 2500 shots cross a batch
-# boundary and the three trials' 452-shot tails share one batch; simpson3's
-# four 700-shot trials run as two batches of two.
+# qdo argv: sha256 of stdout and of the --json report. Noisy runs of several
+# trials: healthcare10's 2500 shots cross a batch boundary and end in three
+# 452-shot tails, which once shared one batch; simpson3's four 700-shot
+# trials once ran as two batches of two.
 NOISY_REPORTS = {
     ("healthcare10", "--backend", "sampled", "--noise", "0.05", "--shots", "2500", "--trials", "3",
      "--stratify", "Age", "--seed", "3"): (

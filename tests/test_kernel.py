@@ -33,9 +33,8 @@ gate but leaves a qubit no gate touches out of its register too.
 The noisy sampler keeps one state per distinct Pauli history, not one per
 shot; its counts must equal, array for array, those of a plain loop that
 evolves every shot as its own row with the same kernels and the same draws.
-Trials that share batches must count as they do run one seed at a time, with
-the uninitialized batch buffer filled with NaN so that no entry is read
-before it is written.
+A stack of trials must count as one-seed runs do, with the uninitialized
+batch buffer filled with NaN so that no entry is read before it is written.
 """
 
 import math
@@ -544,12 +543,11 @@ def _nan_filled(empty):
 @settings(PROPERTY, max_examples=30)
 @given(circuits(), st.integers(1, 5), st.integers(1, 40), st.integers(1, 120), st.integers(0, 2**64 - 6))
 def test_stacked_trials_count_like_one_seed_runs(circ, trials, batch_rows, shots, seed):
-    # The budget holds batch_rows states, so shots cross batch boundaries, and
-    # the trials' last batches share a buffer as long as they fit in
-    # batch_rows rows; the count stack is held to the same budget. The buffer
-    # is never initialized: with NaN in it, an entry read before it is
-    # written or zeroed spoils the counts. The first trial is also checked
-    # against every shot evolved as its own row.
+    # The budget holds batch_rows states, so shots cross batch boundaries;
+    # the count stack is held to the same budget. The buffer is never
+    # initialized: with NaN in it, an entry read before it is written or
+    # zeroed spoils the counts. The first trial is also checked against every
+    # shot evolved as its own row.
     seeds = [seed + t for t in range(min(trials, batch_rows))]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "MAX_STATE_BYTES", batch_rows * (8 << circ.n_qubits))
