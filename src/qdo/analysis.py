@@ -19,7 +19,7 @@ from typing import Mapping, Sequence, overload
 import numpy as np
 
 from .engine import Distribution
-from .model import ModelError, _show, is_bit
+from .model import ModelError, _is_index, _show, is_bit
 
 # Normal-approximation 95% interval: mean +/- 1.96 standard errors.
 Z_95 = 1.96
@@ -108,7 +108,9 @@ def cells(values: np.ndarray, qubits: Mapping[str, int], event) -> np.ndarray:
     axis. The event indexes axis n-1-q of a row's ``reshape((2,) * n)`` for
     qubit q; the final reshape makes each row contiguous in index order, so
     its sum adds the same floats in the same order as a boolean mask over that
-    row would.
+    row would. A name missing from ``qubits`` raises ``ModelError``; a bit
+    that fails ``model.is_bit``, or a qubit that fails ``model._is_index``
+    for the n qubits, raises ``ValueError``.
     """
     lead = values.shape[:-1]
     n = values.shape[-1].bit_length() - 1
@@ -120,7 +122,7 @@ def cells(values: np.ndarray, qubits: Mapping[str, int], event) -> np.ndarray:
             raise ModelError(f"unknown variable {_show(name)} in query") from None
         if not is_bit(bit):
             raise ValueError(f"variable {_show(name)}: value must be 0 or 1, got {_show(bit)}")
-        if not 0 <= qubit < n:
+        if not _is_index(qubit, n):
             raise ValueError(f"variable {_show(name)}: qubit {_show(qubit)} outside a {n}-qubit distribution")
         axis = n - 1 - qubit
         # An axis asked for both bits keeps no cell.

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
 
-from .model import CausalModel, Intervention, ModelError, _as_float, is_bit, topological_order
+from .model import CausalModel, Intervention, ModelError, _as_float, _is_index, is_bit, topological_order
 
 
 # Each gate kind's ``format_circuit`` line; the one list of kinds. A kind
@@ -46,8 +46,9 @@ class Gate:
 
     Every kind has a ``target``. An H or an X carries nothing else: its
     ``theta`` stays 0.0. An RY carries a finite ``theta``. A CRY also
-    carries its ``control`` qubit and the ``control_value`` (0 or 1) the
-    rotation waits for; on any other kind both stay None.
+    carries its ``control`` qubit and the ``control_value`` (an int 0 or 1,
+    ``model.is_bit``) the rotation waits for; on any other kind both stay
+    None.
     """
 
     kind: str  # a key of _KINDS
@@ -112,11 +113,6 @@ class Circuit:
         return {q: (start, stop) for (q, start), stop in zip(starts.items(), stops)}
 
 
-def _is_index(i, n: int) -> bool:
-    # An int or numpy integer, never a bool; the exact-type test is the fast path.
-    return (type(i) is int or isinstance(i, Integral) and not isinstance(i, bool)) and 0 <= i < n
-
-
 def _check_gate(g: Gate, n: int) -> None:
     if not isinstance(g.kind, str) or g.kind not in _KINDS:
         raise ValueError(f"unknown gate kind {g.kind!r}")
@@ -127,11 +123,11 @@ def _check_gate(g: Gate, n: int) -> None:
         raise ValueError(f"only a CRY takes a control, got {g!r}")
     if cry and g.control == g.target:
         raise ValueError(f"control equals target in gate {g!r}")
-    if cry and not _is_index(g.control_value, 2):
+    if cry and not is_bit(g.control_value):  # an edge's rule, so a numpy integer is refused
         raise ValueError(f"control_value must be 0 or 1 in gate {g!r}")
-    if "{g.theta" not in _KINDS[g.kind] and g.theta != 0.0:  # an H or an X
-        raise ValueError(f"an H or X takes no angle, got {g!r}")
     theta = _as_float(g.theta)  # a model's angle rule: an int or a float, never a bool
+    if "{g.theta" not in _KINDS[g.kind] and theta != 0.0:  # an H or an X
+        raise ValueError(f"an H or X takes no angle, got {g!r}")
     if theta is None:
         raise ValueError(f"rotation angle must be a number in gate {g!r}")
     if not math.isfinite(theta):
@@ -181,14 +177,12 @@ def surgered_circuit(circ: Circuit, iv: Intervention) -> Circuit:
     compile order. The result keeps the block contract. A circuit without
     blocks (only a hand-built one) is refused with ``ValueError``. The
     variable joins ``circ.forced``; one already there, at either value, is
-    refused as already forced. The value must pass ``model.is_bit``, the rule
-    graph surgery (``apply_do``) applies, so 1.0, ``np.int64(1)`` and
-    ``True`` are refused by both. Returns a new circuit; the input is
-    unmodified.
+    refused as already forced. ``iv`` judged its value when it was built
+    (``Intervention``), so circuit surgery refuses the same values as graph
+    surgery (``apply_do``) by construction. Returns a new circuit; the input
+    is unmodified.
     """
     var, value = iv.variable, iv.value
-    if not is_bit(value):
-        raise ValueError(f"intervention value must be 0 or 1, got {value!r}")
     if var not in circ.variables:
         raise ModelError(f"variable {var!r} is not one of this circuit's variables {circ.variables!r}")
     if var in circ.forced:

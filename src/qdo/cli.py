@@ -46,7 +46,7 @@ from .experiments import (
     simpson3_groups,
     stratified_group,
 )
-from .model import CausalModel, Intervention, ModelError, load_model, read_json
+from .model import CausalModel, Intervention, ModelError, _as_float, load_model, read_json
 from .oracle import enumerate_joint
 
 EQUIVALENCE_TOLERANCE = 1e-10
@@ -257,15 +257,15 @@ def _cmd_chart(args: argparse.Namespace) -> int:
                 if ci is not None and not (isinstance(ci, list) and len(ci) == 2):
                     raise TypeError(f"ci must be a list of two numbers, got {ci!r}")
                 numbers = (effect, *(ci or ()))
-                for x in numbers:
-                    if isinstance(x, bool) or not isinstance(x, (int, float)):
-                        raise TypeError(f"effect and ci bounds must be numbers, got {x!r}")
-                if not all(map(math.isfinite, numbers)):
+                reals = tuple(map(_as_float, numbers))  # an int past the float range reads as inf
+                if None in reals:
+                    raise TypeError(f"effect and ci bounds must be numbers, got {numbers[reals.index(None)]!r}")
+                if not all(map(math.isfinite, reals)):
                     raise ValueError("effect and ci bounds must be finite")
-                groups.append(EffectReport(label, float(effect), ci=tuple(map(float, ci)) if ci else None))
+                groups.append(EffectReport(label, reals[0], ci=reals[1:] or None))
             except KeyError as exc:
                 raise ModelError(f"{path}: groups[{i}]: missing field {exc}") from None
-            except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+            except (AttributeError, TypeError, ValueError) as exc:
                 raise ModelError(f"{path}: groups[{i}]: malformed group: {exc}") from None
     svg = render_chart(groups, title=args.title, reference=args.reference)
     Path(args.svg_path).write_text(svg, encoding="utf-8")

@@ -122,13 +122,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
 from .circuit import Circuit
-from .model import _as_float, _show
+from .model import _as_float, _is_index, _show
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _H = ((_SQRT1_2, _SQRT1_2), (_SQRT1_2, -_SQRT1_2))
@@ -587,22 +586,21 @@ def _trajectory_counts(plan: tuple, rows: int, p_depol: float, rng: np.random.Ge
 def marginal(dist: Distribution, qubits) -> Distribution:
     """Sum out every qubit not in ``qubits``; preserves exact/sampled kind.
 
-    The result is indexed little-endian over the kept qubits in ascending
-    order of their original index.
+    ``qubits`` are distinct indices into the distribution's qubits
+    (``model._is_index``), in any order. The result is indexed little-endian
+    over the kept qubits in ascending order of their original index.
     """
     given = list(qubits)  # an iterator can be read only once
     if not given:
         raise ValueError("marginal requires a non-empty qubit subset")
+    n = dist.n_qubits
     for q in given:
-        if isinstance(q, bool) or not isinstance(q, Integral):
-            raise ValueError(f"qubit indices must be integers, got {q!r} in {given!r}")
+        if not _is_index(q, n):
+            raise ValueError(f"qubit indices must be integers in [0, {n}), got {_show(q)} in {_show(given)}")
     kept = sorted(given)
     if len(kept) != len(set(kept)):
         raise ValueError(f"duplicate qubit indices in {given!r}")
-    if kept[0] < 0 or kept[-1] >= dist.n_qubits:
-        raise ValueError(f"qubit index out of range in {given!r} (n={dist.n_qubits})")
 
-    n = dist.n_qubits
     arr = dist.values.reshape([2] * n)  # axis j holds the bit of qubit n-1-j
     drop = tuple(n - 1 - q for q in range(n) if q not in kept)
     if drop:

@@ -66,10 +66,11 @@ class RunConfig:
     """A run's knobs, each with its one default; the CLI's ``--backend``,
     ``--shots`` and ``--seed`` take theirs from here.
 
-    A sampled run's shots and seed are ints in range (``check_shots``,
-    ``check_seed``) and trials is an int >= 1; as for a bit
-    (``model.is_bit``), a bool, float or numpy integer is refused. ``noise``
-    is None or a ``NoiseSpec`` (``check_noise``), never a bare probability.
+    Shots and seed are ints in range (``check_shots``, ``check_seed``) and
+    trials is an int >= 1, for every backend, although an exact run draws no
+    shots; as for a bit (``model.is_bit``), a bool, float or numpy integer is
+    refused. ``noise`` is None or a ``NoiseSpec`` (``check_noise``), never a
+    bare probability.
     """
 
     backend: str = "exact"
@@ -81,9 +82,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.backend not in ("exact", "sampled"):
             raise ValueError(f"backend must be 'exact' or 'sampled', got {self.backend!r}")
-        if self.backend == "sampled":
-            check_shots(self.shots)
-            check_seed(self.seed)
+        check_shots(self.shots)
+        check_seed(self.seed)
         if type(self.trials) is not int or self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {_show(self.trials)}")
         check_noise(self.noise)
@@ -183,10 +183,11 @@ def run_experiment(
     outcome, a name a group adjusts for or conditions on or a ``do`` name is
     not a variable of the model; ValueError when there is no group, two
     groups share a label, a do group sets ``adjust`` or ``given``, a
-    ``given`` or ``do`` value is not a bit (``model.is_bit``), the outcome is
-    the treatment or a group adjusts for or conditions on either of them.
+    ``given`` value is not a bit (``model.is_bit``), the outcome is the
+    treatment or a group adjusts for or conditions on either of them.
     Raises ModelError when the model has interventions (pass them as ``do``)
-    or ``do`` forces the treatment.
+    or ``do`` forces the treatment. A ``do`` value needs no check here: each
+    ``Intervention`` judged its value when it was built.
     """
     if not groups:
         raise ValueError("a run needs at least one group")
@@ -212,8 +213,6 @@ def run_experiment(
     do = tuple(do)  # read three times: checked, cut and reported
     for iv in do:
         model.variable(iv.variable)
-        if not is_bit(iv.value):
-            raise ValueError(f"intervention value must be 0 or 1, got {_show(iv.value)}")
     if model.interventions:
         raise ModelError(f"model {model.name!r} is already intervened on: run its observational model with do=")
     base = reduce(surgered_circuit, do, compile_model(model))

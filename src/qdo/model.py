@@ -11,8 +11,14 @@ route, for the enumeration oracle and the tests that compare both surgeries.
 
 ``CausalModel`` raises ``ModelError`` with every violation ``validate`` finds
 when it is built, so a model that exists is valid; that includes each result
-of ``apply_do``. A model indexes and peels itself once, on first use, so
-name lookups, incoming edges and the topological order cost no scan of it.
+of ``apply_do``. An ``Intervention`` judges itself when it is built, so a
+do() that exists names a variable by a string and forces a bit. A model
+indexes and peels itself once, on first use, so name lookups, incoming
+edges and the topological order cost no scan of it.
+
+Every judge of an input value in qdo applies one of three rules, all here:
+``is_bit`` for a 0-or-1 value, ``_as_float`` for a real number and
+``_is_index`` for an index into n qubits.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple
 
@@ -57,22 +64,24 @@ class Prep:
     """Initial-state preparation for one variable.
 
     kind is "ground" (state 0, no gate), "uniform" (Hadamard), or "rotation"
-    (Y-rotation by ``angle`` radians, giving P(1) = sin^2(angle/2)).
+    (Y-rotation by ``angle`` radians, giving P(1) = sin^2(angle/2)). A
+    rotation's finite int or float angle is reduced into [0, 2*pi) when the
+    prep is built, so the angle a model file holds reads back unchanged. Any
+    other angle (a bool, a non-finite or non-number value) is kept as given,
+    for ``validate`` to refuse; so is a ground or uniform prep's angle.
     """
 
     kind: str
     angle: float = 0.0
 
+    def __post_init__(self) -> None:
+        real = _as_float(self.angle) if self.kind == "rotation" else None
+        if real is not None and math.isfinite(real):
+            angle = self.angle % TWO_PI  # 2*pi itself when a tiny negative angle rounds up
+            object.__setattr__(self, "angle", angle if angle < TWO_PI else 0.0)
+
     @staticmethod
     def rotation(angle: float) -> "Prep":
-        """A rotation prep, a finite int or float angle reduced mod 2*pi.
-
-        Any other angle (a bool, a non-finite or non-number value) is kept as
-        given, for ``validate`` to refuse.
-        """
-        real = _as_float(angle)
-        if real is not None and math.isfinite(real):
-            angle = angle % TWO_PI
         return Prep("rotation", angle)
 
 
@@ -92,6 +101,11 @@ def _as_float(x) -> float | None:
         return float(x)
     except OverflowError:
         return math.inf
+
+
+def _is_index(i, n: int) -> bool:
+    """The one index rule: an int or numpy integer, never a bool, in [0, n)."""
+    return (type(i) is int or isinstance(i, Integral) and not isinstance(i, bool)) and 0 <= i < n
 
 
 GROUND = Prep("ground")
@@ -122,8 +136,21 @@ class Edge:
 
 @dataclass(frozen=True)
 class Intervention:
+    """do(variable=value); built only with a string variable and a value that passes ``is_bit``.
+
+    This is the one judge of a do(): graph surgery (``apply_do``), circuit
+    surgery and runs take an ``Intervention`` and never check its fields
+    again. Anything else raises ``ModelError``.
+    """
+
     variable: str
     value: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.variable, str):
+            raise ModelError(f"intervention {_show(self.variable)}: variable must be a string")
+        if not is_bit(self.value):
+            raise ModelError(f"intervention {self.variable!r}: value must be 0 or 1, got {_show(self.value)}")
 
 
 class _Index(NamedTuple):
@@ -193,9 +220,12 @@ def validate(model: CausalModel) -> list[str]:
     on every model it builds and raises all of them at once. It is the one
     judge of field values, for a model built in Python and for one read from a
     file (``model_from_dict`` checks only the file's shape), so every valid
-    model can be saved and read back: names are strings, ``control_value``,
-    ``sign`` and an intervention's value are ints (``is_bit`` for the 0-or-1
-    fields), and angles are ints or floats, never bools, finite as floats.
+    model can be saved and read back as an equal model: names are strings,
+    ``control_value`` and ``sign`` are ints (``is_bit`` for the 0-or-1
+    field), angles are ints or floats, never bools, finite as floats, and a
+    ground or uniform prep has no angle (0.0). An intervention's fields are
+    judged when it is built (``Intervention``); here it must name a variable
+    of the model, once, that has no incoming edge.
     """
     out: list[str] = [
         f"{field}: expected {kind.__name__} entries, got {_show(x)}"
@@ -231,6 +261,8 @@ def validate(model: CausalModel) -> list[str]:
                 out.append(f"variable {_show(v.name)}: base rotation angle must be a number, got {_show(v.prep.angle)}")
             elif not math.isfinite(angle):
                 out.append(f"variable {_show(v.name)}: non-finite base rotation angle")
+        elif _as_float(v.prep.angle) != 0.0:
+            out.append(f"variable {_show(v.name)}: a {v.prep.kind} prep takes no angle, got {_show(v.prep.angle)}")
     known = {n for n in names if isinstance(n, str)}
     if keyed and len(known) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
@@ -247,9 +279,9 @@ def validate(model: CausalModel) -> list[str]:
     def edge(e: Edge) -> str:  # formatted only for an edge at fault
         return f"edge {_show(e.parent)}->{_show(e.child)}"
 
-    # control_value, sign and an intervention's value are ints (no bool, float
-    # or numpy integer), and angles ints or floats: the JSON types of a model
-    # file, so every valid model can be saved and read back.
+    # control_value and sign are ints (no bool, float or numpy integer), and
+    # angles ints or floats: the JSON types of a model file, so every valid
+    # model can be saved and read back.
     seen_triples: set[tuple[str, str, int]] = set()
     for e in model.edges:
         ends = isinstance(e.parent, str) and isinstance(e.child, str)
@@ -285,14 +317,9 @@ def validate(model: CausalModel) -> list[str]:
 
     intervened: set[str] = set()
     for iv in model.interventions:
-        if not isinstance(iv.variable, str):
-            out.append(f"intervention {_show(iv.variable)}: variable must be a string")
-            continue
         if iv.variable not in known:
             out.append(f"intervention on unknown variable {_show(iv.variable)}")
             continue
-        if not is_bit(iv.value):
-            out.append(f"intervention {_show(iv.variable)}: value must be 0 or 1, got {_show(iv.value)}")
         if iv.variable in intervened:
             out.append(f"variable {_show(iv.variable)} intervened more than once")
         intervened.add(iv.variable)
@@ -366,8 +393,9 @@ def apply_do(model: CausalModel, iv: Intervention) -> CausalModel:
 
     Returns a new model with ``iv`` recorded; the input is unmodified. The
     forced value itself is realized by the compiler (an X gate when value is 1).
-    The new model checks itself, so an unknown variable, a value other than 0
-    or 1, or a variable already intervened on raises ``ModelError``.
+    The new model checks itself, so an unknown variable or a variable already
+    intervened on raises ``ModelError``; ``iv`` judged its value when it was
+    built.
     """
     variables = tuple(replace(v, prep=GROUND) if v.name == iv.variable else v for v in model.variables)
     edges = tuple(e for e in model.edges if e.child != iv.variable)
@@ -417,7 +445,7 @@ def _prep_from_json(value, where: str) -> Prep:
         return UNIFORM
     if isinstance(value, dict):
         _require_keys(value, ("rotation",), where)
-        return Prep.rotation(_angle_from_json(value["rotation"]))
+        return Prep("rotation", value["rotation"])
     raise ModelError(f'{where}: expected "ground", "uniform" or {{"rotation": angle}}, got {value!r}')
 
 

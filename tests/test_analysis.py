@@ -146,10 +146,12 @@ class TestCondProb:
         dist, qmap = obs3
         assert adjusted_effect(dist, qmap, "T", "O", ("O",))[0] == 0.0
 
-    @pytest.mark.parametrize("qubit", [5, 3, -1])
+    # A qubit map's value follows the index rule of marginal (model._is_index):
+    # "x" is no index, and True is not read as qubit 1.
+    @pytest.mark.parametrize("qubit", [5, 3, -1, "x", True])
     def test_qubit_outside_distribution_rejected(self, obs3, qubit):
         dist, qmap = obs3
-        with pytest.raises(ValueError, match=f"qubit {qubit} outside a 3-qubit distribution"):
+        with pytest.raises(ValueError, match=f"qubit {re.escape(repr(qubit))} outside a 3-qubit distribution"):
             cond_prob(dist, {**qmap, "X": qubit}, Query(("X", 0)))
 
     def test_sampled_distribution_uses_counts(self, simpson3_entry):

@@ -29,7 +29,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdo import (
-    CausalModel, Edge, Intervention, ModelError, NoiseSpec, Prep, Variable, compile_model, load_model, run_exact,
+    CausalModel, Edge, Intervention, ModelError, NoiseSpec, Prep, Variable, compile_model, load_model, marginal,
+    run_exact,
 )
 from qdo.analysis import cells
 from qdo.catalog import healthcare10, simpson3
@@ -152,16 +153,18 @@ _A, _B = Variable("A", 0), Variable("B", 1)
     ("m", (_A, _B), (Edge("A", "B", 1, (HUGE,)),), ()),
     ("m", (_A, _B), (Edge("A", "B", HUGE, 1.0),), ()),
     ("m", (_A, _B), (Edge("A", "B", 1, 1.0, HUGE),), ()),
-    ("m", (_A,), (), (Intervention(HUGE, 1),)),
-    ("m", (_A,), (), (Intervention("A", HUGE),)),
+    ("m", (_A,), (), ((HUGE, 1),)),
+    ("m", (_A,), (), (("A", HUGE),)),
 ], ids=["model-name", "entry", "variable-name", "variable-name-out-of-range", "qubit", "prep", "prep-kind",
         "base-angle", "parent", "child", "angle", "control-value", "sign", "intervened-variable",
         "intervention-value"])
 def test_validate_prints_no_int_past_the_digit_limit(name, variables, edges, interventions):
     # Each field validate prints, holding (or being) an int whose repr()
     # raises ValueError: the model is refused with ModelError all the same.
+    # A do()'s fields are judged when its Intervention is built, so the
+    # interventions come as (variable, value) pairs, built in here.
     with pytest.raises(ModelError, match="too long to print"):
-        CausalModel(name, variables, edges, interventions)
+        CausalModel(name, variables, edges, tuple(Intervention(*iv) for iv in interventions))
 
 
 def test_variable_lookup_prints_no_int_past_the_digit_limit():
@@ -200,6 +203,14 @@ def test_cells_prints_no_int_past_the_digit_limit(qubits, event, error, message)
     with pytest.raises(error) as err:
         cells(_DIST.values, qubits, event)
     assert str(err.value) == message
+
+
+def test_marginal_prints_no_int_past_the_digit_limit():
+    with pytest.raises(ValueError) as err:
+        marginal(_DIST, [0, HUGE])
+    assert str(err.value) == (
+        "qubit indices must be integers in [0, 3), got <int too long to print> in <list too long to print>"
+    )
 
 
 def test_chart_reports_the_reader_messages(tmp_path, capsys):

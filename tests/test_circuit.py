@@ -47,6 +47,8 @@ class TestGateChecks:
         ((2, (_cry(0, -1),)), "control_value"),
         ((2, (_cry(0, 2),)), "control_value"),
         ((2, (_cry(0, True),)), "control_value"),
+        # An edge's 0-or-1 rule (model.is_bit), which surgery and models apply too.
+        ((2, (_cry(0, np.int64(1)),)), "control_value"),
         ((2, (Gate("ry", 0, theta=math.nan),)), "non-finite"),
         ((2, (Gate("ry", 0, theta=math.inf),)), "non-finite"),
         ((2, (_cry(0, 1, theta=math.nan),)), "non-finite"),
@@ -71,6 +73,7 @@ class TestGateChecks:
         ((2, (Gate("h", 0, theta=0.5),)), "an H or X takes no angle"),
         ((2, (Gate("x", 0, theta=-1.0),)), "an H or X takes no angle"),
         ((2, (Gate("x", 0, theta=math.nan),)), "an H or X takes no angle"),
+        ((2, (Gate("h", 0, theta=False),)), "an H or X takes no angle"),
         ((True, ()), "n_qubits"),
         ((-1, ()), "n_qubits"),
         ((1.5, ()), "n_qubits"),
@@ -83,11 +86,11 @@ class TestGateChecks:
     ], ids=[
         "unknown-kind", "target-high", "target-negative", "target-bool",
         "control-high", "control-none", "control-bool", "cry-target-high", "control-is-target",
-        "control-value-none", "control-value-neg", "control-value-2", "control-value-bool",
+        "control-value-none", "control-value-neg", "control-value-2", "control-value-bool", "control-value-numpy",
         "ry-nan", "ry-inf", "cry-nan", "cry-neg-inf",
         "ry-bool", "cry-bool", "ry-str", "ry-none", "ry-list", "ry-huge-int", "kind-unhashable", "kind-upper-case",
         "x-controlled", "x-control", "x-control-value", "h-control", "ry-control", "ry-control-value",
-        "h-theta", "x-theta", "x-nan",
+        "h-theta", "x-theta", "x-nan", "h-theta-bool",
         "n-qubits-bool", "n-qubits-negative", "n-qubits-float",
         "variables-short", "variables-repeated", "variables-long",
         "forced-unknown", "forced-repeated", "forced-unnamed",

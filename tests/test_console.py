@@ -89,7 +89,7 @@ def test_report_rows(work):
     assert 'class="whisker"' not in (work / "one.svg").read_text(encoding="utf-8")
 
 
-def test_noisy_trials_sharing_batches_write_the_same_bytes(work):
+def test_noisy_trials_with_tail_batches_write_the_same_bytes(work):
     # 2500 shots cross a batch boundary, and each trial runs its own 452-shot tail.
     twice(work, "merged", "healthcare10", "--backend", "sampled", "--noise", "0.02", "--shots", "2500",
           "--trials", "3", "--stratify", "Age")

@@ -82,6 +82,11 @@ class TestRunConfig:
             {"backend": "sampled", "noise": 0.02},
             {"backend": "sampled", "noise": "0.1"},
             {"backend": "sampled", "noise": True},
+            # An exact run draws no shots, but its knobs obey the same rules.
+            {"shots": 0},
+            {"shots": np.int64(100)},
+            {"seed": -5},
+            {"seed": True},
         ],
     )
     def test_bad_counts(self, kw):
@@ -569,8 +574,8 @@ class TestNoisyBatches:
         (250, 5, 100, [100, 100, 50] * 5),
         (90, 3, 100, [90] * 3),
     ], ids=["1024x8", "2500x3", "700x4", "250x5-small-budget", "90x3-small-budget"])
-    def test_merging_never_makes_a_bigger_batch(self, batches, monkeypatch, simpson3_entry, shots, trials, rows,
-                                                per_circuit):
+    def test_each_trial_runs_its_own_batches(self, batches, monkeypatch, simpson3_entry, shots, trials, rows,
+                                             per_circuit):
         # No two trials share a batch: each trial's full batches, then its
         # tail, in trial order.
         if rows is not None:
@@ -579,7 +584,7 @@ class TestNoisyBatches:
         run_experiment(simpson3_entry.model, "T", "O", simpson3_groups(), cfg)
         assert batches == per_circuit * 3
 
-    def test_merged_trials_peak_like_one_full_batch(self, healthcare10_entry):
+    def test_trials_peak_like_one_trial(self, healthcare10_entry):
         # Three 1024-shot trials run one batch at a time, so they peak like
         # one trial; the live slots, and with them the gate temporaries,
         # differ from trial to trial. A first run makes the allocations that
@@ -688,17 +693,19 @@ class TestCircuitSurgery:
             run_experiment(simpson3_entry.model, "Z", "O", [causal_group()], RunConfig())
         assert compiled == []
 
-    @pytest.mark.parametrize("iv, error, message", [
-        (Intervention("Z", 1), ModelError, "unknown variable 'Z' in model 'simpson3'"),
-        (Intervention("G", 2), ValueError, "intervention value must be 0 or 1, got 2"),
-        (Intervention("G", True), ValueError, "intervention value must be 0 or 1, got True"),
-        (Intervention("G", 1.0), ValueError, "intervention value must be 0 or 1, got 1.0"),
+    # A do() is built in the test: a bad value is refused by its Intervention,
+    # so the run never receives it.
+    @pytest.mark.parametrize("iv, message", [
+        (("Z", 1), "unknown variable 'Z' in model 'simpson3'"),
+        (("G", 2), "intervention 'G': value must be 0 or 1, got 2"),
+        (("G", True), "intervention 'G': value must be 0 or 1, got True"),
+        (("G", 1.0), "intervention 'G': value must be 0 or 1, got 1.0"),
     ], ids=["unknown-variable", "value-2", "value-bool", "value-float"])
-    def test_bad_do_refused_before_compiling(self, simpson3_entry, monkeypatch, iv, error, message):
+    def test_bad_do_refused_before_compiling(self, simpson3_entry, monkeypatch, iv, message):
         compiled = []
         monkeypatch.setattr(experiments, "compile_model", compiled.append)
-        with pytest.raises(error) as info:
-            run_experiment(simpson3_entry.model, "T", "O", [causal_group()], RunConfig(), do=[iv])
+        with pytest.raises(ModelError) as info:
+            run_experiment(simpson3_entry.model, "T", "O", [causal_group()], RunConfig(), do=[Intervention(*iv)])
         assert str(info.value) == message and compiled == []
 
     def test_do_may_be_an_iterator(self, simpson3_entry):

@@ -168,7 +168,7 @@ def test_distribution_mode_bytes(model, extra, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", NOISY_REPORTS, ids=[" ".join(a[:1] + a[3:5]) for a in NOISY_REPORTS])
-def test_merged_noisy_report_bytes(argv, tmp_path, capsys):
+def test_noisy_report_bytes(argv, tmp_path, capsys):
     report = tmp_path / "report.json"
     assert cli.main([*argv, "--json", str(report)]) == 0
     stdout = capsys.readouterr().out.encode("utf-8")

@@ -1,5 +1,6 @@
 """Model validation at construction, topological ordering, graph surgery, and the JSON format."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -25,7 +26,6 @@ from qdo import (
     compile_model,
     load_model,
     save_model,
-    surgered_circuit,
     topological_order,
     validate,
 )
@@ -91,17 +91,23 @@ class TestValidate:
         with pytest.raises(ModelError, match=f"variable 'B': qubit index must be an integer, got {qubit!r}"):
             CausalModel("m", (Variable("A", 0, UNIFORM), Variable("B", qubit)), (Edge("A", "B", 1, 1.0),))
 
-    @pytest.mark.parametrize("value", [True, 2, 1.0, pytest.param(np.int64(1), id="numpy")])
-    def test_intervention_value_not_a_bit(self, value):
-        # Graph and circuit surgery share one rule (``model.is_bit``), so the
-        # two routes to do() refuse the same values.
-        m = CausalModel("m", (Variable("A", 0, UNIFORM), Variable("B", 1)), (Edge("A", "B", 1, 1.0),))
-        with pytest.raises(ModelError, match="intervention 'B': value must be 0 or 1"):
-            CausalModel("m", m.variables, (), (Intervention("B", value),))
-        with pytest.raises(ModelError, match="intervention 'B': value must be 0 or 1"):
-            apply_do(m, Intervention("B", value))
-        with pytest.raises(ValueError, match="intervention value must be 0 or 1"):
-            surgered_circuit(compile_model(m), Intervention("B", value))
+    @pytest.mark.parametrize("variable, value, message", [
+        pytest.param("B", True, "intervention 'B': value must be 0 or 1, got True", id="True"),
+        pytest.param("B", 2, "intervention 'B': value must be 0 or 1, got 2", id="2"),
+        pytest.param("B", 1.0, "intervention 'B': value must be 0 or 1, got 1.0", id="1.0"),
+        pytest.param("B", np.int64(1), f"intervention 'B': value must be 0 or 1, got {np.int64(1)!r}", id="numpy"),
+        pytest.param("B", "1", "intervention 'B': value must be 0 or 1, got '1'", id="str"),
+        pytest.param(["B"], 1, "intervention ['B']: variable must be a string", id="variable-list"),
+        pytest.param(1, 1, "intervention 1: variable must be a string", id="variable-int"),
+        pytest.param(None, 1, "intervention None: variable must be a string", id="variable-none"),
+    ])
+    def test_intervention_value_not_a_bit(self, variable, value, message):
+        # A malformed do() is refused once, when its Intervention is built (its
+        # value by ``model.is_bit``), so graph surgery, circuit surgery and
+        # runs never receive one: both routes to do() refuse the same values.
+        with pytest.raises(ModelError) as err:
+            Intervention(variable, value)
+        assert str(err.value) == message
 
     # Wrongly typed fields are violations like any other: building the model
     # raises ModelError, never the AttributeError or TypeError of a check.
@@ -162,12 +168,11 @@ class TestValidate:
     def test_integer_fields_take_only_int(self, field, rule, bad):
         # The model file's rule (``model_from_dict``): 1.0 would fail to
         # compile or reload, and np.int64(1) to save.
-        if field == "value":
-            parts = ((), (Intervention("B", bad),))
-        else:
-            parts = ((Edge("A", "B", **{"control_value": 1, "angle": 1.0, "sign": 1, field: bad}),),)
         with pytest.raises(ModelError, match=f"{rule}, got {re.escape(repr(bad))}"):
-            CausalModel("m", _AB, *parts)
+            if field == "value":  # judged when its Intervention is built
+                CausalModel("m", _AB, (), (Intervention("B", bad),))
+            else:
+                CausalModel("m", _AB, (Edge("A", "B", **{"control_value": 1, "angle": 1.0, "sign": 1, field: bad}),))
 
     @pytest.mark.parametrize("name", [3, None])
     def test_model_name_must_be_a_string(self, name):
@@ -211,11 +216,10 @@ class TestValidate:
         ((Variable(["a"], 0),), (), (), "variable ['a']: name must be a string"),
         (_AB, (Edge(["A"], "B", 1, 0.5),), (), "edge ['A']->'B': parent and child must be strings"),
         (_AB, (Edge("A", "B", [1], 0.5),), (), "edge 'A'->'B': control_value must be 0 or 1, got [1]"),
-        (_AB, (), (Intervention(["B"], 1),), "intervention ['B']: variable must be a string"),
         ((None,), (), (), "variables: expected Variable entries, got None"),
         (_AB, (("A", "B"),), (), "edges: expected Edge entries, got ('A', 'B')"),
         (_AB, (), ({"B": 1},), "interventions: expected Intervention entries, got {'B': 1}"),
-    ], ids=["variable-name", "edge-parent", "control-value", "intervention-variable",
+    ], ids=["variable-name", "edge-parent", "control-value",
             "variable-entry", "edge-entry", "intervention-entry"])
     def test_wrongly_typed_fields_are_violations(self, variables, edges, interventions, message):
         # validate keys sets and dicts on names and reads each entry's fields:
@@ -240,6 +244,22 @@ def test_every_valid_model_round_trips_and_compiles(seed):
     model = make_random_model(np.random.default_rng(seed), max_qubits=8)
     assert model_from_dict(json.loads(model_json_text(model))) == model
     compile_model(model)
+
+
+_ANGLES = st.floats(-4 * math.pi, 4 * math.pi, exclude_min=True, exclude_max=True) | st.integers(-12, 12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(st.integers(0, 2**32 - 1), st.lists(_ANGLES, min_size=8, max_size=8))
+def test_raw_rotation_preps_survive_a_save_and_load(seed, angles):
+    # A rotation prep reduces its angle when built, however it is built, so
+    # a model reads back from its file as the model that was saved.
+    model = make_random_model(np.random.default_rng(seed), max_qubits=8)
+    variables = tuple(dataclasses.replace(v, prep=Prep("rotation", a)) for v, a in zip(model.variables, angles))
+    model = dataclasses.replace(model, variables=variables)
+    reloaded = model_from_dict(model_to_dict(model))
+    assert reloaded == model
+    assert model_json_text(reloaded) == model_json_text(model)
 
 
 class TestTopologicalOrder:
@@ -343,6 +363,17 @@ class TestPrep:
         assert Prep.rotation(0.3).angle == pytest.approx(0.3)
         assert Prep.rotation(2 * math.pi + 0.3).angle == pytest.approx(0.3)
         assert Prep.rotation(-0.3).angle == pytest.approx(2 * math.pi - 0.3)
+        assert Prep("rotation", 7.0) == Prep.rotation(7.0)
+        # -1e-300 % (2*pi) rounds to 2*pi itself, which would reduce to 0.0 on reload.
+        assert Prep("rotation", -1e-300).angle == 0.0
+
+    @pytest.mark.parametrize("prep", [Prep("ground", 5.0), Prep("uniform", 1.0), Prep("ground", False),
+                                      Prep("uniform", "x")], ids=["ground", "uniform", "ground-bool", "uniform-str"])
+    def test_ground_and_uniform_take_no_angle(self, prep):
+        # Their file form has no angle, so one would be lost in a save and load.
+        with pytest.raises(ModelError) as err:
+            CausalModel("m", (Variable("A", 0, prep),), ())
+        assert str(err.value) == f"invalid model: variable 'A': a {prep.kind} prep takes no angle, got {prep.angle!r}"
 
     def test_nonfinite_rotation_flagged_by_validate(self):
         with pytest.raises(ModelError, match="non-finite"):
