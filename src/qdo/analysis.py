@@ -7,6 +7,11 @@ row, so K trials are estimated in one pass; a Distribution is the one-row
 case. A conditioning event with zero mass raises ``UndefinedConditionalError``
 rather than silently producing 0/0: asking about an impossible event is a
 caller bug worth surfacing.
+
+An ``EffectReport`` judges itself when it is built, so every report row,
+the estimators' and ``qdo chart``'s alike, has a str label, a finite float
+effect and None or two finite float CI bounds; a bool, a string or a numpy
+float32 effect is refused.
 """
 
 from __future__ import annotations
@@ -14,12 +19,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, overload
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .engine import Distribution
-from .model import ModelError, _is_index, _show, is_bit
+from .model import ModelError, _as_float, _is_index, _show, is_bit
 
 # Normal-approximation 95% interval: mean +/- 1.96 standard errors.
 Z_95 = 1.96
@@ -91,6 +96,12 @@ class EffectReport:
     A sampled row (``aggregate_trials``) holds the K per-trial estimates, with
     ``effect`` their mean and, for K >= 2, the 95% CI as (low, high); an exact
     row has no trials and no CI.
+
+    A row judges itself when it is built, so a row that exists can be charted
+    and written: ``label`` is a str, ``ci`` is None or two bounds, and the
+    effect and bounds are finite ints or floats (``model._as_float``), stored
+    as floats; a bool, a string or a numpy float32 is refused. ``per_trial``
+    and ``strata`` are the estimators' own and are kept as given.
     """
 
     label: str
@@ -98,6 +109,21 @@ class EffectReport:
     per_trial: tuple[float, ...] = ()
     ci: tuple[float, float] | None = None
     strata: tuple[StratumEffect, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise TypeError(f"label must be a string, got {self.label!r}")
+        ci = self.ci
+        if ci is not None and not (isinstance(ci, (list, tuple)) and len(ci) == 2):
+            raise TypeError(f"ci must be a list of two numbers, got {ci!r}")
+        numbers = (self.effect, *(ci or ()))
+        reals = tuple(map(_as_float, numbers))  # an int past the float range reads as inf
+        if None in reals:
+            raise TypeError(f"effect and ci bounds must be numbers, got {numbers[reals.index(None)]!r}")
+        if not all(map(math.isfinite, reals)):
+            raise ValueError("effect and ci bounds must be finite")
+        object.__setattr__(self, "effect", reals[0])
+        object.__setattr__(self, "ci", reals[1:] or None)
 
 
 def cells(values: np.ndarray, qubits: Mapping[str, int], event) -> np.ndarray:
@@ -163,29 +189,14 @@ def cond_prob(
     return float(p[0]) if isinstance(dist, Distribution) else p
 
 
-@overload
 def adjusted_effect(
-    dist: Distribution,
+    dist: Distribution | np.ndarray,
     qubits: Mapping[str, int],
     treatment: str,
     outcome: str,
     adjust: Sequence[str] = (),
     given: Sequence[tuple[str, int]] = (),
-) -> tuple[float, tuple[StratumEffect, ...]]: ...
-
-
-@overload
-def adjusted_effect(
-    dist: np.ndarray,
-    qubits: Mapping[str, int],
-    treatment: str,
-    outcome: str,
-    adjust: Sequence[str] = (),
-    given: Sequence[tuple[str, int]] = (),
-) -> tuple[np.ndarray, StratumRows]: ...
-
-
-def adjusted_effect(dist, qubits, treatment, outcome, adjust=(), given=()):
+) -> tuple[float, tuple[StratumEffect, ...]] | tuple[np.ndarray, StratumRows]:
     """Back-door adjustment of the treatment effect over the cells of ``adjust``.
 
     Returns the sum over cells z of P(z | given) * [P(outcome=1 | treatment=1,

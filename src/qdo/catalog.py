@@ -23,7 +23,6 @@ class Roles:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    id: str
     model: CausalModel
     roles: Roles
 
@@ -49,7 +48,7 @@ def simpson3() -> CatalogEntry:
             Edge("T", "O", 1, 0.6),
         ),
     )
-    return CatalogEntry("simpson3", model, Roles("T", "O", ("G",)))
+    return CatalogEntry(model, Roles("T", "O", ("G",)))
 
 
 def healthcare10() -> CatalogEntry:
@@ -97,5 +96,5 @@ def healthcare10() -> CatalogEntry:
             Edge("Doctor", "Satisfaction", 1, 0.3),
         ),
     )
-    return CatalogEntry("healthcare10", model, Roles("Treatment", "Outcome", ("Age", "Region")))
+    return CatalogEntry(model, Roles("Treatment", "Outcome", ("Age", "Region")))
 

@@ -46,7 +46,7 @@ from .experiments import (
     simpson3_groups,
     stratified_group,
 )
-from .model import CausalModel, Intervention, ModelError, _as_float, load_model, read_json
+from .model import CausalModel, Intervention, ModelError, load_model, read_json
 from .oracle import enumerate_joint
 
 EQUIVALENCE_TOLERANCE = 1e-10
@@ -251,21 +251,10 @@ def _cmd_chart(args: argparse.Namespace) -> int:
             raise ModelError(f"{path}: 'groups' must be a list")
         for i, g in enumerate(data["groups"]):
             try:
-                label, effect, ci = g["label"], g["effect"], g.get("ci")
-                if not isinstance(label, str):
-                    raise TypeError(f"label must be a string, got {label!r}")
-                if ci is not None and not (isinstance(ci, list) and len(ci) == 2):
-                    raise TypeError(f"ci must be a list of two numbers, got {ci!r}")
-                numbers = (effect, *(ci or ()))
-                reals = tuple(map(_as_float, numbers))  # an int past the float range reads as inf
-                if None in reals:
-                    raise TypeError(f"effect and ci bounds must be numbers, got {numbers[reals.index(None)]!r}")
-                if not all(map(math.isfinite, reals)):
-                    raise ValueError("effect and ci bounds must be finite")
-                groups.append(EffectReport(label, reals[0], ci=reals[1:] or None))
+                groups.append(EffectReport(g["label"], g["effect"], ci=g.get("ci")))
             except KeyError as exc:
                 raise ModelError(f"{path}: groups[{i}]: missing field {exc}") from None
-            except (AttributeError, TypeError, ValueError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ModelError(f"{path}: groups[{i}]: malformed group: {exc}") from None
     svg = render_chart(groups, title=args.title, reference=args.reference)
     Path(args.svg_path).write_text(svg, encoding="utf-8")

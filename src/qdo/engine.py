@@ -185,10 +185,6 @@ class Distribution:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
-    def kind(self) -> str:
-        return "exact" if self.shots is None else "sampled"
-
     def probabilities(self) -> np.ndarray:
         if self.shots is None:
             return self.values

@@ -443,6 +443,28 @@ class TestAggregateTrials:
         assert row.effect - row.ci[0] == pytest.approx(_half_width(row), abs=1e-12)
 
 
+class TestEffectReport:
+    # Each row here reached render_chart before a row judged itself.
+    @pytest.mark.parametrize("fields, error, message", [
+        ({"effect": math.nan}, ValueError, "must be finite"),
+        ({"ci": (0.0, math.inf)}, ValueError, "must be finite"),
+        ({"effect": True}, TypeError, "must be numbers, got True"),
+        ({"effect": "0.1"}, TypeError, "must be numbers, got '0.1'"),
+        ({"effect": np.float32(0.1)}, TypeError, "must be numbers"),
+        ({"ci": (0.1,)}, TypeError, "ci must be a list of two numbers"),
+        ({"ci": (0.0, 0.1, 0.2)}, TypeError, "ci must be a list of two numbers"),
+        ({"label": 5}, TypeError, "label must be a string, got 5"),
+    ], ids=["nan-effect", "inf-ci", "bool-effect", "str-effect", "float32-effect", "one-bound", "three-bounds",
+            "int-label"])
+    def test_refused_when_built(self, fields, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            EffectReport(**{"label": "g", "effect": 0.1, **fields})
+
+    def test_numbers_are_stored_as_floats(self):
+        row = EffectReport("g", 1, ci=[0, np.float64(2.5)])
+        assert (type(row.effect), row.ci) == (float, (0.0, 2.5)) and type(row.ci[1]) is float
+
+
 class TestSignReversalInvariant:
     def test_signs_without_tolerance(self, obs3, simpson3_entry):
         dist, qmap = obs3

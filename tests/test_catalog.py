@@ -9,7 +9,6 @@ import pytest
 
 from qdo import (
     GROUND,
-    UNIFORM,
     catalog,
     causal_effect,
     compile_model,

@@ -15,6 +15,7 @@ from conftest import chain_model, make_random_model
 from qdo import CausalModel, Edge, NoiseSpec, Prep, Variable, cli, engine, experiments
 from qdo import model as model_module
 from qdo.analysis import (
+    EffectReport,
     Query,
     StratumEffect,
     UndefinedConditionalError,
@@ -257,6 +258,18 @@ class TestSerialization:
         for g in data["groups"]:
             assert len(g["ci"]) == 2 and len(g["per_trial"]) == 3
         json.loads(report_json_text(report))  # well-formed
+
+    @pytest.mark.parametrize("cfg", [RunConfig(), RunConfig("sampled", trials=3)], ids=["exact", "sampled"])
+    def test_saved_rows_read_back_as_built(self, simpson3_entry, healthcare10_entry, cfg):
+        # ``qdo chart`` builds each saved row through EffectReport, the rows' one judge.
+        # healthcare10's (Treatment=0, Region=1) cell has mass 0.0012, so its
+        # sampled report takes the default 15000 shots, not a few hundred.
+        for entry, groups in ((simpson3_entry, simpson3_groups()), (healthcare10_entry, healthcare10_groups())):
+            report = run_experiment(entry.model, entry.roles.treatment, entry.roles.outcome, groups, cfg)
+            saved = json.loads(json.dumps(report_to_dict(report)))["groups"]
+            back = [EffectReport(g["label"], g["effect"], ci=g.get("ci")) for g in saved]
+            assert [(g.label, g.effect, g.ci) for g in back] == [(g.label, g.effect, g.ci) for g in report.groups]
+            assert all((g.ci is not None) == (cfg.backend == "sampled") for g in back)
 
     def test_csv_columns(self, simpson3_entry):
         cfg = RunConfig(backend="sampled", shots=1500, trials=3, seed=2)

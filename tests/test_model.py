@@ -518,6 +518,6 @@ class TestJsonFormat:
         # healthcare10 subcommands the catalog: no file may lack an entry.
         assert sorted(f.name for f in root.glob("*.json")) == ["healthcare10.json", "simpson3.json"]
         for entry in (simpson3_entry, healthcare10_entry):
-            path = root / f"{entry.id}.json"
+            path = root / f"{entry.model.name}.json"
             assert load_model(path) == entry.model
             assert path.read_text(encoding="utf-8") == model_json_text(entry.model)
